@@ -20,7 +20,6 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import InvariantViolation
 from .wigner import WignerFunction, purity
@@ -69,6 +68,7 @@ def smoothed_minimum(w: WignerFunction, sigma_q: float, sigma_p: float) -> float
     """
     if not (sigma_q > 0 and sigma_p > 0):
         raise ValueError("smoothing widths must be positive")
+    from scipy.signal import fftconvolve  # deferred: scipy.signal takes ~1 s to import
     g = w.grid
     n = g.n_points
     offsets = np.arange(n) - n // 2

@@ -154,6 +154,11 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    for flag, value in (("--t", args.t), ("--dt", args.dt)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} must be finite and positive, got {value}")
+    if args.dump_every < 0:
+        raise ValueError(f"--dump-every must be nonnegative, got {args.dump_every}")
     w = _load_state_as_wdf(args.input)
     potential = wio.load_potential_spec(args.potential)
     n_steps = max(int(np.ceil(args.t / args.dt - 1e-12)), 1)

@@ -7,10 +7,13 @@ of odd-order quantum corrections,
             + sum_{n>=1} (-1)^n (hbar/2)^(2n) / (2n+1)! * V^(2n+1)(q) d^(2n+1)W/dp^(2n+1),
 
 which terminates for polynomial V (degree <= 8 keeps the highest stencil
-order bounded).  All derivatives are spectral; stepping is the classic
-explicit fourth-order scheme with a CFL-style admissibility bound checked
-up front.  A Strang-split Schroedinger propagator acts as the independent
-oracle for the same dynamics on the wavefunction side.
+order bounded).  All derivatives are spectral.  The transport term is
+diagonal in (k_q, p) and the potential terms in (q, k_p), so stepping
+splits the operator and applies each part exactly as a phase, composed to
+fourth order (Cabrera, Bondar, Jacobs & Rabitz, PRA 92, 042122 (2015);
+Yoshida, Phys. Lett. A 150, 262 (1990)).  A Strang-split Schroedinger
+propagator acts as the independent oracle for the same dynamics on the
+wavefunction side.
 """
 
 from __future__ import annotations
@@ -94,7 +97,11 @@ def _series_terms(v: PotentialSpec, series_order: int) -> int:
 
 
 def stability_limit(grid: Grid, v: PotentialSpec) -> float:
-    """Largest admissible explicit step: 0.5*min(m*dq/p_max, dp/max|V'|)."""
+    """Largest admissible step: 0.5*min(m*dq/p_max, dp/max|V'|).
+
+    :func:`propagate` is unconditionally stable, so the bound is
+    conservative; it is enforced all the same.
+    """
     p_max = float(np.max(np.abs(grid.p)))
     bound = 0.5 * v.mass * grid.delta_q / p_max
     v_prime_max = float(np.max(np.abs(v.derivative_values(grid.q, 1))))
@@ -103,41 +110,34 @@ def stability_limit(grid: Grid, v: PotentialSpec) -> float:
     return bound
 
 
-class _MoyalRHS:
-    """Precomputed right-hand-side evaluator for one grid/potential combination."""
+def _moyal_symbols(grid: Grid, v: PotentialSpec, series_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier symbols of the two parts of the Moyal operator.
 
-    def __init__(self, grid: Grid, v: PotentialSpec, series_order: int):
-        n = grid.n_points
-        self.grid = grid
-        self.mass = v.mass
-        # spectral wavenumbers; Nyquist zeroed for odd derivative orders
-        self.kq = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.delta_q)
-        self.kp = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.delta_p)
-        self.kq_odd = self.kq.copy()
-        self.kq_odd[-1] = 0.0
-        self.kp_odd = self.kp.copy()
-        self.kp_odd[-1] = 0.0
-        self.p_row = grid.p[None, :]
-        self.v_prime = v.derivative_values(grid.q, 1)[:, None]
-        self.quantum = []
-        for term in range(1, _series_terms(v, series_order) + 1):
-            order = 2 * term + 1
-            coeff = (-1.0) ** term * (grid.hbar / 2.0) ** (2 * term) / math.factorial(order)
-            v_deriv = v.derivative_values(grid.q, order)[:, None]
-            if np.any(v_deriv):
-                self.quantum.append((order, coeff * v_deriv))
+    ``transport`` is ``-(p/m) d/dq``, diagonal in (k_q, p); ``force`` is
+    ``V' d/dp`` plus the odd quantum corrections, diagonal in (q, k_p).
+    Both are purely imaginary, with the Nyquist column zeroed as every
+    derivative order is odd, so ``exp(tau * symbol)`` is an exact
+    Hermitian phase.
+    """
+    n = grid.n_points
+    ikq = 2j * np.pi * np.fft.rfftfreq(n, d=grid.delta_q)
+    ikq[-1] = 0.0
+    ikp = 2j * np.pi * np.fft.rfftfreq(n, d=grid.delta_p)
+    ikp[-1] = 0.0
+    transport = -(grid.p[None, :] / v.mass) * ikq[:, None]
+    force = v.derivative_values(grid.q, 1)[:, None] * ikp[None, :]
+    for term in range(1, _series_terms(v, series_order) + 1):
+        order = 2 * term + 1
+        coeff = (-1.0) ** term * (grid.hbar / 2.0) ** (2 * term) / math.factorial(order)
+        force = force + (coeff * v.derivative_values(grid.q, order))[:, None] * ikp[None, :] ** order
+    return transport, force
 
-    def __call__(self, w: np.ndarray) -> np.ndarray:
-        n = self.grid.n_points
-        spec_q = np.fft.rfft(w, axis=0)
-        dw_dq = np.fft.irfft(spec_q * (1j * self.kq_odd)[:, None], n=n, axis=0)
-        spec_p = np.fft.rfft(w, axis=1)
-        dw_dp = np.fft.irfft(spec_p * (1j * self.kp_odd)[None, :], n=n, axis=1)
-        rhs = -(self.p_row / self.mass) * dw_dq + self.v_prime * dw_dp
-        for order, weighted in self.quantum:
-            deriv = np.fft.irfft(spec_p * (1j * self.kp_odd)[None, :] ** order, n=n, axis=1)
-            rhs += weighted * deriv
-        return rhs
+
+def _apply(values: np.ndarray, symbol: np.ndarray, axis: int) -> np.ndarray:
+    """Multiply ``values`` by ``symbol`` in the real Fourier domain of ``axis``."""
+    spectrum = np.fft.rfft(values, axis=axis)
+    spectrum *= symbol
+    return np.fft.irfft(spectrum, n=values.shape[axis], axis=axis)
 
 
 def moyal_rhs(w: WignerFunction, v: PotentialSpec, series_order: int = 3) -> np.ndarray:
@@ -146,16 +146,20 @@ def moyal_rhs(w: WignerFunction, v: PotentialSpec, series_order: int = 3) -> np.
     For quadratic potentials every quantum correction vanishes identically
     and the result is pure classical transport.
     """
-    return _MoyalRHS(w.grid, v, series_order)(w.values)
+    transport, force = _moyal_symbols(w.grid, v, series_order)
+    return _apply(w.values, transport, 0) + _apply(w.values, force, 1)
 
 
 def propagate(w: WignerFunction, v: PotentialSpec, cfg: EvolutionConfig) -> WignerFunction:
     """Step the distribution forward by ``cfg.n_steps`` steps of ``cfg.dt``.
 
-    Classic fourth-order explicit stepping of the spectral right-hand side.
-    Aborts on mass drift beyond 1e-4, on non-finite values, and on amplitude
-    blow-up, all of which indicate an inadmissible step size or an escaping
-    state.
+    Fourth-order split-operator stepping of the operator :func:`moyal_rhs`
+    evaluates: the transport and force parts are each applied exactly, as a
+    phase in their own Fourier domain, in kick-drift-kick stages composed
+    by Yoshida's triple jump.  Each step is unitary and conserves mass to
+    rounding.  ``dt`` must still satisfy :func:`stability_limit`.  Aborts
+    on mass drift beyond 1e-4, on non-finite values, and on amplitude
+    blow-up.
     """
     limit = stability_limit(w.grid, v)
     if cfg.dt > limit:
@@ -163,29 +167,40 @@ def propagate(w: WignerFunction, v: PotentialSpec, cfg: EvolutionConfig) -> Wign
             f"dt={cfg.dt} exceeds the stability bound {limit:.3e} "
             "(0.5*min(m*dq/p_max, dp/max|V'|)) for this grid and potential"
         )
-    rhs = _MoyalRHS(w.grid, v, cfg.series_order)
-    current = w.values.copy()
+    transport, force = _moyal_symbols(w.grid, v, cfg.series_order)
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    w0 = 1.0 - 2.0 * w1
+    dt = cfg.dt
+    drift_outer, drift_inner = (np.exp(c * dt * transport) for c in (w1, w0))
+    kick_edge, kick_inner, kick_joined = (np.exp(c * dt * force) for c in (w1 / 2, (w0 + w1) / 2, w1))
+    current = w.values
     initial_mass = float(current.sum()) * w.grid.delta_q * w.grid.delta_p
     amplitude_cap = 10.0 * max(2.0 / w.grid.h, float(np.max(np.abs(current))))
-    dt = cfg.dt
     cell = w.grid.delta_q * w.grid.delta_p
+    # between checks the closing half-kick of a step merges with the
+    # opening half-kick of the next
+    deferred = False
     for step in range(cfg.n_steps):
-        k1 = rhs(current)
-        k2 = rhs(current + 0.5 * dt * k1)
-        k3 = rhs(current + 0.5 * dt * k2)
-        k4 = rhs(current + dt * k3)
-        current = current + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % 25 == 24 or step == cfg.n_steps - 1:
-            peak = float(np.max(np.abs(current)))
-            if not np.isfinite(peak) or peak > amplitude_cap:
-                raise InvariantViolation(
-                    f"evolution went unstable at step {step + 1} (peak {peak:.2e})"
-                )
-            drift = abs(float(current.sum()) * cell - initial_mass)
-            if drift > _MASS_DRIFT_ABORT:
-                raise InvariantViolation(
-                    f"mass drift {drift:.2e} at step {step + 1} exceeds 1e-4; aborting"
-                )
+        current = _apply(current, kick_joined if deferred else kick_edge, 1)
+        current = _apply(current, drift_outer, 0)
+        current = _apply(current, kick_inner, 1)
+        current = _apply(current, drift_inner, 0)
+        current = _apply(current, kick_inner, 1)
+        current = _apply(current, drift_outer, 0)
+        deferred = not (step % 25 == 24 or step == cfg.n_steps - 1)
+        if deferred:
+            continue
+        current = _apply(current, kick_edge, 1)
+        peak = float(np.max(np.abs(current)))
+        if not np.isfinite(peak) or peak > amplitude_cap:
+            raise InvariantViolation(
+                f"evolution went unstable at step {step + 1} (peak {peak:.2e})"
+            )
+        drift = abs(float(current.sum()) * cell - initial_mass)
+        if drift > _MASS_DRIFT_ABORT:
+            raise InvariantViolation(
+                f"mass drift {drift:.2e} at step {step + 1} exceeds 1e-4; aborting"
+            )
     return WignerFunction(w.grid, current)
 
 

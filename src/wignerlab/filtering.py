@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import GridMismatchError, InvariantViolation
 from .grid import (
@@ -115,6 +114,7 @@ def _crop(full: np.ndarray, offset: int, n: int, axis: int) -> np.ndarray:
 
 
 def _convolve_axis(a: np.ndarray, b: np.ndarray, axis: int, offset: int, weight: float) -> np.ndarray:
+    from scipy.signal import fftconvolve  # deferred: scipy.signal takes ~1 s to import
     full = fftconvolve(a, b, mode="full", axes=axis)
     return weight * _crop(full, offset, a.shape[axis], axis)
 
@@ -226,6 +226,7 @@ def detect(w_in: WignerFunction, w_m: WignerFunction) -> DetectionMap:
     g = w_in.grid
     if g != w_m.grid:
         raise GridMismatchError("state and device live on different grids")
+    from scipy.signal import fftconvolve  # deferred: scipy.signal takes ~1 s to import
     n = g.n_points
     full = fftconvolve(w_in.values, w_m.values, mode="full")
     cropped = full[

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GridMismatchError, InvariantViolation
-from .grid import POSITION, Grid, WaveFunction, inner_product, normalize, squared_norm
+from .grid import POSITION, Grid, WaveFunction, normalize, squared_norm
 
 #: Allowed imaginary residue of the spectral correlation before truncation.
 _IMAG_RESIDUE_TOL = 1e-10
@@ -262,8 +262,3 @@ def recover_wavefunction(w: WignerFunction, min_reference: float = 1e-6) -> Wave
         )
     amplitudes = correlation / np.sqrt(reference)
     return normalize(WaveFunction(g, amplitudes, POSITION))
-
-
-def overlap_of_states(psi1: WaveFunction, psi2: WaveFunction) -> float:
-    """|<psi1|psi2>|^2, the wavefunction-side oracle for :func:`overlap_probability`."""
-    return float(abs(inner_product(psi1, psi2)) ** 2)

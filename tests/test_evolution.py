@@ -13,6 +13,7 @@ from wignerlab import (
     cat_wavefunction,
     gaussian_wavefunction,
     gaussian_wdf_closed_form,
+    make_grid,
     moyal_rhs,
     normalize,
     propagate,
@@ -144,6 +145,42 @@ class TestPropagate:
         limit = stability_limit(grid, HARMONIC)
         with pytest.raises(ValueError):
             propagate(w, HARMONIC, EvolutionConfig(dt=2 * limit, n_steps=10))
+
+    def test_fourth_order_convergence(self):
+        # Strang stepping would pass the oracle comparisons; this pins the order
+        coarse = make_grid(-10.0, 10.0, 96)
+        w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0, center=2.0), coarse))
+        target = gaussian_wdf_closed_form(GaussianSpec(width=1.0, momentum_offset=-2.0), coarse)
+        errors = []
+        for steps in (200, 400):
+            cfg = EvolutionConfig(dt=np.pi / 2 / steps, n_steps=steps)
+            errors.append(np.max(np.abs(propagate(w, HARMONIC, cfg).values - target.values)))
+        assert errors[0] / errors[1] >= 12.0
+
+    def test_single_step_consistent_with_moyal_rhs(self, grid):
+        w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0, center=1.0), grid))
+        rhs = moyal_rhs(w, QUARTIC)
+        dt = stability_limit(grid, QUARTIC)
+        residuals = []
+        for _ in range(3):
+            stepped = propagate(w, QUARTIC, EvolutionConfig(dt=dt, n_steps=1))
+            residuals.append(np.max(np.abs((stepped.values - w.values) / dt - rhs)))
+            dt /= 2
+        for coarse, fine in zip(residuals, residuals[1:]):
+            assert coarse / fine == pytest.approx(2.0, rel=0.05)
+
+    def test_chunked_calls_match_one_call(self, grid):
+        well = PotentialSpec(coefficients=(0.0, 0.0, 0.5, 0.0, 0.005), mass=1.0)
+        w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0, center=1.0), grid))
+        half = EvolutionConfig(dt=1e-3, n_steps=50)
+        chunked = propagate(propagate(w, well, half), well, half)
+        whole = propagate(w, well, EvolutionConfig(dt=1e-3, n_steps=100))
+        assert np.max(np.abs(chunked.values - whole.values)) < 1e-12
+
+    def test_mass_exact_over_quartic_run(self, grid):
+        w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0, center=1.0), grid))
+        cfg = EvolutionConfig(dt=stability_limit(grid, QUARTIC), n_steps=1000)
+        assert propagate(w, QUARTIC, cfg).mass() == pytest.approx(w.mass(), abs=1e-12)
 
     def test_negativity_survives_unitary_transport(self, grid):
         cat = wdf_from_wavefunction(cat_wavefunction(CatSpec(width=1.0, separation=3.0), grid))

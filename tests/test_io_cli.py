@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -203,3 +205,34 @@ class TestCli:
         csv_path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["wdf", str(csv_path), "--out", str(tmp_path / "w")]) == 1
+
+    @pytest.mark.parametrize(
+        "times, flag",
+        [
+            (["--t", "-1", "--dt", "1e-3"], "--t"),
+            (["--t", "0", "--dt", "1e-3"], "--t"),
+            (["--t", "nan", "--dt", "1e-3"], "--t"),
+            (["--t", "inf", "--dt", "1e-3"], "--t"),
+            (["--t", "0.01", "--dt=-1e-3"], "--dt"),
+            (["--t", "0.01", "--dt", "0"], "--dt"),
+            (["--t", "0.01", "--dt", "nan"], "--dt"),
+            (["--t", "0.01", "--dt", "1e-3", "--dump-every", "-1"], "--dump-every"),
+        ],
+    )
+    def test_evolve_rejects_bad_times_before_writing(self, tmp_path, capsys, times, flag):
+        main(["state", "--gaussian", "q0=1", "--out", str(tmp_path / "s")])
+        (tmp_path / "harmonic.json").write_text(json.dumps({"coefficients": [0, 0, 0.5], "mass": 1.0}))
+        capsys.readouterr()
+        rc = main(
+            ["evolve", str(tmp_path / "s/state.csv"), "--potential", str(tmp_path / "harmonic.json"),
+             *times, "--out", str(tmp_path / "e")]
+        )
+        assert rc == 2
+        assert f"error: {flag} must be" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    probe = "import sys, wignerlab.cli; print('scipy.signal' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
