@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvariantViolation
+from .grid import _linear_convolution
 from .wigner import WignerFunction, purity
 
 #: Relative spectral power below which a frequency does not count as structure.
@@ -68,7 +69,6 @@ def smoothed_minimum(w: WignerFunction, sigma_q: float, sigma_p: float) -> float
     """
     if not (sigma_q > 0 and sigma_p > 0):
         raise ValueError("smoothing widths must be positive")
-    from scipy.signal import fftconvolve  # deferred: scipy.signal takes ~1 s to import
     g = w.grid
     n = g.n_points
     offsets = np.arange(n) - n // 2
@@ -76,8 +76,7 @@ def smoothed_minimum(w: WignerFunction, sigma_q: float, sigma_p: float) -> float
         -((offsets * g.delta_p) ** 2) / (2.0 * sigma_p**2)
     )[None, :]
     kernel /= kernel.sum() * g.delta_q * g.delta_p
-    full = fftconvolve(w.values, kernel, mode="full")
-    smoothed = full[n // 2: n // 2 + n, n // 2: n // 2 + n] * g.delta_q * g.delta_p
+    smoothed = _linear_convolution(w.values, kernel, {0: n // 2, 1: n // 2}) * g.delta_q * g.delta_p
     return float(smoothed.min())
 
 

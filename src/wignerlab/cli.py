@@ -98,7 +98,7 @@ def _cmd_state(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = wio.save_wavefunction(psi, out_dir / "state.csv")
-    wio.make_manifest("state", grid, [], written, args.seed).write(out_dir)
+    wio.make_manifest("state", grid, [], written).write(out_dir)
     _emit({"norm": squared_norm(psi), "files": [str(p) for p in written]})
     return 0
 
@@ -108,7 +108,7 @@ def _cmd_wdf(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = wio.save_wigner(w, out_dir / "wdf.csv")
-    wio.make_manifest("wdf", w.grid, [Path(args.input)], written, args.seed).write(out_dir)
+    wio.make_manifest("wdf", w.grid, [Path(args.input)], written).write(out_dir)
     _emit(
         {
             "mass": w.mass(),
@@ -133,7 +133,7 @@ def _cmd_filter(args) -> int:
         w_out = filter_wdf(wdf_from_wavefunction(psi), spec)
         written += wio.save_wigner(w_out, out_dir / "filtered_wdf.csv")
     wio.make_manifest(
-        "filter", psi.grid, [Path(args.input), Path(args.filter)], written, args.seed
+        "filter", psi.grid, [Path(args.input), Path(args.filter)], written
     ).write(out_dir)
     _emit({"transmission": transmitted})
     return 0
@@ -147,7 +147,7 @@ def _cmd_detect(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = wio.save_matrix(result.values, result.grid, out_dir / "detection.csv")
     wio.make_manifest(
-        "detect", result.grid, [Path(args.state), Path(args.device)], written, args.seed
+        "detect", result.grid, [Path(args.state), Path(args.device)], written
     ).write(out_dir)
     _emit({"min": float(result.values.min()), "mass": result.mass()})
     return 0
@@ -176,7 +176,7 @@ def _cmd_evolve(args) -> int:
         frame += 1
         written += wio.save_wigner(w, out_dir / f"wdf_{frame:04d}.csv")
     wio.make_manifest(
-        "evolve", w.grid, [Path(args.input), Path(args.potential)], written, args.seed
+        "evolve", w.grid, [Path(args.input), Path(args.potential)], written
     ).write(out_dir)
     _emit(
         {
@@ -204,7 +204,7 @@ def _cmd_blob(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "blob_report.json"
     report_path.write_text(report.to_json() + "\n")
-    wio.make_manifest("blob", w.grid, [Path(args.input)], [report_path], args.seed).write(out_dir)
+    wio.make_manifest("blob", w.grid, [Path(args.input)], [report_path]).write(out_dir)
     print(report.to_json())
     return 0
 
@@ -234,11 +234,11 @@ def _cmd_figure(args) -> int:
             "rows": "slit center D",
             "columns": "q",
             "D_values": centers.tolist(),
-            "grid": {"q_min": grid.q_min, "delta_q": grid.delta_q, "n_points": grid.n_points, "hbar": grid.hbar},
+            "grid": wio._grid_dict(grid),
         }
         (out_dir / "fig4_scan.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
         written += [path, out_dir / "fig4_scan.json"]
-    wio.make_manifest(f"figure:{args.which}", grid, inputs, written, args.seed).write(out_dir)
+    wio.make_manifest(f"figure:{args.which}", grid, inputs, written).write(out_dir)
     _emit({"files": [str(p) for p in written]})
     return 0
 
@@ -276,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--grid", default="-12:12:256", help="qmin:qmax:N (use --grid=-12:12:256)")
             p.add_argument("--hbar", type=float, default=1.0)
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
 
     p_state = sub.add_parser("state", help="generate a wavefunction CSV")
     p_state.add_argument("--gaussian", action="store_true")

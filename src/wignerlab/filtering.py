@@ -25,6 +25,8 @@ from .grid import (
     POSITION,
     Grid,
     WaveFunction,
+    _half_dft,
+    _linear_convolution,
     inverse_fourier_transform,
     normalize,
     to_momentum,
@@ -107,18 +109,6 @@ class InteractionReport:
     classification: str
 
 
-def _crop(full: np.ndarray, offset: int, n: int, axis: int) -> np.ndarray:
-    index = [slice(None)] * full.ndim
-    index[axis] = slice(offset, offset + n)
-    return full[tuple(index)]
-
-
-def _convolve_axis(a: np.ndarray, b: np.ndarray, axis: int, offset: int, weight: float) -> np.ndarray:
-    from scipy.signal import fftconvolve  # deferred: scipy.signal takes ~1 s to import
-    full = fftconvolve(a, b, mode="full", axes=axis)
-    return weight * _crop(full, offset, a.shape[axis], axis)
-
-
 def _shift_zero(values: np.ndarray, steps: int, axis: int) -> np.ndarray:
     """Shift with zero fill: output index k holds input index k - steps."""
     if steps == 0:
@@ -157,17 +147,15 @@ def filter_wavefunction(psi_in: WaveFunction, f: FilterSpec) -> tuple[WaveFuncti
     elif f.kind == GENERAL_COORDINATE:
         g.steps_of(f.p_offset, g.delta_p)  # offsets must sit on the lattice
         kicked = psi_in.values * np.exp(1j * f.p_offset * g.q / g.hbar)
-        conv = _convolve_axis(
-            kicked, to_position(f.device).values, axis=0,
-            offset=g.origin_index(), weight=g.delta_q / np.sqrt(g.h),
+        conv = (g.delta_q / np.sqrt(g.h)) * _linear_convolution(
+            kicked, to_position(f.device).values, {0: g.origin_index()}
         )
         raw = WaveFunction(g, conv, POSITION)
     else:  # GENERAL_MOMENTUM
         g.steps_of(f.q_offset, g.delta_q)
         displaced = to_momentum(psi_in).values * np.exp(-1j * f.q_offset * g.p / g.hbar)
-        conv = _convolve_axis(
-            displaced, to_momentum(f.device).values, axis=0,
-            offset=g.n_points // 2, weight=g.delta_p / np.sqrt(g.h),
+        conv = (g.delta_p / np.sqrt(g.h)) * _linear_convolution(
+            displaced, to_momentum(f.device).values, {0: g.n_points // 2}
         )
         raw = inverse_fourier_transform(WaveFunction(g, conv, MOMENTUM))
 
@@ -202,17 +190,17 @@ def filter_wdf(w_in: WignerFunction, f: FilterSpec) -> WignerFunction:
     n = g.n_points
 
     if f.kind == COORDINATE:
-        values = _convolve_axis(w_in.values, w_m, axis=1, offset=n // 2, weight=g.delta_p)
+        values = g.delta_p * _linear_convolution(w_in.values, w_m, {1: n // 2})
     elif f.kind == MOMENTUM_KIND:
-        values = _convolve_axis(w_in.values, w_m, axis=0, offset=g.origin_index(), weight=g.delta_q)
+        values = g.delta_q * _linear_convolution(w_in.values, w_m, {0: g.origin_index()})
     elif f.kind == GENERAL_COORDINATE:
         steps = g.steps_of(f.p_offset, g.delta_p)
         boosted = _shift_zero(w_in.values, steps, axis=1)
-        values = _convolve_axis(boosted, w_m, axis=0, offset=g.origin_index(), weight=g.delta_q)
+        values = g.delta_q * _linear_convolution(boosted, w_m, {0: g.origin_index()})
     else:  # GENERAL_MOMENTUM
         steps = g.steps_of(f.q_offset, g.delta_q)
         displaced = _shift_zero(w_in.values, steps, axis=0)
-        values = _convolve_axis(displaced, w_m, axis=1, offset=n // 2, weight=g.delta_p)
+        values = g.delta_p * _linear_convolution(displaced, w_m, {1: n // 2})
     return WignerFunction(g, values)
 
 
@@ -226,14 +214,8 @@ def detect(w_in: WignerFunction, w_m: WignerFunction) -> DetectionMap:
     g = w_in.grid
     if g != w_m.grid:
         raise GridMismatchError("state and device live on different grids")
-    from scipy.signal import fftconvolve  # deferred: scipy.signal takes ~1 s to import
-    n = g.n_points
-    full = fftconvolve(w_in.values, w_m.values, mode="full")
-    cropped = full[
-        g.origin_index(): g.origin_index() + n,
-        n // 2: n // 2 + n,
-    ]
-    return DetectionMap(g, cropped * g.delta_q * g.delta_p)
+    values = _linear_convolution(w_in.values, w_m.values, {0: g.origin_index(), 1: g.n_points // 2})
+    return DetectionMap(g, values * g.delta_q * g.delta_p)
 
 
 def detect_from_wavefunctions(psi_in: WaveFunction, psi_m: WaveFunction) -> DetectionMap:
@@ -255,8 +237,9 @@ def detect_from_wavefunctions(psi_in: WaveFunction, psi_m: WaveFunction) -> Dete
     gathered = np.zeros((n, n), dtype=np.complex128)
     gathered[valid] = b[idx[valid]]
     gathered *= a[None, :]
-    phases = np.exp(-1j * np.outer(g.q, g.p) / g.hbar)  # [q', p]
-    amplitude = gathered @ phases
+    # the transform is taken relative to q_min; the missing factor
+    # exp(-i p q_min/hbar) has unit modulus and drops out of |amplitude|^2
+    amplitude = _half_dft(gathered)
     return DetectionMap(g, (np.abs(amplitude) ** 2) * g.delta_q**2 / g.h)
 
 

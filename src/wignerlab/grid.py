@@ -130,6 +130,8 @@ class WaveFunction:
             raise ValueError(
                 f"expected {self.grid.n_points} amplitudes, got shape {values.shape}"
             )
+        if not np.all(np.isfinite(values)):
+            raise InvariantViolation("non-finite amplitudes in wavefunction")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         peak = float(np.max(np.abs(values))) if values.size else 0.0
@@ -157,7 +159,7 @@ def normalize(psi: WaveFunction) -> WaveFunction:
     """Rescale to unit quadrature norm; rejects the zero wavefunction."""
     norm2 = squared_norm(psi)
     if not norm2 > 0 or not np.isfinite(norm2):
-        raise InvariantViolation("cannot normalize a wavefunction with zero norm")
+        raise InvariantViolation(f"cannot normalize a wavefunction with squared norm {norm2}")
     return WaveFunction(psi.grid, psi.values / np.sqrt(norm2), psi.representation)
 
 
@@ -179,6 +181,37 @@ def _quarter_phases(n: int) -> np.ndarray:
     return np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(n) % 4]
 
 
+def _half_dft(values: np.ndarray) -> np.ndarray:
+    """``sum_j values[..., j] * exp(-i*pi*j*(k - n/2)/n)`` for ``k in [0, n)``.
+
+    The transform over the last axis onto the half-spaced momentum lattice,
+    relative to ``q_min``: one length-2N FFT of quarter-phased samples.
+    """
+    n = values.shape[-1]
+    return np.fft.fft(values * _quarter_phases(n), 2 * n)[..., :n]
+
+
+def _linear_convolution(a: np.ndarray, b: np.ndarray, starts: dict[int, int]) -> np.ndarray:
+    """Zero-extended convolution of equal-shaped arrays over the axes in ``starts``.
+
+    Each key of ``starts`` is a convolved axis of length n, and its value
+    the first index of the n-long window kept from the full convolution;
+    the remaining axes are paired elementwise.  Padding to 2n rather than
+    2n - 1 keeps the FFT length even, which is faster, and the extra
+    sample is exactly zero.  Real operands take the real-input FFT.
+    """
+    axes = tuple(starts)
+    sizes = [2 * a.shape[axis] for axis in axes]
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        full = np.fft.ifftn(np.fft.fftn(a, sizes, axes) * np.fft.fftn(b, sizes, axes), axes=axes)
+    else:
+        full = np.fft.irfftn(np.fft.rfftn(a, sizes, axes) * np.fft.rfftn(b, sizes, axes), sizes, axes)
+    window = [slice(None)] * full.ndim
+    for axis, start in starts.items():
+        window[axis] = slice(start, start + a.shape[axis])
+    return full[tuple(window)]
+
+
 def fourier_transform(psi: WaveFunction) -> WaveFunction:
     """Momentum representation ``h^(-1/2) * integral psi(q) exp(-ipq/hbar) dq``.
 
@@ -189,9 +222,7 @@ def fourier_transform(psi: WaveFunction) -> WaveFunction:
     if psi.representation != POSITION:
         raise ValueError("fourier_transform expects a position-representation input")
     g = psi.grid
-    n = g.n_points
-    spectrum = np.fft.fft(psi.values * _quarter_phases(n), 2 * n)[:n]
-    values = (g.delta_q / np.sqrt(g.h)) * np.exp(-1j * g.p * g.q_min / g.hbar) * spectrum
+    values = (g.delta_q / np.sqrt(g.h)) * np.exp(-1j * g.p * g.q_min / g.hbar) * _half_dft(psi.values)
     return WaveFunction(g, values, MOMENTUM)
 
 

@@ -163,7 +163,6 @@ class RunManifest:
     inputs: list[str] = field(default_factory=list)
     outputs: list[str] = field(default_factory=list)
     grid: dict = field(default_factory=dict)
-    seed: int = 0
     version: str = _version
 
     def write(self, out_dir: str | Path) -> Path:
@@ -172,11 +171,10 @@ class RunManifest:
         return path
 
 
-def make_manifest(command: str, grid: Grid | None, inputs: list[Path], outputs: list[Path], seed: int = 0) -> RunManifest:
+def make_manifest(command: str, grid: Grid | None, inputs: list[Path], outputs: list[Path]) -> RunManifest:
     return RunManifest(
         command=command,
         inputs=[str(p) for p in inputs],
         outputs=[str(p) for p in outputs],
         grid=_grid_dict(grid) if grid is not None else {},
-        seed=seed,
     )

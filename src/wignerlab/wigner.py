@@ -42,7 +42,7 @@ class WignerFunction:
         if values.shape != (n, n):
             raise ValueError(f"expected a {n} x {n} matrix, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite values in Wigner matrix")
+            raise InvariantViolation("non-finite values in Wigner matrix")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -99,6 +99,19 @@ def _signed_offsets(n: int) -> np.ndarray:
     return np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
 
 
+def _offset_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mask of the ``(j, m)`` whose points ``j + m`` and ``j - m`` both lie on the lattice.
+
+    Returned with the ``j + m`` and ``j - m`` indices at the true entries.
+    """
+    j = np.arange(n)[:, None]
+    m = _signed_offsets(n)[None, :]
+    plus = j + m
+    minus = j - m
+    valid = (plus >= 0) & (plus < n) & (minus >= 0) & (minus < n)
+    return valid, plus[valid], minus[valid]
+
+
 def _transform_correlation(corr: np.ndarray, grid: Grid) -> np.ndarray:
     """Spectral transform over the correlation offset, scaled to a distribution."""
     n = grid.n_points
@@ -114,17 +127,6 @@ def _transform_correlation(corr: np.ndarray, grid: Grid) -> np.ndarray:
     return scale * spectrum.real
 
 
-def _correlation_from_amplitudes(amplitudes: np.ndarray, n: int) -> np.ndarray:
-    j = np.arange(n)[:, None]
-    m = _signed_offsets(n)[None, :]
-    plus = j + m
-    minus = j - m
-    valid = (plus >= 0) & (plus < n) & (minus >= 0) & (minus < n)
-    corr = np.zeros((n, n), dtype=np.complex128)
-    corr[valid] = np.conj(amplitudes[minus[valid]]) * amplitudes[plus[valid]]
-    return corr
-
-
 def wigner_values_of_amplitudes(amplitudes: np.ndarray, grid: Grid) -> np.ndarray:
     """Distribution matrix of raw position amplitudes, no normalization required.
 
@@ -132,7 +134,10 @@ def wigner_values_of_amplitudes(amplitudes: np.ndarray, grid: Grid) -> np.ndarra
     low-level path deliberately skips the unit-norm gate of
     :func:`wdf_from_wavefunction`.
     """
-    corr = _correlation_from_amplitudes(np.asarray(amplitudes, dtype=np.complex128), grid.n_points)
+    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    valid, plus, minus = _offset_pairs(grid.n_points)
+    corr = np.zeros(valid.shape, dtype=np.complex128)
+    corr[valid] = np.conj(amplitudes[minus]) * amplitudes[plus]
     return _transform_correlation(corr, grid)
 
 
@@ -155,14 +160,9 @@ def wdf_from_density(rho: DensityMatrix) -> WignerFunction:
     ``c_j(m) = <q_j + m dq|rho|q_j - m dq>``; agrees with the pure-state
     path for projectors.
     """
-    n = rho.grid.n_points
-    j = np.arange(n)[:, None]
-    m = _signed_offsets(n)[None, :]
-    plus = j + m
-    minus = j - m
-    valid = (plus >= 0) & (plus < n) & (minus >= 0) & (minus < n)
-    corr = np.zeros((n, n), dtype=np.complex128)
-    corr[valid] = rho.entries[plus[valid], minus[valid]]
+    valid, plus, minus = _offset_pairs(rho.grid.n_points)
+    corr = np.zeros(valid.shape, dtype=np.complex128)
+    corr[valid] = rho.entries[plus, minus]
     return WignerFunction(rho.grid, _transform_correlation(corr, rho.grid))
 
 

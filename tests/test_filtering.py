@@ -159,6 +159,24 @@ class TestDetect:
             rhs = detect_from_wavefunctions(psi, dev)
             assert np.max(np.abs(lhs.values - rhs.values)) < 1e-8
 
+    @pytest.mark.filterwarnings("ignore:wavefunction edge amplitude")
+    def test_from_wavefunctions_matches_direct_sum(self):
+        g = make_grid(-3.0, 5.0, 32, hbar=0.7)
+        n = g.n_points
+        j0 = g.origin_index()
+        rng = np.random.default_rng(17)
+        a, b = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        expected = np.zeros((n, n))
+        for k in range(n):
+            for l in range(n):
+                total = 0j
+                for j in range(n):
+                    if 0 <= k - j + j0 < n:
+                        total += a[j] * np.conj(b[k - j + j0]) * np.exp(-1j * g.p[l] * g.q[j] / g.hbar)
+                expected[k, l] = abs(total * g.delta_q) ** 2 / g.h
+        result = detect_from_wavefunctions(WaveFunction(g, a), WaveFunction(g, b))
+        assert np.max(np.abs(result.values - expected)) < 1e-12
+
     def test_self_detection_matches_overlap_at_origin(self, grid):
         spec = GaussianSpec(width=1.1, center=1.5, momentum_offset=-0.75 * grid.delta_p * 8)
         psi = gaussian_wavefunction(spec, grid)

@@ -12,6 +12,7 @@ from wignerlab import (
     normalize,
     squared_norm,
 )
+from wignerlab.grid import _half_dft, _linear_convolution
 from helpers import desk_grid, random_superposition
 
 
@@ -144,6 +145,64 @@ class TestNormalize:
         g = desk_grid()
         with pytest.raises(InvariantViolation):
             normalize(WaveFunction(g, np.zeros(g.n_points)))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_norm_is_named(self):
+        g = desk_grid()
+        with pytest.raises(InvariantViolation, match="squared norm inf"):
+            normalize(WaveFunction(g, 1e200 * _gaussian(g).values))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_amplitudes_rejected(bad):
+    g = desk_grid()
+    values = np.array(_gaussian(g).values)
+    values[g.n_points // 2] = bad
+    with pytest.raises(InvariantViolation, match="non-finite"):
+        WaveFunction(g, values)
+
+
+class TestKernels:
+    """Lattice kernels against direct sums."""
+
+    @pytest.mark.parametrize("kind", [float, complex])
+    @pytest.mark.parametrize("start", ["zero", "half", "origin"])
+    def test_convolution_1d_matches_np_convolve(self, kind, start):
+        g = make_grid(-3.0, 5.0, 16)  # origin index 6, off the centre
+        n = g.n_points
+        offset = {"zero": 0, "half": n // 2, "origin": g.origin_index()}[start]
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(2, n))
+        if kind is complex:
+            a = a + 1j * rng.normal(size=n)
+            b = b - 1j * rng.normal(size=n)
+        result = _linear_convolution(a, b, {0: offset})
+        assert np.iscomplexobj(result) == (kind is complex)
+        assert np.max(np.abs(result - np.convolve(a, b)[offset: offset + n])) < 1e-12
+
+    def test_convolution_2d_matches_double_sum(self):
+        n = 12
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(2, n, n))
+        s0, s1 = 5, n // 2
+        expected = np.zeros((n, n))
+        for k in range(n):
+            for l in range(n):
+                for i in range(n):
+                    for j in range(n):
+                        if 0 <= k + s0 - i < n and 0 <= l + s1 - j < n:
+                            expected[k, l] += a[i, j] * b[k + s0 - i, l + s1 - j]
+        assert np.max(np.abs(_linear_convolution(a, b, {0: s0, 1: s1}) - expected)) < 1e-12
+        rows = np.array([np.convolve(x, y)[s1: s1 + n] for x, y in zip(a, b)])
+        assert np.max(np.abs(_linear_convolution(a, b, {1: s1}) - rows)) < 1e-12
+
+    def test_half_dft_matches_exponential_sum(self):
+        n = 16
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        j = np.arange(n)
+        kernel = np.exp(-1j * np.pi * np.outer(j, j - n // 2) / n)
+        assert np.max(np.abs(_half_dft(values) - values @ kernel)) < 1e-12
 
 
 def test_edge_warning_emitted():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -206,6 +207,22 @@ class TestCli:
         capsys.readouterr()
         assert main(["wdf", str(csv_path), "--out", str(tmp_path / "w")]) == 1
 
+    @pytest.mark.parametrize("source", ["wavefunction", "matrix"])
+    def test_non_finite_input_is_an_invariant_violation(self, tmp_path, capsys, source):
+        main(["state", "--gaussian", "q0=1", "--grid=-8:8:64", "--out", str(tmp_path / "s")])
+        csv_path = tmp_path / "s/state.csv"
+        if source == "matrix":
+            main(["wdf", str(csv_path), "--out", str(tmp_path / "w")])
+            csv_path = tmp_path / "w/wdf.csv"
+        lines = csv_path.read_text().splitlines()
+        fields = lines[32].split(",")
+        fields[1] = "nan"
+        lines[32] = ",".join(fields)
+        csv_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["overlap", str(csv_path), str(csv_path)]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "times, flag",
         [
@@ -233,6 +250,26 @@ class TestCli:
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    probe = "import sys, wignerlab.cli; print('scipy.signal' in sys.modules)"
+    # every lattice kernel runs on numpy alone: no scipy module gets loaded
+    probe = textwrap.dedent(
+        """
+        import sys
+        import wignerlab.cli
+        from wignerlab import (
+            FilterSpec, GaussianSpec, blob_report, detect, detect_from_wavefunctions,
+            filter_wavefunction, filter_wdf, gaussian_wavefunction, make_grid, wdf_from_wavefunction,
+        )
+        g = make_grid(-8, 8, 64)
+        psi = gaussian_wavefunction(GaussianSpec(width=1.0), g)
+        w = wdf_from_wavefunction(psi)
+        spec = FilterSpec(kind="general_coordinate", device=psi, p_offset=2 * g.delta_p)
+        detect(w, w)
+        filter_wdf(w, spec)
+        filter_wavefunction(psi, spec)
+        blob_report(w)
+        detect_from_wavefunctions(psi, psi)
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+    )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
