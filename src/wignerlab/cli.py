@@ -4,7 +4,7 @@ Subcommands generate states, compute distributions, run filtering and
 detection pipelines, evolve states in time, and write the data behind the
 standard density-plot figures.  Every run writes a ``run_manifest.json``
 next to its outputs.  Exit codes: 0 success, 1 numerical-invariant
-violation, 2 usage or I/O error.
+violation, 2 usage or I/O error or out of memory.
 """
 
 from __future__ import annotations
@@ -349,6 +349,14 @@ def _mend_grid_tokens(argv: list[str]) -> list[str]:
     return mended
 
 
+def _lattice_size(args) -> str:
+    """N of the run's lattice, from ``--grid`` or from the sidecar of its first input."""
+    if hasattr(args, "grid"):
+        return args.grid.split(":")[-1]
+    first = next(getattr(args, name) for name in ("input", "state", "a") if hasattr(args, name))
+    return str(wio._read_sidecar(Path(first))["n_points"])
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -366,6 +374,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory at N={_lattice_size(args)}; use a smaller grid", file=sys.stderr)
         return 2
 
 

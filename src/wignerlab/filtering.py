@@ -27,6 +27,7 @@ from .grid import (
     WaveFunction,
     _half_dft,
     _linear_convolution,
+    _zero_extended,
     inverse_fourier_transform,
     normalize,
     to_momentum,
@@ -109,23 +110,6 @@ class InteractionReport:
     classification: str
 
 
-def _shift_zero(values: np.ndarray, steps: int, axis: int) -> np.ndarray:
-    """Shift with zero fill: output index k holds input index k - steps."""
-    if steps == 0:
-        return values
-    shifted = np.zeros_like(values)
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
-    if steps > 0:
-        dst[axis] = slice(steps, None)
-        src[axis] = slice(None, -steps)
-    else:
-        dst[axis] = slice(None, steps)
-        src[axis] = slice(-steps, None)
-    shifted[tuple(dst)] = values[tuple(src)]
-    return shifted
-
-
 def filter_wavefunction(psi_in: WaveFunction, f: FilterSpec) -> tuple[WaveFunction, float]:
     """Apply a filter to a state; return the renormalized output and its transmission.
 
@@ -194,12 +178,13 @@ def filter_wdf(w_in: WignerFunction, f: FilterSpec) -> WignerFunction:
     elif f.kind == MOMENTUM_KIND:
         values = g.delta_q * _linear_convolution(w_in.values, w_m, {0: g.origin_index()})
     elif f.kind == GENERAL_COORDINATE:
-        steps = g.steps_of(f.p_offset, g.delta_p)
-        boosted = _shift_zero(w_in.values, steps, axis=1)
+        # source index k - steps; a shift of n or more cells leaves only zeros
+        steps = np.clip(g.steps_of(f.p_offset, g.delta_p), -n, n)
+        boosted = _zero_extended(w_in.values, np.arange(n) - steps, axis=1)
         values = g.delta_q * _linear_convolution(boosted, w_m, {0: g.origin_index()})
     else:  # GENERAL_MOMENTUM
-        steps = g.steps_of(f.q_offset, g.delta_q)
-        displaced = _shift_zero(w_in.values, steps, axis=0)
+        steps = np.clip(g.steps_of(f.q_offset, g.delta_q), -n, n)
+        displaced = _zero_extended(w_in.values, np.arange(n) - steps, axis=0)
         values = g.delta_p * _linear_convolution(displaced, w_m, {1: n // 2})
     return WignerFunction(g, values)
 
@@ -232,11 +217,7 @@ def detect_from_wavefunctions(psi_in: WaveFunction, psi_m: WaveFunction) -> Dete
     a = to_position(psi_in).values
     b = np.conj(to_position(psi_m).values)
     j = np.arange(n)
-    idx = j[:, None] - j[None, :] + g.origin_index()
-    valid = (idx >= 0) & (idx < n)
-    gathered = np.zeros((n, n), dtype=np.complex128)
-    gathered[valid] = b[idx[valid]]
-    gathered *= a[None, :]
+    gathered = _zero_extended(b, j[:, None] - j[None, :] + g.origin_index()) * a
     # the transform is taken relative to q_min; the missing factor
     # exp(-i p q_min/hbar) has unit modulus and drops out of |amplitude|^2
     amplitude = _half_dft(gathered)

@@ -191,6 +191,19 @@ def _half_dft(values: np.ndarray) -> np.ndarray:
     return np.fft.fft(values * _quarter_phases(n), 2 * n)[..., :n]
 
 
+def _zero_extended(values: np.ndarray, index: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Gather ``values`` along ``axis`` at ``index``, reading zero off the lattice.
+
+    The axis of length n is extended by n zeros, so any index in
+    ``[-n, 2n)`` is valid: ``[0, n)`` reads the samples, ``[n, 2n)`` the
+    zeros, and ``[-n, 0)`` wraps around onto the zeros.
+    """
+    n = values.shape[axis]
+    widths = [(0, 0)] * values.ndim
+    widths[axis] = (0, n)
+    return np.take(np.pad(values, widths), index, axis=axis)
+
+
 def _linear_convolution(a: np.ndarray, b: np.ndarray, starts: dict[int, int]) -> np.ndarray:
     """Zero-extended convolution of equal-shaped arrays over the axes in ``starts``.
 

@@ -103,6 +103,17 @@ class TestPhaseSpaceCommutation:
             via_state = transmitted * wdf_from_wavefunction(out).values
             assert np.max(np.abs(via_law.values - via_state)) < 1e-8
 
+    @pytest.mark.parametrize("kind", [GENERAL_COORDINATE, GENERAL_MOMENTUM])
+    @pytest.mark.parametrize("cells", [-384, -256, 256, 384])
+    def test_shift_off_the_lattice_leaves_zeros(self, kind, cells, grid):
+        w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), grid))
+        device = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
+        if kind == GENERAL_COORDINATE:
+            spec = FilterSpec(kind=kind, device=device, p_offset=cells * grid.delta_p)
+        else:
+            spec = FilterSpec(kind=kind, device=device, q_offset=cells * grid.delta_q)
+        assert not filter_wdf(w, spec).values.any()
+
     def test_centered_slit_reproduces_closed_form(self, grid):
         psi = gaussian_wavefunction(GaussianSpec(width=1.5), grid)
         device = gaussian_wavefunction(GaussianSpec(width=1.0), grid)

@@ -12,7 +12,7 @@ from wignerlab import (
     normalize,
     squared_norm,
 )
-from wignerlab.grid import _half_dft, _linear_convolution
+from wignerlab.grid import _half_dft, _linear_convolution, _zero_extended
 from helpers import desk_grid, random_superposition
 
 
@@ -195,6 +195,20 @@ class TestKernels:
         assert np.max(np.abs(_linear_convolution(a, b, {0: s0, 1: s1}) - expected)) < 1e-12
         rows = np.array([np.convolve(x, y)[s1: s1 + n] for x, y in zip(a, b)])
         assert np.max(np.abs(_linear_convolution(a, b, {1: s1}) - rows)) < 1e-12
+
+    def test_zero_extended_matches_explicit_extension(self):
+        n = 6
+        rng = np.random.default_rng(9)
+        values = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        index = np.arange(-n, 2 * n)
+        for axis in (0, 1):
+            lines = np.moveaxis(values, axis, 0)
+            result = np.moveaxis(_zero_extended(values, index, axis), axis, 0)
+            for line, i in zip(result, index):
+                assert np.array_equal(line, lines[i] if 0 <= i < n else np.zeros(n))
+        row = values[0]
+        expected = [row[i] if 0 <= i < n else 0 for i in index]
+        assert np.array_equal(_zero_extended(row, index.reshape(3, n)).ravel(), expected)
 
     def test_half_dft_matches_exponential_sum(self):
         n = 16

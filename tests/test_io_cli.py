@@ -224,6 +224,28 @@ class TestCli:
         assert "non-finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, argv, n_points",
+        [
+            ("_cmd_state", ["state", "--gaussian", "q0=1", "--grid=-12:12:16384"], "16384"),
+            ("_cmd_wdf", ["wdf", "{state}"], "256"),
+            ("_cmd_detect", ["detect", "{state}", "{state}"], "256"),
+            ("_cmd_overlap", ["overlap", "{state}", "{state}"], "256"),
+        ],
+    )
+    def test_out_of_memory_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command, argv, n_points):
+        from wignerlab import cli
+
+        main(["state", "--gaussian", "q0=1", "--out", str(tmp_path / "s")])
+        capsys.readouterr()
+
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, command, exhausted)
+        assert main([token.format(state=tmp_path / "s/state.csv") for token in argv]) == 2
+        assert capsys.readouterr().err == f"error: out of memory at N={n_points}; use a smaller grid\n"
+
+    @pytest.mark.parametrize(
         "times, flag",
         [
             (["--t", "-1", "--dt", "1e-3"], "--t"),

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from wignerlab import (
     CatSpec,
+    DensityMatrix,
     GaussianSpec,
     GridMismatchError,
     InvariantViolation,
@@ -27,6 +30,7 @@ from wignerlab import (
     wdf_from_density,
     wdf_from_wavefunction,
 )
+from wignerlab.wigner import wigner_values_of_amplitudes
 
 from helpers import aligned_max_error, desk_grid, random_superposition
 
@@ -77,6 +81,53 @@ class TestFromWavefunction:
         for _ in range(5):
             w = wdf_from_wavefunction(random_superposition(g, rng))
             assert np.max(np.abs(w.values)) <= 2 / g.h + 1e-12
+
+
+def _defining_sum(corr, g):
+    """``W_jk = (2 dq/h) sum_m corr(j, m) exp(-2i p_k m dq/hbar)`` over every on-lattice offset."""
+    n = g.n_points
+    w = np.zeros((n, n))
+    for j in range(n):
+        for k in range(n):
+            total = 0j
+            for m in range(-n, n):
+                if 0 <= j - m < n and 0 <= j + m < n:
+                    total += corr(j, m) * np.exp(-2j * g.p[k] * m * g.delta_q / g.hbar)
+            w[j, k] = 2 * g.delta_q / g.h * total.real
+    return w
+
+
+class TestDefiningSum:
+    """Both routes against the defining sum, evaluated term by term."""
+
+    grid = make_grid(-1.3, 2.9, 16, hbar=0.7)
+
+    def test_amplitudes(self):
+        g = self.grid
+        rng = np.random.default_rng(17)
+        psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+        expected = _defining_sum(lambda j, m: np.conj(psi[j - m]) * psi[j + m], g)
+        assert np.max(np.abs(wigner_values_of_amplitudes(psi, g) - expected)) <= 1e-13
+
+    def test_density_matrix(self):
+        g = self.grid
+        rng = np.random.default_rng(19)
+        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        rho = a @ a.conj().T
+        rho = (rho + rho.conj().T) / (2 * np.trace(rho).real * g.delta_q)
+        expected = _defining_sum(lambda j, m: rho[j + m, j - m], g)
+        assert np.max(np.abs(wdf_from_density(DensityMatrix(g, rho)).values - expected)) <= 1e-13
+
+
+def test_peak_memory_within_four_output_matrices():
+    psi = gaussian_wavefunction(GaussianSpec(width=1.0), desk_grid(1024))
+    tracemalloc.start()
+    try:
+        w = wdf_from_wavefunction(psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * w.values.nbytes
 
 
 class TestFromDensity:
