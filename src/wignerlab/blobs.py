@@ -80,18 +80,18 @@ def smoothed_minimum(w: WignerFunction, sigma_q: float, sigma_p: float) -> float
     return float(smoothed.min())
 
 
-def _max_significant_frequency(power: np.ndarray, freqs: np.ndarray, floor: float) -> float:
-    significant = power > floor * power.max()
+def _max_significant_frequency(power: np.ndarray, freqs: np.ndarray) -> float:
+    significant = power > SPECTRAL_POWER_FLOOR * power.max()
     return float(np.max(np.abs(freqs[significant])))
 
 
-def subplanck_scale(w: WignerFunction, power_floor: float = SPECTRAL_POWER_FLOOR) -> float:
+def subplanck_scale(w: WignerFunction) -> float:
     """Area of the finest oscillation cell of the distribution.
 
     Measured from the highest frequency carrying relative spectral power
-    above ``power_floor`` in each direction, and normalized so a Gaussian
-    of any width yields h/2.  Only states with structure finer than their
-    envelope (interference fringes) score below that.
+    above ``SPECTRAL_POWER_FLOOR`` in each direction, and normalized so a
+    Gaussian of any width yields h/2.  Only states with structure finer than
+    their envelope (interference fringes) score below that.
     """
     g = w.grid
     n = g.n_points
@@ -99,26 +99,19 @@ def subplanck_scale(w: WignerFunction, power_floor: float = SPECTRAL_POWER_FLOOR
     spec_p = np.fft.fft(w.values, axis=1)
     power_q = np.sum(np.abs(spec_q) ** 2, axis=1)
     power_p = np.sum(np.abs(spec_p) ** 2, axis=0)
-    nu_q = _max_significant_frequency(power_q, 2.0 * np.pi * np.fft.fftfreq(n, g.delta_q), power_floor)
-    nu_p = _max_significant_frequency(power_p, 2.0 * np.pi * np.fft.fftfreq(n, g.delta_p), power_floor)
+    nu_q = _max_significant_frequency(power_q, 2.0 * np.pi * np.fft.fftfreq(n, g.delta_q))
+    nu_p = _max_significant_frequency(power_p, 2.0 * np.pi * np.fft.fftfreq(n, g.delta_p))
     if nu_q <= 0 or nu_p <= 0:
         raise InvariantViolation("distribution has no resolvable structure on this grid")
-    return float(2.0 * np.pi * np.log(1.0 / power_floor) / (nu_q * nu_p))
+    return float(2.0 * np.pi * np.log(1.0 / SPECTRAL_POWER_FLOOR) / (nu_q * nu_p))
 
 
-def blob_report(
-    w: WignerFunction,
-    sigma_q: float | None = None,
-    sigma_p: float | None = None,
-) -> BlobReport:
-    """Assemble the full diagnostic report; smoothing defaults to the hbar/2 cell."""
-    if sigma_q is None:
-        sigma_q = float(np.sqrt(w.grid.hbar / 2.0))
-    if sigma_p is None:
-        sigma_p = float(w.grid.hbar / 2.0 / sigma_q)
+def blob_report(w: WignerFunction) -> BlobReport:
+    """Assemble the full diagnostic report, smoothing with sigma_q = sigma_p = sqrt(hbar/2)."""
+    sigma_q = float(np.sqrt(w.grid.hbar / 2.0))
     return BlobReport(
         effective_area=effective_area(w),
         min_value=float(w.values.min()),
-        min_smoothed_value=smoothed_minimum(w, sigma_q, sigma_p),
+        min_smoothed_value=smoothed_minimum(w, sigma_q, float(w.grid.hbar / 2.0 / sigma_q)),
         subplanck_scale=subplanck_scale(w),
     )

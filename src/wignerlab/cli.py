@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvariantViolation
-from .grid import MOMENTUM, Grid, WaveFunction, inverse_fourier_transform, make_grid, squared_norm
+from .grid import Grid, WaveFunction, make_grid, squared_norm, to_position
 from .wigner import (
     WignerFunction,
     overlap_probability,
@@ -68,10 +68,7 @@ def _pop(params: dict[str, float], key: str, default: float | None = None) -> fl
 def _load_state_as_wdf(path: str) -> WignerFunction:
     """Accept either a wavefunction CSV or a distribution-matrix CSV."""
     if wio.is_wavefunction_file(path):
-        psi = wio.load_wavefunction(path)
-        if psi.representation == MOMENTUM:
-            psi = inverse_fourier_transform(psi)
-        return wdf_from_wavefunction(psi)
+        return wdf_from_wavefunction(to_position(wio.load_wavefunction(path)))
     return wio.load_wigner(path)
 
 
@@ -121,9 +118,7 @@ def _cmd_wdf(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    psi = wio.load_wavefunction(args.input)
-    if psi.representation == MOMENTUM:
-        psi = inverse_fourier_transform(psi)
+    psi = to_position(wio.load_wavefunction(args.input))
     spec = wio.load_filter_spec(args.filter, psi.grid)
     filtered, transmitted = filter_wavefunction(psi, spec)
     out_dir = Path(args.out)
@@ -220,9 +215,9 @@ def _cmd_figure(args) -> int:
         if q_i <= q_m:
             print("warning: the aligned-slit figure expects q_i > q_m", file=sys.stderr)
         state_wdf = gaussian_wdf_closed_form(GaussianSpec(width=q_i), grid)
-        device_wdf = gaussian_wdf_closed_form(GaussianSpec(width=q_m), grid)
+        slit_wdf = gaussian_wdf_closed_form(GaussianSpec(width=q_m), grid)
         written += wio.save_wigner(state_wdf, out_dir / "fig2_input_wdf.csv")
-        written += wio.save_wigner(device_wdf, out_dir / "fig2_filter_wdf.csv")
+        written += wio.save_wigner(slit_wdf, out_dir / "fig2_filter_wdf.csv")
     elif args.which == "fig3":
         cat = cat_wavefunction(CatSpec(width=args.qi, separation=args.d), grid)
         written += wio.save_wigner(wdf_from_wavefunction(cat), out_dir / "fig3_cat_wdf.csv")

@@ -1,10 +1,11 @@
 """The measurement calculus: filters, detection and the interaction classifier.
 
-A filter multiplies the state by a device transmission function in one
-representation.  In phase space that is a plain multiplication along the
-matching axis and a convolution along the conjugate axis; the general
-(convolution-type) filters additionally shift the input along one axis.
-Detection convolves along both axes at once and always yields a
+A filter acts on the state in its own representation: the plain kinds
+multiply by the device transmission, the general (convolution-type) kinds
+multiply by a plane wave of the offset, then convolve with the device.
+In phase space all four follow one law: shift along one axis (by zero for
+the plain kinds), then convolve with the device distribution along the
+other.  Detection convolves along both axes at once and always yields a
 nonnegative map.
 
 Devices are used exactly as given, without forcing unit norm: the
@@ -21,14 +22,13 @@ import numpy as np
 
 from .errors import GridMismatchError, InvariantViolation
 from .grid import (
-    MOMENTUM,
     POSITION,
     Grid,
     WaveFunction,
+    _frozen_array,
     _half_dft,
     _linear_convolution,
     _zero_extended,
-    inverse_fourier_transform,
     normalize,
     to_momentum,
     to_position,
@@ -41,8 +41,18 @@ GENERAL_COORDINATE = "general_coordinate"
 GENERAL_MOMENTUM = "general_momentum"
 FILTER_KINDS = (COORDINATE, MOMENTUM_KIND, GENERAL_COORDINATE, GENERAL_MOMENTUM)
 
+#: The one offset field each general kind admits; the plain kinds admit none.
+_KIND_OFFSET = {GENERAL_COORDINATE: "p_offset", GENERAL_MOMENTUM: "q_offset"}
+
 #: Transmitted fractions at or below this are treated as a blocked state.
 ZERO_TRANSMISSION = 1e-20
+
+#: A marginal counts as supported where it reaches this fraction of its peak.
+SUPPORT_THRESHOLD = 1e-4
+#: Shared support must carry this much of either state for a common projection.
+COMMON_MASS_THRESHOLD = 0.5
+#: Phase-space overlap from which a pair counts as transition-capable.
+OVERLAP_THRESHOLD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -65,12 +75,9 @@ class FilterSpec:
     def __post_init__(self):
         if self.kind not in FILTER_KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r}")
-        if self.kind in (COORDINATE, MOMENTUM_KIND) and (self.q_offset or self.p_offset):
-            raise ValueError("offsets are only meaningful for the general filter kinds")
-        if self.kind == GENERAL_COORDINATE and self.q_offset:
-            raise ValueError("general_coordinate uses p_offset only")
-        if self.kind == GENERAL_MOMENTUM and self.p_offset:
-            raise ValueError("general_momentum uses q_offset only")
+        for name in ("q_offset", "p_offset"):
+            if getattr(self, name) and name != _KIND_OFFSET.get(self.kind):
+                raise ValueError(f"the {self.kind} filter takes no {name}")
 
 
 @dataclass(frozen=True)
@@ -85,15 +92,12 @@ class DetectionMap:
 
     def __post_init__(self):
         n = self.grid.n_points
-        values = np.array(self.values, dtype=np.float64)
-        if values.shape != (n, n):
-            raise ValueError(f"expected a {n} x {n} matrix, got shape {values.shape}")
+        values = _frozen_array(self.values, np.float64, (n, n), "values in detection map")
         low = float(values.min())
         if low < -1e-12:
             raise InvariantViolation(
                 f"detection map has negative values down to {low:.2e}"
             )
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     def mass(self) -> float:
@@ -110,38 +114,42 @@ class InteractionReport:
     classification: str
 
 
+def _centring(g: Grid, axis: int) -> tuple[int, float]:
+    """First kept index and cell of a convolution along lattice axis 0 (q) or 1 (p).
+
+    The kept window starts at the origin: q = 0 at ``origin_index()``, p = 0 at ``n // 2``.
+    """
+    return (g.origin_index(), g.delta_q) if axis == 0 else (g.n_points // 2, g.delta_p)
+
+
 def filter_wavefunction(psi_in: WaveFunction, f: FilterSpec) -> tuple[WaveFunction, float]:
     """Apply a filter to a state; return the renormalized output and its transmission.
 
-    The transmitted fraction is the squared quadrature norm of the raw
-    (unnormalized) output.  Raises when the device blocks the state
-    entirely.
+    The general kinds multiply by ``exp(i x0 x / hbar)`` before convolving,
+    with ``x0 = p_offset`` in position and ``-q_offset`` in momentum.  The
+    transmitted fraction is the squared quadrature norm of the raw
+    (unnormalized) output.  Raises when the device blocks the state entirely.
     """
     if psi_in.representation != POSITION:
         raise ValueError("filter_wavefunction expects a position-representation state")
     if psi_in.grid != f.device.grid:
         raise GridMismatchError("state and device live on different grids")
     g = psi_in.grid
+    g.steps_of(f.p_offset, g.delta_p)  # offsets must sit on the lattice
+    g.steps_of(f.q_offset, g.delta_q)
 
-    if f.kind == COORDINATE:
-        raw = WaveFunction(g, psi_in.values * to_position(f.device).values, POSITION)
-    elif f.kind == MOMENTUM_KIND:
-        product = to_momentum(psi_in).values * to_momentum(f.device).values
-        raw = inverse_fourier_transform(WaveFunction(g, product, MOMENTUM))
-    elif f.kind == GENERAL_COORDINATE:
-        g.steps_of(f.p_offset, g.delta_p)  # offsets must sit on the lattice
-        kicked = psi_in.values * np.exp(1j * f.p_offset * g.q / g.hbar)
-        conv = (g.delta_q / np.sqrt(g.h)) * _linear_convolution(
-            kicked, to_position(f.device).values, {0: g.origin_index()}
-        )
-        raw = WaveFunction(g, conv, POSITION)
-    else:  # GENERAL_MOMENTUM
-        g.steps_of(f.q_offset, g.delta_q)
-        displaced = to_momentum(psi_in).values * np.exp(-1j * f.q_offset * g.p / g.hbar)
-        conv = (g.delta_p / np.sqrt(g.h)) * _linear_convolution(
-            displaced, to_momentum(f.device).values, {0: g.n_points // 2}
-        )
-        raw = inverse_fourier_transform(WaveFunction(g, conv, MOMENTUM))
+    axis = 0 if f.kind in (COORDINATE, GENERAL_COORDINATE) else 1
+    to_own = (to_position, to_momentum)[axis]
+    psi = to_own(psi_in)
+    device = to_own(f.device).values
+    if f.kind in (COORDINATE, MOMENTUM_KIND):
+        values = psi.values * device
+    else:
+        offset = (f.p_offset, -f.q_offset)[axis]
+        kicked = psi.values * np.exp(1j * offset * psi.coordinates / g.hbar)
+        start, cell = _centring(g, axis)
+        values = (cell / np.sqrt(g.h)) * _linear_convolution(kicked, device, {0: start})
+    raw = to_position(WaveFunction(g, values, psi.representation))
 
     transmitted = float(np.sum(np.abs(raw.values) ** 2) * raw.quadrature_delta)
     if transmitted <= ZERO_TRANSMISSION:
@@ -149,44 +157,34 @@ def filter_wavefunction(psi_in: WaveFunction, f: FilterSpec) -> tuple[WaveFuncti
     return normalize(raw), transmitted
 
 
-def device_wdf(f: FilterSpec) -> WignerFunction:
-    """Phase-space distribution of the device transmission, kept at its given norm."""
-    device = to_position(f.device)
-    return WignerFunction(device.grid, wigner_values_of_amplitudes(device.values, device.grid))
-
-
 def filter_wdf(w_in: WignerFunction, f: FilterSpec) -> WignerFunction:
-    """Apply the phase-space filtering law matching the filter kind.
+    """Apply the phase-space filtering law: shift along one axis, convolve along the other.
 
     coordinate:          W_out(q,p) = integral W_in(q,p') W_m(q,p-p') dp'
     momentum:            W_out(q,p) = integral W_in(q',p) W_m(q-q',p) dq'
     general_coordinate:  W_out(q,p) = integral W_in(q',p-p0) W_m(q-q',p) dq'
     general_momentum:    W_out(q,p) = integral W_in(q-q0,p') W_m(q,p-p') dp'
 
-    Output equals the distribution of the raw filtered wavefunction (its
-    mass is the transmitted fraction), which is the cross-identity the
+    The kind only picks the convolution axis; each plain law is its general
+    twin at zero offset.  ``W_m`` is the device distribution at its given
+    norm.  Output equals the distribution of the raw filtered wavefunction
+    (its mass is the transmitted fraction), which is the cross-identity the
     test-suite pins down.
     """
     g = w_in.grid
     if g != f.device.grid:
         raise GridMismatchError("state and device live on different grids")
-    w_m = device_wdf(f).values
     n = g.n_points
-
-    if f.kind == COORDINATE:
-        values = g.delta_p * _linear_convolution(w_in.values, w_m, {1: n // 2})
-    elif f.kind == MOMENTUM_KIND:
-        values = g.delta_q * _linear_convolution(w_in.values, w_m, {0: g.origin_index()})
-    elif f.kind == GENERAL_COORDINATE:
-        # source index k - steps; a shift of n or more cells leaves only zeros
-        steps = np.clip(g.steps_of(f.p_offset, g.delta_p), -n, n)
-        boosted = _zero_extended(w_in.values, np.arange(n) - steps, axis=1)
-        values = g.delta_q * _linear_convolution(boosted, w_m, {0: g.origin_index()})
-    else:  # GENERAL_MOMENTUM
-        steps = np.clip(g.steps_of(f.q_offset, g.delta_q), -n, n)
-        displaced = _zero_extended(w_in.values, np.arange(n) - steps, axis=0)
-        values = g.delta_p * _linear_convolution(displaced, w_m, {1: n // 2})
-    return WignerFunction(g, values)
+    axis = 1 if f.kind in (COORDINATE, GENERAL_MOMENTUM) else 0
+    offset, spacing = ((f.q_offset, g.delta_q), (f.p_offset, g.delta_p))[1 - axis]
+    # source index i - steps; a shift of n or more cells leaves only zeros
+    steps = np.clip(g.steps_of(offset, spacing), -n, n)
+    values = w_in.values
+    if steps:
+        values = _zero_extended(values, np.arange(n) - steps, axis=1 - axis)
+    w_m = wigner_values_of_amplitudes(to_position(f.device).values, g)
+    start, cell = _centring(g, axis)
+    return WignerFunction(g, cell * _linear_convolution(values, w_m, {axis: start}))
 
 
 def detect(w_in: WignerFunction, w_m: WignerFunction) -> DetectionMap:
@@ -199,8 +197,9 @@ def detect(w_in: WignerFunction, w_m: WignerFunction) -> DetectionMap:
     g = w_in.grid
     if g != w_m.grid:
         raise GridMismatchError("state and device live on different grids")
-    values = _linear_convolution(w_in.values, w_m.values, {0: g.origin_index(), 1: g.n_points // 2})
-    return DetectionMap(g, values * g.delta_q * g.delta_p)
+    (q_start, q_cell), (p_start, p_cell) = _centring(g, 0), _centring(g, 1)
+    values = _linear_convolution(w_in.values, w_m.values, {0: q_start, 1: p_start})
+    return DetectionMap(g, values * q_cell * p_cell)
 
 
 def detect_from_wavefunctions(psi_in: WaveFunction, psi_m: WaveFunction) -> DetectionMap:
@@ -224,35 +223,28 @@ def detect_from_wavefunctions(psi_in: WaveFunction, psi_m: WaveFunction) -> Dete
     return DetectionMap(g, (np.abs(amplitude) ** 2) * g.delta_q**2 / g.h)
 
 
-def _common_support_mass(m1: np.ndarray, m2: np.ndarray, delta: float, threshold: float) -> float:
-    shared = (m1 >= threshold * m1.max()) & (m2 >= threshold * m2.max())
+def _common_support_mass(m1: np.ndarray, m2: np.ndarray, delta: float) -> float:
+    shared = (m1 >= SUPPORT_THRESHOLD * m1.max()) & (m2 >= SUPPORT_THRESHOLD * m2.max())
     if not shared.any():
         return 0.0
     return float(min(m1[shared].sum(), m2[shared].sum()) * delta)
 
 
-def classify_interaction(
-    w1: WignerFunction,
-    w2: WignerFunction,
-    *,
-    support_threshold: float = 1e-4,
-    common_mass_threshold: float = 0.5,
-    overlap_threshold: float = 1e-3,
-) -> InteractionReport:
+def classify_interaction(w1: WignerFunction, w2: WignerFunction) -> InteractionReport:
     """Classify a pair of states as interference-capable, transition-capable, both or neither.
 
     Interference needs a common projection (shared thresholded-marginal
-    support carrying at least ``common_mass_threshold`` of either state)
-    along q or p; transitions need phase-space overlap above
-    ``overlap_threshold``.  Pairs satisfying both tests are reported as
+    support carrying at least ``COMMON_MASS_THRESHOLD`` of either state)
+    along q or p; transitions need phase-space overlap of at least
+    ``OVERLAP_THRESHOLD``.  Pairs satisfying both tests are reported as
     ``"both"`` rather than forced into one category.
     """
     overlap = overlap_probability(w1, w2)
     g = w1.grid
-    common_q = _common_support_mass(marginal_q(w1), marginal_q(w2), g.delta_q, support_threshold)
-    common_p = _common_support_mass(marginal_p(w1), marginal_p(w2), g.delta_p, support_threshold)
-    has_common = max(common_q, common_p) >= common_mass_threshold
-    has_overlap = overlap >= overlap_threshold
+    common_q = _common_support_mass(marginal_q(w1), marginal_q(w2), g.delta_q)
+    common_p = _common_support_mass(marginal_p(w1), marginal_p(w2), g.delta_p)
+    has_common = max(common_q, common_p) >= COMMON_MASS_THRESHOLD
+    has_overlap = overlap >= OVERLAP_THRESHOLD
     if has_common and has_overlap:
         classification = "both"
     elif has_common:

@@ -114,6 +114,17 @@ def make_grid(q_min: float, q_max: float, n_points: int, hbar: float = 1.0) -> G
     )
 
 
+def _frozen_array(values, dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Read-only copy of ``values`` as ``dtype``, checked for shape and finiteness."""
+    array = np.array(values, dtype=dtype)
+    if array.shape != shape:
+        raise ValueError(f"expected {what} of shape {shape}, got shape {array.shape}")
+    if not np.all(np.isfinite(array)):
+        raise InvariantViolation(f"non-finite {what}")
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class WaveFunction:
     """Complex amplitudes sampled on a :class:`Grid`, in one representation."""
@@ -125,16 +136,10 @@ class WaveFunction:
     def __post_init__(self):
         if self.representation not in (POSITION, MOMENTUM):
             raise ValueError(f"unknown representation {self.representation!r}")
-        values = np.array(self.values, dtype=np.complex128)
-        if values.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"expected {self.grid.n_points} amplitudes, got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise InvariantViolation("non-finite amplitudes in wavefunction")
-        values.setflags(write=False)
+        n = self.grid.n_points
+        values = _frozen_array(self.values, np.complex128, (n,), "amplitudes in wavefunction")
         object.__setattr__(self, "values", values)
-        peak = float(np.max(np.abs(values))) if values.size else 0.0
+        peak = float(np.max(np.abs(values)))
         if peak > 0:
             edge = max(abs(values[0]), abs(values[-1])) / peak
             if edge > EDGE_WARN_LEVEL:

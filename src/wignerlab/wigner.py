@@ -22,10 +22,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GridMismatchError, InvariantViolation
-from .grid import POSITION, Grid, WaveFunction, _zero_extended, normalize, squared_norm
+from .grid import POSITION, Grid, WaveFunction, _frozen_array, _zero_extended, normalize, squared_norm
 
 #: States with h*integral(W^2) above this are considered pure.
 PURITY_THRESHOLD = 1.0 - 1e-6
+
+#: Smallest |psi(0)| that :func:`recover_wavefunction` accepts as its reference.
+MIN_REFERENCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -37,12 +40,7 @@ class WignerFunction:
 
     def __post_init__(self):
         n = self.grid.n_points
-        values = np.array(self.values, dtype=np.float64)
-        if values.shape != (n, n):
-            raise ValueError(f"expected a {n} x {n} matrix, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise InvariantViolation("non-finite values in Wigner matrix")
-        values.setflags(write=False)
+        values = _frozen_array(self.values, np.float64, (n, n), "values in Wigner matrix")
         object.__setattr__(self, "values", values)
 
     def mass(self) -> float:
@@ -58,9 +56,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         n = self.grid.n_points
-        entries = np.array(self.entries, dtype=np.complex128)
-        if entries.shape != (n, n):
-            raise ValueError(f"expected a {n} x {n} matrix, got shape {entries.shape}")
+        entries = _frozen_array(self.entries, np.complex128, (n, n), "entries in density matrix")
         deviation = np.max(np.abs(entries - entries.conj().T))
         if deviation > 1e-12:
             raise InvariantViolation(
@@ -69,7 +65,6 @@ class DensityMatrix:
         trace = float(np.trace(entries).real) * self.grid.delta_q
         if abs(trace - 1.0) > 1e-10:
             raise InvariantViolation(f"density matrix trace is {trace}, expected 1")
-        entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
     def smallest_eigenvalue(self) -> float:
@@ -203,19 +198,14 @@ def purity(w: WignerFunction) -> float:
 
 
 def _upsample_rows(values: np.ndarray) -> np.ndarray:
-    """Double the row count by trigonometric interpolation along the q axis."""
+    """Double the row count of a real matrix by trigonometric interpolation along the q axis."""
     n = values.shape[0]
-    half = n // 2
-    spectrum = np.fft.fft(values, axis=0)
-    padded = np.zeros((2 * n,) + values.shape[1:], dtype=np.complex128)
-    padded[:half] = spectrum[:half]
-    padded[half] = 0.5 * spectrum[half]
-    padded[3 * half] = 0.5 * spectrum[half]
-    padded[3 * half + 1:] = spectrum[half + 1:]
-    return np.fft.ifft(padded, axis=0).real * 2.0
+    spectrum = np.fft.rfft(values, axis=0)
+    spectrum[n // 2] *= 0.5  # the Nyquist row is split between its two images
+    return np.fft.irfft(spectrum, 2 * n, axis=0) * 2.0
 
 
-def recover_wavefunction(w: WignerFunction, min_reference: float = 1e-6) -> WaveFunction:
+def recover_wavefunction(w: WignerFunction) -> WaveFunction:
     """Invert the distribution of a pure state back to its wavefunction.
 
     Uses the correlation against the fixed reference point q = 0:
@@ -234,7 +224,7 @@ def recover_wavefunction(w: WignerFunction, min_reference: float = 1e-6) -> Wave
     phases = np.exp(1j * np.outer(g.q, g.p) / g.hbar)
     correlation = (rows * phases).sum(axis=1) * g.delta_p
     reference = correlation[j0].real
-    if reference <= min_reference**2:
+    if reference <= MIN_REFERENCE**2:
         raise InvariantViolation(
             "|psi(0)| is too small to serve as the recovery reference point"
         )

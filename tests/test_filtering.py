@@ -3,6 +3,7 @@ import pytest
 
 from wignerlab import (
     CatSpec,
+    DetectionMap,
     FilterSpec,
     GaussianSpec,
     GridMismatchError,
@@ -89,6 +90,22 @@ class TestFilterWavefunction:
         with pytest.raises(ValueError):
             FilterSpec(kind=COORDINATE, device=device, p_offset=1.0)
 
+    @pytest.mark.parametrize(
+        "kind, offset",
+        [
+            (COORDINATE, "q_offset"),
+            (COORDINATE, "p_offset"),
+            (MOMENTUM_KIND, "q_offset"),
+            (MOMENTUM_KIND, "p_offset"),
+            (GENERAL_COORDINATE, "q_offset"),
+            (GENERAL_MOMENTUM, "p_offset"),
+        ],
+    )
+    def test_wrong_offset_is_named(self, kind, offset, grid):
+        device = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
+        with pytest.raises(ValueError, match=f"{kind} filter takes no {offset}"):
+            FilterSpec(kind=kind, device=device, **{offset: grid.delta_q * grid.delta_p})
+
 
 class TestPhaseSpaceCommutation:
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -113,6 +130,18 @@ class TestPhaseSpaceCommutation:
         else:
             spec = FilterSpec(kind=kind, device=device, q_offset=cells * grid.delta_q)
         assert not filter_wdf(w, spec).values.any()
+
+    @pytest.mark.parametrize(
+        "plain, general, offset",
+        [(COORDINATE, GENERAL_MOMENTUM, "q_offset"), (MOMENTUM_KIND, GENERAL_COORDINATE, "p_offset")],
+    )
+    def test_plain_law_is_general_law_at_zero_offset(self, plain, general, offset, grid):
+        rng = np.random.default_rng(17)
+        w = wdf_from_wavefunction(random_superposition(grid, rng))
+        device = random_gaussian_device(grid, rng)
+        via_plain = filter_wdf(w, FilterSpec(kind=plain, device=device))
+        via_general = filter_wdf(w, FilterSpec(kind=general, device=device, **{offset: 0.0}))
+        assert np.array_equal(via_plain.values, via_general.values)
 
     def test_centered_slit_reproduces_closed_form(self, grid):
         psi = gaussian_wavefunction(GaussianSpec(width=1.5), grid)
@@ -142,6 +171,13 @@ class TestLocalityMemory:
 
 
 class TestDetect:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_map_rejects_non_finite_values(self, bad, grid):
+        values = np.zeros((grid.n_points, grid.n_points))
+        values[3, 4] = bad
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            DetectionMap(grid, values)
+
     def test_equal_width_gaussians_double_variances(self, grid):
         state = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), grid))
         device = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), grid))

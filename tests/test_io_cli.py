@@ -145,6 +145,34 @@ class TestCli:
         result = json.loads(capsys.readouterr().out)
         assert result["min"] >= -1e-12
 
+    def test_momentum_representation_input_matches_position_twin(self, tmp_path, capsys):
+        from wignerlab import fourier_transform, inverse_fourier_transform
+
+        grid = desk_grid()
+        psi_bar = fourier_transform(gaussian_wavefunction(GaussianSpec(width=1.5, center=0.5), grid))
+        wio.save_wavefunction(psi_bar, tmp_path / "state_p.csv")
+        wio.save_wavefunction(inverse_fourier_transform(psi_bar), tmp_path / "state_q.csv")
+        (tmp_path / "filter.json").write_text(
+            json.dumps({"kind": "general_coordinate", "p_offset": 3 * grid.delta_p,
+                        "device": {"gaussian": {"width": 1.0}}})
+        )
+        outputs = {}
+        for twin in ("p", "q"):
+            state = str(tmp_path / f"state_{twin}.csv")
+            capsys.readouterr()
+            assert main(["wdf", state, "--out", str(tmp_path / f"w_{twin}")]) == 0
+            assert main(["filter", state, "--filter", str(tmp_path / "filter.json"), "--wdf",
+                         "--out", str(tmp_path / f"f_{twin}")]) == 0
+            outputs[twin] = [
+                capsys.readouterr().out,
+                wio.load_wigner(tmp_path / f"w_{twin}/wdf.csv").values,
+                wio.load_wavefunction(tmp_path / f"f_{twin}/filtered.csv").values,
+                wio.load_wigner(tmp_path / f"f_{twin}/filtered_wdf.csv").values,
+            ]
+        assert outputs["p"][0] == outputs["q"][0]
+        for via_p, via_q in zip(outputs["p"][1:], outputs["q"][1:]):
+            assert np.array_equal(via_p, via_q)
+
     def test_evolve_rotates_offset_packet(self, tmp_path, capsys):
         main(["state", "--gaussian", "q0=1", "center=2", "--out", str(tmp_path / "s")])
         (tmp_path / "harmonic.json").write_text(json.dumps({"coefficients": [0, 0, 0.5], "mass": 1.0}))

@@ -30,7 +30,7 @@ from wignerlab import (
     wdf_from_density,
     wdf_from_wavefunction,
 )
-from wignerlab.wigner import wigner_values_of_amplitudes
+from wignerlab.wigner import _upsample_rows, wigner_values_of_amplitudes
 
 from helpers import aligned_max_error, desk_grid, random_superposition
 
@@ -166,6 +166,16 @@ class TestFromDensity:
         entries[10, 20] = 1.0 / g.delta_q
         entries[12, 12] = 1.0 / g.delta_q
         with pytest.raises(InvariantViolation):
+            DensityMatrix(g, entries)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # a Hermitian pair off the diagonal: NaN compares False in both the
+        # Hermitian and the trace gate, so only a finiteness check catches it
+        g = desk_grid()
+        entries = np.array(pure_density(gaussian_wavefunction(GaussianSpec(width=1.0), g)).entries)
+        entries[10, 20] = entries[20, 10] = bad
+        with pytest.raises(InvariantViolation, match="non-finite"):
             DensityMatrix(g, entries)
 
     def test_physical_states_positive_semidefinite(self):
@@ -307,6 +317,20 @@ class TestPurity:
         odd = normalize(WaveFunction(g, plus - minus))
         w = wdf_from_density(mixed_density([even, odd], [0.5, 0.5]))
         assert purity(w) == pytest.approx(0.5, abs=1e-8)
+
+
+class TestUpsampleRows:
+    def test_even_rows_reproduce_the_input(self):
+        values = np.random.default_rng(7).standard_normal((64, 5))
+        assert np.max(np.abs(_upsample_rows(values)[::2] - values)) <= 1e-14
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 31])
+    def test_band_limited_cosine_is_exact_at_odd_rows(self, k):
+        n = 64
+        # reduce the phase first, so the reference itself is exact to rounding
+        fine = np.cos(2 * np.pi * (k * np.arange(2 * n) % (2 * n)) / (2 * n))
+        upsampled = _upsample_rows(fine[::2, None])[:, 0]
+        assert np.max(np.abs(upsampled[1::2] - fine[1::2])) <= 1e-14
 
 
 class TestRecovery:
