@@ -65,18 +65,19 @@ def smoothed_minimum(w: WignerFunction, sigma_q: float, sigma_p: float) -> float
     The kernel is a normalized Gaussian of the given widths evaluated on
     the offset lattice; at sigma_q*sigma_p = hbar/2 it coincides with a
     minimum-uncertainty device and the result is a detector readout,
-    nonnegative for every physical state.
+    nonnegative for every physical state.  The kernel is a Gaussian in q
+    times a Gaussian in p, so it is applied as two linear one-axis passes.
     """
     if not (sigma_q > 0 and sigma_p > 0):
         raise ValueError("smoothing widths must be positive")
     g = w.grid
     n = g.n_points
     offsets = np.arange(n) - n // 2
-    kernel = np.exp(-((offsets * g.delta_q) ** 2) / (2.0 * sigma_q**2))[:, None] * np.exp(
-        -((offsets * g.delta_p) ** 2) / (2.0 * sigma_p**2)
-    )[None, :]
-    kernel /= kernel.sum() * g.delta_q * g.delta_p
-    smoothed = _linear_convolution(w.values, kernel, {0: n // 2, 1: n // 2}) * g.delta_q * g.delta_p
+    smoothed = w.values
+    for axis, sigma, cell in ((0, sigma_q, g.delta_q), (1, sigma_p, g.delta_p)):
+        kernel = np.exp(-((offsets * cell) ** 2) / (2.0 * sigma**2))
+        kernel = np.expand_dims(kernel / kernel.sum(), 1 - axis)
+        smoothed = _linear_convolution(smoothed, kernel, {axis: n // 2})
     return float(smoothed.min())
 
 

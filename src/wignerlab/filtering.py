@@ -10,8 +10,9 @@ nonnegative map.
 
 Devices are used exactly as given, without forcing unit norm: the
 transmitted fraction is physical information and is reported separately.
-All convolutions are linear (zero-padded), never circular, matching the
-zero-extension contract of the correlation construction.
+The p axis is periodic on the lattice, so a p-axis convolution is a product
+of ``rfft`` spectra over the correlation offset; convolutions along q stay
+linear (zero-extended), matching the correlation construction.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .grid import (
     _frozen_array,
     _half_dft,
     _linear_convolution,
+    _pair_correlation,
     _zero_extended,
     normalize,
     to_momentum,
@@ -167,9 +169,10 @@ def filter_wdf(w_in: WignerFunction, f: FilterSpec) -> WignerFunction:
 
     The kind only picks the convolution axis; each plain law is its general
     twin at zero offset.  ``W_m`` is the device distribution at its given
-    norm.  Output equals the distribution of the raw filtered wavefunction
-    (its mass is the transmitted fraction), which is the cross-identity the
-    test-suite pins down.
+    norm.  Along p the law is a product: ``rfft`` over p gives the correlation
+    of ``W_in``, times the conjugate device correlation (``W_m`` is never
+    built), so the output is the raw filtered state's distribution for any
+    state; along q it is linear.  The output mass is the transmitted fraction.
     """
     g = w_in.grid
     if g != f.device.grid:
@@ -182,9 +185,13 @@ def filter_wdf(w_in: WignerFunction, f: FilterSpec) -> WignerFunction:
     values = w_in.values
     if steps:
         values = _zero_extended(values, np.arange(n) - steps, axis=1 - axis)
-    w_m = wigner_values_of_amplitudes(to_position(f.device).values, g)
-    start, cell = _centring(g, axis)
-    return WignerFunction(g, cell * _linear_convolution(values, w_m, {axis: start}))
+    device = to_position(f.device).values
+    if axis == 1:
+        spectrum = np.fft.rfft(values, axis=1) * np.conj(_pair_correlation(device))
+        return WignerFunction(g, np.fft.irfft(spectrum, n, axis=1))
+    start, cell = _centring(g, 0)
+    w_m = wigner_values_of_amplitudes(device, g)
+    return WignerFunction(g, cell * _linear_convolution(values, w_m, {0: start}))
 
 
 def detect(w_in: WignerFunction, w_m: WignerFunction) -> DetectionMap:
@@ -192,14 +199,16 @@ def detect(w_in: WignerFunction, w_m: WignerFunction) -> DetectionMap:
 
     ``D(q,p) = integral W_in(q',p') W_m(q-q',p-p') dq' dp'`` is nonnegative
     for any pair of valid distributions; the device may equally be supplied
-    as classical phase-space data.
+    as classical phase-space data.  The sum is periodic in p, linear in q.
     """
     g = w_in.grid
     if g != w_m.grid:
         raise GridMismatchError("state and device live on different grids")
-    (q_start, q_cell), (p_start, p_cell) = _centring(g, 0), _centring(g, 1)
-    values = _linear_convolution(w_in.values, w_m.values, {0: q_start, 1: p_start})
-    return DetectionMap(g, values * q_cell * p_cell)
+    q_start, q_cell = _centring(g, 0)
+    spectra = [np.fft.rfft(w.values, axis=1) for w in (w_in, w_m)]
+    spectrum = _linear_convolution(*spectra, {0: q_start})
+    spectrum[:, 1::2] *= -1  # the p window starts at n/2
+    return DetectionMap(g, np.fft.irfft(spectrum, g.n_points, axis=1) * q_cell * g.delta_p)
 
 
 def detect_from_wavefunctions(psi_in: WaveFunction, psi_m: WaveFunction) -> DetectionMap:

@@ -209,12 +209,19 @@ def _zero_extended(values: np.ndarray, index: np.ndarray, axis: int = -1) -> np.
     return np.take(np.pad(values, widths), index, axis=axis)
 
 
+def _pair_correlation(values: np.ndarray) -> np.ndarray:
+    """``c_j(m) = conj(values[j-m]) * values[j+m]`` for ``m in [0, n/2]``, zero off the lattice."""
+    n = values.shape[-1]
+    j, m = np.arange(n)[:, None], np.arange(n // 2 + 1)
+    return np.conj(_zero_extended(values, j - m)) * _zero_extended(values, j + m)
+
+
 def _linear_convolution(a: np.ndarray, b: np.ndarray, starts: dict[int, int]) -> np.ndarray:
-    """Zero-extended convolution of equal-shaped arrays over the axes in ``starts``.
+    """Zero-extended convolution of two arrays over the axes in ``starts``.
 
     Each key of ``starts`` is a convolved axis of length n, and its value
     the first index of the n-long window kept from the full convolution;
-    the remaining axes are paired elementwise.  Padding to 2n rather than
+    the remaining axes are broadcast elementwise.  Padding to 2n rather than
     2n - 1 keeps the FFT length even, which is faster, and the extra
     sample is exactly zero.  Real operands take the real-input FFT.
     """

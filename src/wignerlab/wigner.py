@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GridMismatchError, InvariantViolation
-from .grid import POSITION, Grid, WaveFunction, _frozen_array, _zero_extended, normalize, squared_norm
+from .grid import POSITION, Grid, WaveFunction, _frozen_array, _pair_correlation, normalize, squared_norm
 
 #: States with h*integral(W^2) above this are considered pure.
 PURITY_THRESHOLD = 1.0 - 1e-6
@@ -105,11 +105,7 @@ def wigner_values_of_amplitudes(amplitudes: np.ndarray, grid: Grid) -> np.ndarra
     low-level path deliberately skips the unit-norm gate of
     :func:`wdf_from_wavefunction`.
     """
-    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
-    j = np.arange(grid.n_points)[:, None]
-    m = np.arange(grid.n_points // 2 + 1)
-    corr = np.conj(_zero_extended(amplitudes, j - m)) * _zero_extended(amplitudes, j + m)
-    return _transform_correlation(corr, grid)
+    return _transform_correlation(_pair_correlation(np.asarray(amplitudes, dtype=np.complex128)), grid)
 
 
 def wdf_from_wavefunction(psi: WaveFunction) -> WignerFunction:
@@ -134,9 +130,9 @@ def wdf_from_density(rho: DensityMatrix) -> WignerFunction:
     result on a lattice of length ``L``.
     """
     n = rho.grid.n_points
-    j = np.arange(n)[:, None]
-    m = np.arange(n // 2 + 1)
-    corr = np.pad(rho.entries, (0, n // 2))[j + m, j - m]
+    j, m = np.arange(n)[:, None], np.arange(n // 2 + 1)
+    valid = (j + m < n) & (j - m >= 0)
+    corr = np.where(valid, rho.entries.ravel().take(np.where(valid, (j + m) * n + (j - m), 0)), 0)
     return WignerFunction(rho.grid, _transform_correlation(corr, rho.grid))
 
 

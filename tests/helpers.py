@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from wignerlab import GaussianSpec, WaveFunction, make_grid, normalize
@@ -90,3 +92,14 @@ def density_width(psi):
     x = psi.coordinates
     mean = float(np.sum(x * rho))
     return float(np.sqrt(np.sum((x - mean) ** 2 * rho)))
+
+
+def traced_peak(call):
+    """Result of ``call()`` and the tracemalloc peak, in bytes, reached while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

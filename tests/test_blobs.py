@@ -10,6 +10,7 @@ from wignerlab import (
     cat_wavefunction,
     effective_area,
     gaussian_wavefunction,
+    make_grid,
     mixed_density,
     normalize,
     smoothed_minimum,
@@ -19,7 +20,7 @@ from wignerlab import (
 )
 from wignerlab.grid import WaveFunction
 
-from helpers import random_superposition
+from helpers import desk_grid, random_superposition, traced_peak
 
 
 def _gauss_wdf(grid, width=1.0):
@@ -82,6 +83,30 @@ class TestSmoothedMinimum:
         sigmas = [0.15, 0.25, 0.4, 0.7, 1.0]
         minima = [smoothed_minimum(w, s, s) for s in sigmas]
         assert all(m2 >= m1 - 1e-12 for m1, m2 in zip(minima, minima[1:]))
+
+    def test_separable_passes_match_the_two_axis_kernel_sum(self):
+        g = make_grid(-1.3, 2.9, 16, hbar=0.7)
+        n = g.n_points
+        w = WignerFunction(g, np.random.default_rng(23).normal(size=(n, n)))
+        sigma_q, sigma_p = 0.5, 0.9
+        offsets = np.arange(n) - n // 2
+        kernel = np.exp(-((offsets[:, None] * g.delta_q) ** 2) / (2 * sigma_q**2)
+                        - ((offsets[None, :] * g.delta_p) ** 2) / (2 * sigma_p**2))
+        kernel /= kernel.sum()
+        smoothed = np.zeros((n, n))
+        for j in range(n):
+            for k in range(n):
+                for a in range(n):
+                    for b in range(n):
+                        u, v = j - a + n // 2, k - b + n // 2
+                        if 0 <= u < n and 0 <= v < n:
+                            smoothed[j, k] += w.values[a, b] * kernel[u, v]
+        assert abs(smoothed_minimum(w, sigma_q, sigma_p) - smoothed.min()) <= 1e-15
+
+    def test_peak_memory_within_seven_output_matrices(self):
+        w = _cat_wdf(desk_grid(1024))
+        _, peak = traced_peak(lambda: smoothed_minimum(w, 0.7, 0.7))
+        assert peak <= 7 * w.values.nbytes
 
     def test_rejects_bad_widths(self, grid):
         with pytest.raises(ValueError):

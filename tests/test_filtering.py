@@ -30,8 +30,9 @@ from wignerlab.filtering import (
     GENERAL_MOMENTUM,
     MOMENTUM_KIND,
 )
+from wignerlab.wigner import wigner_values_of_amplitudes
 
-from helpers import density_width, random_gaussian_device, random_superposition
+from helpers import density_width, desk_grid, random_gaussian_device, random_superposition, traced_peak
 
 ALL_KINDS = [COORDINATE, MOMENTUM_KIND, GENERAL_COORDINATE, GENERAL_MOMENTUM]
 
@@ -143,6 +144,16 @@ class TestPhaseSpaceCommutation:
         via_general = filter_wdf(w, FilterSpec(kind=general, device=device, **{offset: 0.0}))
         assert np.array_equal(via_plain.values, via_general.values)
 
+    @pytest.mark.filterwarnings("ignore:wavefunction edge amplitude")
+    def test_p_axis_law_is_exact_beyond_containment(self):
+        # random amplitudes fill the whole lattice; the law is still the defining sum
+        g = make_grid(-1.3, 2.9, 16, hbar=0.7)
+        rng = np.random.default_rng(29)
+        a, d = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+        w = WignerFunction(g, wigner_values_of_amplitudes(a, g))
+        out = filter_wdf(w, FilterSpec(kind=COORDINATE, device=WaveFunction(g, d)))
+        assert np.max(np.abs(out.values - wigner_values_of_amplitudes(a * d, g))) <= 1e-13
+
     def test_centered_slit_reproduces_closed_form(self, grid):
         psi = gaussian_wavefunction(GaussianSpec(width=1.5), grid)
         device = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
@@ -247,6 +258,13 @@ class TestDetect:
         from wignerlab import purity
 
         assert purity(WignerFunction(grid, readout.values)) == pytest.approx(0.5, abs=1e-8)
+
+    def test_peak_memory_within_seven_output_matrices(self):
+        g = desk_grid(1024)
+        state = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), g))
+        device = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=0.8, center=1.0), g))
+        result, peak = traced_peak(lambda: detect(state, device))
+        assert peak <= 7 * result.values.nbytes
 
     def test_classical_device_data(self, grid):
         # device supplied as raw phase-space data, no wavefunction behind it

@@ -6,7 +6,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from wignerlab import GaussianSpec, gaussian_wavefunction, wdf_from_wavefunction
+from wignerlab import GaussianSpec, WignerFunction, gaussian_wavefunction, wdf_from_wavefunction
 from wignerlab import io as wio
 from wignerlab.cli import main
 from wignerlab.filtering import GENERAL_COORDINATE
@@ -123,6 +123,16 @@ class TestCli:
         capsys.readouterr()
         assert main(["overlap", str(tmp_path / "s/state.csv"), str(tmp_path / "s/state.csv")]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(1.0, abs=1e-8)
+
+    def test_overlap_rejects_unnormalized_matrix(self, tmp_path, capsys):
+        main(["state", "--gaussian", "q0=1", "--grid=-8:8:64", "--out", str(tmp_path / "s")])
+        main(["wdf", str(tmp_path / "s/state.csv"), "--out", str(tmp_path / "w")])
+        w = wio.load_wigner(tmp_path / "w/wdf.csv")
+        tripled = tmp_path / "w/tripled.csv"
+        wio.save_wigner(WignerFunction(w.grid, 3.0 * w.values), tripled)
+        capsys.readouterr()
+        assert main(["overlap", str(tmp_path / "w/wdf.csv"), str(tripled)]) == 1
+        assert "total mass 3 " in capsys.readouterr().err
 
     def test_filter_and_detect(self, tmp_path, capsys):
         main(["state", "--gaussian", "q0=1.5", "--out", str(tmp_path / "s")])

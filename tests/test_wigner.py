@@ -32,7 +32,7 @@ from wignerlab import (
 )
 from wignerlab.wigner import _upsample_rows, wigner_values_of_amplitudes
 
-from helpers import aligned_max_error, desk_grid, random_superposition
+from helpers import aligned_max_error, desk_grid, random_superposition, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +127,12 @@ def test_peak_memory_within_four_output_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak <= 4 * w.values.nbytes
+
+
+def test_density_peak_memory_within_four_output_matrices():
+    rho = pure_density(gaussian_wavefunction(GaussianSpec(width=1.0), desk_grid(1024)))
+    w, peak = traced_peak(lambda: wdf_from_density(rho))
     assert peak <= 4 * w.values.nbytes
 
 
