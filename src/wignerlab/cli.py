@@ -65,10 +65,13 @@ def _pop(params: dict[str, float], key: str, default: float | None = None) -> fl
 
 
 def _load_state_as_wdf(path: str) -> WignerFunction:
-    """Accept either a wavefunction CSV or a distribution-matrix CSV."""
+    """Accept a wavefunction CSV, or a distribution-matrix CSV of mass at most 1 (filter outputs carry less)."""
     if wio.is_wavefunction_file(path):
         return wdf_from_wavefunction(to_position(wio.load_wavefunction(path)))
-    return wio.load_wigner(path)
+    w = wio.load_wigner(path)
+    if w.mass() > 1.0 + 1e-6:
+        raise InvariantViolation(f"total mass {w.mass():.6g} of {path} exceeds 1 by more than 1e-6")
+    return w
 
 
 def _emit(payload: dict) -> None:

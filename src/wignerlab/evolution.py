@@ -9,11 +9,11 @@ of odd-order quantum corrections,
 which terminates for polynomial V (degree <= 8 keeps the highest stencil
 order bounded).  All derivatives are spectral.  The transport term is
 diagonal in (k_q, p) and the potential terms in (q, k_p), so stepping
-splits the operator and applies each part exactly as a phase, composed to
-fourth order (Cabrera, Bondar, Jacobs & Rabitz, PRA 92, 042122 (2015);
-Yoshida, Phys. Lett. A 150, 262 (1990)).  A Strang-split Schroedinger
-propagator acts as the independent oracle for the same dynamics on the
-wavefunction side.
+splits the operator and applies each part exactly as a phase (Cabrera,
+Bondar, Jacobs & Rabitz, PRA 92, 042122 (2015)), composed to fourth order
+by Chin's force-gradient scheme 4A (Phys. Lett. A 226, 344 (1997); Chin &
+Chen, J. Chem. Phys. 114, 7338 (2001)).  A Strang-split Schroedinger
+propagator is the independent oracle on the wavefunction side.
 """
 
 from __future__ import annotations
@@ -119,18 +119,23 @@ def _moyal_symbols(grid: Grid, v: PotentialSpec, series_order: int) -> tuple[np.
     derivative order is odd, so ``exp(tau * symbol)`` is an exact
     Hermitian phase.
     """
-    n = grid.n_points
-    ikq = 2j * np.pi * np.fft.rfftfreq(n, d=grid.delta_q)
+    ikq = 2j * np.pi * np.fft.rfftfreq(grid.n_points, d=grid.delta_q)
     ikq[-1] = 0.0
-    ikp = 2j * np.pi * np.fft.rfftfreq(n, d=grid.delta_p)
-    ikp[-1] = 0.0
     transport = -(grid.p[None, :] / v.mass) * ikq[:, None]
-    force = v.derivative_values(grid.q, 1)[:, None] * ikp[None, :]
-    for term in range(1, _series_terms(v, series_order) + 1):
+    return transport, _force_symbol(grid, v.coefficients, _series_terms(v, series_order))
+
+
+def _force_symbol(grid: Grid, coefficients, terms: int) -> np.ndarray:
+    """Symbol of ``U' d/dp`` plus ``terms`` odd corrections for the polynomial ``U``."""
+    ikp = 2j * np.pi * np.fft.rfftfreq(grid.n_points, d=grid.delta_p)
+    ikp[-1] = 0.0
+    poly = np.polynomial.polynomial  # imported on first use, not with the package
+    force = poly.polyval(grid.q, poly.polyder(coefficients))[:, None] * ikp
+    for term in range(1, terms + 1):
         order = 2 * term + 1
         coeff = (-1.0) ** term * (grid.hbar / 2.0) ** (2 * term) / math.factorial(order)
-        force = force + (coeff * v.derivative_values(grid.q, order))[:, None] * ikp[None, :] ** order
-    return transport, force
+        force += (coeff * poly.polyval(grid.q, poly.polyder(coefficients, m=order)))[:, None] * ikp**order
+    return force
 
 
 def _apply(values: np.ndarray, symbol: np.ndarray, axis: int) -> np.ndarray:
@@ -154,12 +159,16 @@ def propagate(w: WignerFunction, v: PotentialSpec, cfg: EvolutionConfig) -> Wign
     """Step the distribution forward by ``cfg.n_steps`` steps of ``cfg.dt``.
 
     Fourth-order split-operator stepping of the operator :func:`moyal_rhs`
-    evaluates: the transport and force parts are each applied exactly, as a
-    phase in their own Fourier domain, in kick-drift-kick stages composed
-    by Yoshida's triple jump.  Each step is unitary and conserves mass to
-    rounding.  ``dt`` must still satisfy :func:`stability_limit`.  Aborts
-    on mass drift beyond 1e-4, on non-finite values, and on amplitude
-    blow-up.
+    evaluates, by Chin's scheme 4A: a step is ``K(1/6) D(1/2) K~(2/3) D(1/2)
+    K(1/6)``, each drift ``D`` and kick ``K`` an exact phase in its own
+    Fourier domain, and between checks the closing 1/6 kick merges with the
+    next step's opening one.  ``K~`` kicks with ``V - dt^2/(48 m) * V'^2``:
+    the weights cancel the ``[T,[T,V]]`` error, and since ``[V,[V,[V,T]]] =
+    0`` for ``T = p^2/2m``, the remaining ``[V,[T,V]]``, proportional to
+    ``V'^2/m``, depends on q alone and cancels inside that kick.  Each step
+    is unitary and conserves mass to rounding.  ``dt`` must still satisfy
+    :func:`stability_limit`.  Aborts on mass drift beyond 1e-4, on
+    non-finite values, and on amplitude blow-up.
     """
     limit = stability_limit(w.grid, v)
     if cfg.dt > limit:
@@ -168,25 +177,25 @@ def propagate(w: WignerFunction, v: PotentialSpec, cfg: EvolutionConfig) -> Wign
             "(0.5*min(m*dq/p_max, dp/max|V'|)) for this grid and potential"
         )
     transport, force = _moyal_symbols(w.grid, v, cfg.series_order)
-    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-    w0 = 1.0 - 2.0 * w1
     dt = cfg.dt
-    drift_outer, drift_inner = (np.exp(c * dt * transport) for c in (w1, w0))
-    kick_edge, kick_inner, kick_joined = (np.exp(c * dt * force) for c in (w1 / 2, (w0 + w1) / 2, w1))
+    poly = np.polynomial.polynomial
+    v_prime = poly.polyder(v.coefficients)
+    correction = dt**2 / (48.0 * v.mass) * poly.polymul(v_prime, v_prime)
+    gradient = poly.polytrim(poly.polysub(v.coefficients, correction))
+    middle_force = _force_symbol(w.grid, gradient, (gradient.size - 2) // 2 if cfg.series_order else 0)
+    half_drift = np.exp(dt / 2.0 * transport)
+    kick_middle = np.exp(2.0 * dt / 3.0 * middle_force)
+    kick_edge, kick_joined = (np.exp(c * dt * force) for c in (1.0 / 6.0, 1.0 / 3.0))
     current = w.values
     initial_mass = float(current.sum()) * w.grid.delta_q * w.grid.delta_p
     amplitude_cap = 10.0 * max(2.0 / w.grid.h, float(np.max(np.abs(current))))
     cell = w.grid.delta_q * w.grid.delta_p
-    # between checks the closing half-kick of a step merges with the
-    # opening half-kick of the next
     deferred = False
     for step in range(cfg.n_steps):
         current = _apply(current, kick_joined if deferred else kick_edge, 1)
-        current = _apply(current, drift_outer, 0)
-        current = _apply(current, kick_inner, 1)
-        current = _apply(current, drift_inner, 0)
-        current = _apply(current, kick_inner, 1)
-        current = _apply(current, drift_outer, 0)
+        current = _apply(current, half_drift, 0)
+        current = _apply(current, kick_middle, 1)
+        current = _apply(current, half_drift, 0)
         deferred = not (step % 25 == 24 or step == cfg.n_steps - 1)
         if deferred:
             continue

@@ -22,12 +22,14 @@ from wignerlab import (
     stability_limit,
     wdf_from_wavefunction,
 )
+from wignerlab import evolution
 
 from helpers import density_width
 
 FREE = PotentialSpec(coefficients=(0.0,), mass=1.0)
 HARMONIC = PotentialSpec(coefficients=(0.0, 0.0, 0.5), mass=1.0)
 QUARTIC = PotentialSpec(coefficients=(0.0, 0.0, 0.0, 0.0, 0.25), mass=1.0)
+OCTIC_WELL = (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 5e-6)  # admits dt=5e-4 on -8:8:128
 
 
 class TestPotentialSpec:
@@ -156,6 +158,60 @@ class TestPropagate:
             cfg = EvolutionConfig(dt=np.pi / 2 / steps, n_steps=steps)
             errors.append(np.max(np.abs(propagate(w, HARMONIC, cfg).values - target.values)))
         assert errors[0] / errors[1] >= 12.0
+
+    def test_fourth_order_error_constant(self):
+        # the force-gradient kick removes the [V,[T,V]] error: 3.3e-12 here,
+        # where a triple-jump composition of the same order reaches 2.5e-10
+        coarse = make_grid(-10.0, 10.0, 96)
+        w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0, center=2.0), coarse))
+        target = gaussian_wdf_closed_form(GaussianSpec(width=1.0, momentum_offset=-2.0), coarse)
+        out = propagate(w, HARMONIC, EvolutionConfig(dt=np.pi / 2 / 200, n_steps=200))
+        assert np.max(np.abs(out.values - target.values)) < 2e-11
+
+    def test_two_kicks_and_two_drifts_per_step(self, grid, monkeypatch):
+        axes = []
+        apply = evolution._apply
+
+        def counting_apply(values, symbol, axis):
+            axes.append(axis)
+            return apply(values, symbol, axis)
+
+        monkeypatch.setattr(evolution, "_apply", counting_apply)
+        w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), grid))
+        propagate(w, HARMONIC, EvolutionConfig(dt=1e-3, n_steps=50))
+        assert axes.count(0) == 2 * 50
+        assert len(axes) <= 4 * 50 + 2  # one closing kick per check, at steps 25 and 50
+
+    @pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 2.0)])
+    def test_octic_well_middle_kick_is_exact(self, hbar, mass, monkeypatch):
+        # V - dt^2/(48 m) V'^2 has degree 14: the series must run to its own degree
+        grid = make_grid(-8.0, 8.0, 128, hbar=hbar)
+        well = PotentialSpec(coefficients=OCTIC_WELL, mass=mass)
+        dt = 5e-4
+        symbols = []
+        force_symbol = evolution._force_symbol
+
+        def recording_force_symbol(*args):
+            symbols.append(force_symbol(*args))
+            return symbols[-1]
+
+        monkeypatch.setattr(evolution, "_force_symbol", recording_force_symbol)
+        psi = gaussian_wavefunction(GaussianSpec(width=1.0, center=1.0), grid)
+        w = wdf_from_wavefunction(psi)
+        cfg = EvolutionConfig(dt=dt, n_steps=500)
+        via_moyal = propagate(w, well, cfg)
+
+        def gradient_potential(x):
+            return well.derivative_values(x, 0) - dt**2 / (48.0 * mass) * well.derivative_values(x, 1) ** 2
+
+        shift = np.arange(grid.n_points // 2 + 1) * grid.delta_q
+        q = grid.q[:, None]
+        two_point = 1j / hbar * (gradient_potential(q + shift) - gradient_potential(q - shift))
+        two_point[:, -1] = 0.0
+        middle = symbols[-1]
+        assert np.max(np.abs(middle - two_point)) <= 1e-14 * np.max(np.abs(two_point))
+        via_oracle = wdf_from_wavefunction(split_step_schrodinger(psi, well, cfg))
+        assert np.max(np.abs(via_moyal.values - via_oracle.values)) < 1e-5
 
     def test_single_step_consistent_with_moyal_rhs(self, grid):
         w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0, center=1.0), grid))

@@ -134,6 +134,29 @@ class TestCli:
         assert main(["overlap", str(tmp_path / "w/wdf.csv"), str(tripled)]) == 1
         assert "total mass 3 " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["wdf", "detect"])
+    def test_loaded_matrix_above_unit_mass_exits_1(self, tmp_path, capsys, command):
+        main(["state", "--gaussian", "q0=1", "--grid=-8:8:64", "--out", str(tmp_path / "s")])
+        main(["wdf", str(tmp_path / "s/state.csv"), "--out", str(tmp_path / "w")])
+        w = wio.load_wigner(tmp_path / "w/wdf.csv")
+        tripled = tmp_path / "w/tripled.csv"
+        wio.save_wigner(WignerFunction(w.grid, 3.0 * w.values), tripled)
+        inputs = [str(tripled)] if command == "wdf" else [str(tmp_path / "w/wdf.csv"), str(tripled)]
+        capsys.readouterr()
+        assert main([command, *inputs, "--out", str(tmp_path / "o")]) == 1
+        assert "total mass 3 " in capsys.readouterr().err
+
+    def test_filter_output_below_unit_mass_loads(self, tmp_path, capsys):
+        main(["state", "--gaussian", "q0=1.5", "--out", str(tmp_path / "s")])
+        (tmp_path / "filter.json").write_text(
+            json.dumps({"kind": "coordinate", "device": {"gaussian": {"width": 1.0}}})
+        )
+        main(["filter", str(tmp_path / "s/state.csv"), "--filter", str(tmp_path / "filter.json"),
+              "--wdf", "--out", str(tmp_path / "f")])
+        capsys.readouterr()
+        assert main(["wdf", str(tmp_path / "f/filtered_wdf.csv"), "--out", str(tmp_path / "w")]) == 0
+        assert json.loads(capsys.readouterr().out)["mass"] < 0.5
+
     def test_filter_and_detect(self, tmp_path, capsys):
         main(["state", "--gaussian", "q0=1.5", "--out", str(tmp_path / "s")])
         (tmp_path / "filter.json").write_text(
