@@ -97,7 +97,7 @@ def _cmd_state(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = wio.save_wavefunction(psi, out_dir / "state.csv")
-    wio.make_manifest("state", grid, [], written).write(out_dir)
+    wio.write_manifest(out_dir, "state", grid, [], written)
     _emit({"norm": squared_norm(psi), "files": [str(p) for p in written]})
     return 0
 
@@ -107,7 +107,7 @@ def _cmd_wdf(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = wio.save_wigner(w, out_dir / "wdf.csv")
-    wio.make_manifest("wdf", w.grid, [Path(args.input)], written).write(out_dir)
+    wio.write_manifest(out_dir, "wdf", w.grid, [Path(args.input)], written)
     _emit(
         {
             "mass": w.mass(),
@@ -129,9 +129,7 @@ def _cmd_filter(args) -> int:
     if args.wdf:
         w_out = filter_wdf(wdf_from_wavefunction(psi), spec)
         written += wio.save_wigner(w_out, out_dir / "filtered_wdf.csv")
-    wio.make_manifest(
-        "filter", psi.grid, [Path(args.input), Path(args.filter)], written
-    ).write(out_dir)
+    wio.write_manifest(out_dir, "filter", psi.grid, [Path(args.input), Path(args.filter)], written)
     _emit({"transmission": transmitted})
     return 0
 
@@ -143,9 +141,7 @@ def _cmd_detect(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = wio.save_matrix(result.values, result.grid, out_dir / "detection.csv")
-    wio.make_manifest(
-        "detect", result.grid, [Path(args.state), Path(args.device)], written
-    ).write(out_dir)
+    wio.write_manifest(out_dir, "detect", result.grid, [Path(args.state), Path(args.device)], written)
     _emit({"min": float(result.values.min()), "mass": result.mass()})
     return 0
 
@@ -172,9 +168,7 @@ def _cmd_evolve(args) -> int:
         done += chunk
         frame += 1
         written += wio.save_wigner(w, out_dir / f"wdf_{frame:04d}.csv")
-    wio.make_manifest(
-        "evolve", w.grid, [Path(args.input), Path(args.potential)], written
-    ).write(out_dir)
+    wio.write_manifest(out_dir, "evolve", w.grid, [Path(args.input), Path(args.potential)], written)
     _emit(
         {
             "steps": n_steps,
@@ -204,7 +198,7 @@ def _cmd_blob(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "blob_report.json"
     report_path.write_text(report.to_json() + "\n")
-    wio.make_manifest("blob", w.grid, [Path(args.input)], [report_path]).write(out_dir)
+    wio.write_manifest(out_dir, "blob", w.grid, [Path(args.input)], [report_path])
     print(report.to_json())
     return 0
 
@@ -238,7 +232,7 @@ def _cmd_figure(args) -> int:
         }
         (out_dir / "fig4_scan.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
         written += [path, out_dir / "fig4_scan.json"]
-    wio.make_manifest(f"figure:{args.which}", grid, inputs, written).write(out_dir)
+    wio.write_manifest(out_dir, f"figure:{args.which}", grid, inputs, written)
     _emit({"files": [str(p) for p in written]})
     return 0
 

@@ -209,11 +209,16 @@ def _zero_extended(values: np.ndarray, index: np.ndarray, axis: int = -1) -> np.
     return np.take(np.pad(values, widths), index, axis=axis)
 
 
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``(j - m, j + m)`` that rfft column ``m in [0, n/2]`` pairs at lattice row ``j``."""
+    j, m = np.arange(n)[:, None], np.arange(n // 2 + 1)
+    return j - m, j + m
+
+
 def _pair_correlation(values: np.ndarray) -> np.ndarray:
     """``c_j(m) = conj(values[j-m]) * values[j+m]`` for ``m in [0, n/2]``, zero off the lattice."""
-    n = values.shape[-1]
-    j, m = np.arange(n)[:, None], np.arange(n // 2 + 1)
-    return np.conj(_zero_extended(values, j - m)) * _zero_extended(values, j + m)
+    lower, upper = _pair_indices(values.shape[-1])
+    return np.conj(_zero_extended(values, lower)) * _zero_extended(values, upper)
 
 
 def _linear_convolution(a: np.ndarray, b: np.ndarray, starts: dict[int, int]) -> np.ndarray:

@@ -12,7 +12,6 @@ with 17 significant digits so values round-trip exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +59,13 @@ def _grid_from_dict(meta: dict) -> Grid:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _read_spec(json_path: Path, what: str) -> dict:
+    spec = json.loads(json_path.read_text())
+    if not isinstance(spec, dict):
+        raise ValueError(f"{json_path}: a {what} spec must be a JSON object, got {type(spec).__name__}")
+    return spec
 
 
 def save_wavefunction(psi: WaveFunction, csv_path: str | Path) -> list[Path]:
@@ -119,7 +125,7 @@ def load_filter_spec(json_path: str | Path, grid: Grid) -> FilterSpec:
     evaluated on the target grid.
     """
     json_path = Path(json_path)
-    spec = json.loads(json_path.read_text())
+    spec = _read_spec(json_path, "filter")
     device_entry = spec["device"]
     if isinstance(device_entry, str):
         device_path = Path(device_entry)
@@ -148,33 +154,17 @@ def load_filter_spec(json_path: str | Path, grid: Grid) -> FilterSpec:
 
 def load_potential_spec(json_path: str | Path) -> PotentialSpec:
     """Potential description: ``{"coefficients": [...], "mass": 1.0}``."""
-    spec = json.loads(Path(json_path).read_text())
-    return PotentialSpec(
-        coefficients=tuple(float(c) for c in spec["coefficients"]),
-        mass=float(spec.get("mass", 1.0)),
-    )
+    json_path = Path(json_path)
+    spec = _read_spec(json_path, "potential")
+    coefficients = spec["coefficients"]
+    if not isinstance(coefficients, list) or not all(isinstance(c, (int, float)) for c in coefficients):
+        raise ValueError(f"{json_path}: coefficients must be a list of numbers, got {coefficients!r}")
+    return PotentialSpec(coefficients=tuple(coefficients), mass=float(spec.get("mass", 1.0)))
 
 
-@dataclass
-class RunManifest:
-    """Record of one command invocation and the files it touched."""
-
-    command: str
-    inputs: list[str] = field(default_factory=list)
-    outputs: list[str] = field(default_factory=list)
-    grid: dict = field(default_factory=dict)
-    version: str = _version
-
-    def write(self, out_dir: str | Path) -> Path:
-        path = Path(out_dir) / "run_manifest.json"
-        _write_json(path, asdict(self))
-        return path
-
-
-def make_manifest(command: str, grid: Grid | None, inputs: list[Path], outputs: list[Path]) -> RunManifest:
-    return RunManifest(
-        command=command,
-        inputs=[str(p) for p in inputs],
-        outputs=[str(p) for p in outputs],
-        grid=_grid_dict(grid) if grid is not None else {},
-    )
+def write_manifest(out_dir: str | Path, command: str, grid: Grid, inputs: list[Path], outputs: list[Path]) -> Path:
+    """Record one command invocation and the files it touched in ``run_manifest.json``."""
+    path = Path(out_dir) / "run_manifest.json"
+    files = {"inputs": [str(p) for p in inputs], "outputs": [str(p) for p in outputs]}
+    _write_json(path, {"command": command, "grid": _grid_dict(grid), **files, "version": _version})
+    return path

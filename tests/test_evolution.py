@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -30,6 +31,19 @@ FREE = PotentialSpec(coefficients=(0.0,), mass=1.0)
 HARMONIC = PotentialSpec(coefficients=(0.0, 0.0, 0.5), mass=1.0)
 QUARTIC = PotentialSpec(coefficients=(0.0, 0.0, 0.0, 0.0, 0.25), mass=1.0)
 OCTIC_WELL = (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 5e-6)  # admits dt=5e-4 on -8:8:128
+
+
+def series_symbol(grid, coefficients):
+    """Odd-derivative Moyal series of a polynomial, summed to its own degree."""
+    poly = np.polynomial.polynomial
+    ikp = 2j * np.pi * np.fft.rfftfreq(grid.n_points, d=grid.delta_p)
+    ikp[-1] = 0.0
+    force = np.zeros((grid.n_points, ikp.size), dtype=complex)
+    for term in range(len(coefficients) // 2):
+        order = 2 * term + 1
+        coeff = (-1.0) ** term * (grid.hbar / 2.0) ** (2 * term) / math.factorial(order)
+        force += (coeff * poly.polyval(grid.q, poly.polyder(coefficients, m=order)))[:, None] * ikp**order
+    return force
 
 
 class TestPotentialSpec:
@@ -80,6 +94,24 @@ class TestMoyalRHS:
         target = -(grid.hbar**2 / 24.0) * (6.0 * 0.25 * 4.0 * grid.q)[:, None] * third
         assert np.max(np.abs(correction - target)) < 1e-12
         assert np.max(np.abs(correction)) > 1e-3
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    @pytest.mark.parametrize(
+        "coefficients, gradient_scale",
+        [
+            pytest.param((0.1, -0.2, 0.5, 0.05, 0.25), 0.0, id="quartic"),
+            pytest.param((0.0, 0.3, 0.5, 0.0, -0.02, 0.01, 1e-3), 0.0, id="sextic"),
+            pytest.param(OCTIC_WELL, 0.0, id="octic"),
+            pytest.param(OCTIC_WELL, 1e-3, id="octic-gradient"),  # V - c V'^2, degree 14
+        ],
+    )
+    def test_two_point_kick_matches_derivative_series(self, coefficients, gradient_scale, hbar):
+        grid = make_grid(-8.0, 8.0, 128, hbar=hbar)
+        u = np.polynomial.Polynomial(coefficients)
+        u = u - gradient_scale * u.deriv() ** 2
+        reference = series_symbol(grid, u.coef)
+        kick = evolution._force_symbol(grid, u, True)
+        assert np.max(np.abs(kick - reference)) <= 1e-14 * np.max(np.abs(reference))
 
     def test_low_series_order_warns_but_sums_fully(self, grid):
         sextic = PotentialSpec(coefficients=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-3), mass=1.0)
@@ -168,6 +200,30 @@ class TestPropagate:
         out = propagate(w, HARMONIC, EvolutionConfig(dt=np.pi / 2 / 200, n_steps=200))
         assert np.max(np.abs(out.values - target.values)) < 2e-11
 
+    def test_harmonic_kicks_are_classical(self, grid):
+        # the force-gradient potential of a quadratic well is quadratic too
+        w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0, center=1.0), grid))
+        classical = propagate(w, HARMONIC, EvolutionConfig(dt=1e-3, n_steps=30, series_order=0))
+        full = propagate(w, HARMONIC, EvolutionConfig(dt=1e-3, n_steps=30, series_order=3))
+        assert np.array_equal(classical.values, full.values)
+
+    @pytest.mark.parametrize(
+        "center, momentum, potential, marginal",
+        [
+            pytest.param(6.0, 3.0, FREE, "q-marginal", id="q"),
+            pytest.param(0.0, 6.0, PotentialSpec(coefficients=(0.0, -30.0)), "p-marginal", id="p"),
+        ],
+    )
+    def test_state_leaving_the_lattice_aborts(self, grid, center, momentum, potential, marginal):
+        # drift and kick are periodic, so unchecked the state re-enters from the
+        # other side: the free packet would end at <q> = -6.9 instead of 15
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # deliberately grazing the boundary
+            psi = gaussian_wavefunction(GaussianSpec(width=1.0, center=center, momentum_offset=momentum), grid)
+        w = wdf_from_wavefunction(psi)
+        with pytest.raises(InvariantViolation, match=f"edge value .* {marginal}"):
+            propagate(w, potential, EvolutionConfig(dt=1e-3, n_steps=3000))
+
     def test_two_kicks_and_two_drifts_per_step(self, grid, monkeypatch):
         axes = []
         apply = evolution._apply
@@ -184,7 +240,7 @@ class TestPropagate:
 
     @pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 2.0)])
     def test_octic_well_middle_kick_is_exact(self, hbar, mass, monkeypatch):
-        # V - dt^2/(48 m) V'^2 has degree 14: the series must run to its own degree
+        # V - dt^2/(48 m) V'^2 has degree 14: the middle kick is its own two-point difference
         grid = make_grid(-8.0, 8.0, 128, hbar=hbar)
         well = PotentialSpec(coefficients=OCTIC_WELL, mass=mass)
         dt = 5e-4

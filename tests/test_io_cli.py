@@ -257,6 +257,28 @@ class TestCli:
         assert main(["filter", str(tmp_path / "s/state.csv"), "--filter", str(bad),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "command, spec, message",
+        [
+            pytest.param("evolve", [1], "spec.json: a potential spec must be a JSON object, got list", id="potential-list"),
+            pytest.param("evolve", {"coefficients": 5}, "spec.json: coefficients must be a list of numbers, got 5",
+                         id="coefficients-number"),
+            pytest.param("evolve", {"coefficients": []}, "potential needs 1 to 9 coefficients (degree at most 8), got 0",
+                         id="coefficients-empty"),
+            pytest.param("filter", [1], "spec.json: a filter spec must be a JSON object, got list", id="filter-list"),
+        ],
+    )
+    def test_malformed_spec_is_a_usage_error(self, tmp_path, capsys, command, spec, message):
+        main(["state", "--gaussian", "q0=1", "--grid=-8:8:64", "--out", str(tmp_path / "s")])
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        options = {
+            "evolve": ["--potential", str(tmp_path / "spec.json"), "--t", "0.01", "--dt", "1e-3"],
+            "filter": ["--filter", str(tmp_path / "spec.json")],
+        }[command]
+        capsys.readouterr()
+        assert main([command, str(tmp_path / "s/state.csv"), *options, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_invariant_violation_exit_code(self, tmp_path, capsys):
         # corrupt the stored amplitudes so the distribution gate trips
         main(["state", "--gaussian", "q0=1", "--out", str(tmp_path / "s")])
