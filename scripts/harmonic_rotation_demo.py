@@ -2,9 +2,9 @@
 """Rigid rotation of an offset packet in a harmonic well, step by step.
 
 The phase-space distribution of a displaced unit-width packet rotates
-about the origin without changing shape; the quantum correction series is
-identically zero for a quadratic potential, so the transport is exactly
-classical.  Prints the tracked center (<q>, <p>) against the analytic
+about the origin without changing shape; the two-point Moyal kick of a
+quadratic potential equals its classical force term, so the transport is
+exactly classical.  Prints the tracked center (<q>, <p>) against the analytic
 circle and the worst deviation over one quarter period.
 """
 

@@ -62,7 +62,6 @@ from .evolution import (
     moyal_rhs,
     propagate,
     split_step_schrodinger,
-    stability_limit,
 )
 from .blobs import (
     BlobReport,
@@ -121,7 +120,6 @@ __all__ = [
     "moyal_rhs",
     "propagate",
     "split_step_schrodinger",
-    "stability_limit",
     "BlobReport",
     "blob_report",
     "effective_area",

@@ -164,7 +164,7 @@ def _cmd_evolve(args) -> int:
     frame = 0
     while done < n_steps:
         chunk = min(dump_every, n_steps - done)
-        w = propagate(w, potential, EvolutionConfig(dt=dt, n_steps=chunk, series_order=args.series_order))
+        w = propagate(w, potential, EvolutionConfig(dt=dt, n_steps=chunk))
         done += chunk
         frame += 1
         written += wio.save_wigner(w, out_dir / f"wdf_{frame:04d}.csv")
@@ -298,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--potential", required=True, help="potential spec JSON")
     p_evolve.add_argument("--t", type=float, required=True)
     p_evolve.add_argument("--dt", type=float, required=True)
-    p_evolve.add_argument("--series-order", type=int, default=3)
     p_evolve.add_argument("--dump-every", type=int, default=0, help="steps between CSV dumps")
     add_common(p_evolve)
     p_evolve.set_defaults(func=_cmd_evolve)

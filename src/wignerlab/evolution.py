@@ -44,70 +44,31 @@ class PotentialSpec:
             raise ValueError(f"potential needs 1 to 9 coefficients (degree at most 8), got {len(coeffs)}")
         if not all(np.isfinite(coeffs)):
             raise ValueError("potential coefficients must be finite")
-        if not self.mass > 0:
-            raise ValueError("mass must be positive")
+        if not (np.isfinite(self.mass) and self.mass > 0):
+            raise ValueError(f"mass must be finite and positive, got {self.mass}")
         object.__setattr__(self, "coefficients", coeffs)
 
     @property
-    def degree(self) -> int:
-        deg = len(self.coefficients) - 1
-        while deg > 0 and self.coefficients[deg] == 0.0:
-            deg -= 1
-        return max(deg, 0)
-
-    def derivative_values(self, q: np.ndarray, order: int) -> np.ndarray:
-        return np.polynomial.Polynomial(self.coefficients).deriv(order)(q)
+    def polynomial(self) -> np.polynomial.Polynomial:
+        # numpy.polynomial is imported on first use, not with the package
+        return np.polynomial.Polynomial(self.coefficients)
 
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Stepping parameters: step size, step count and quantum-series truncation.
-
-    ``series_order`` is the highest correction index requested; zero selects
-    purely classical transport.  For polynomial potentials the series is
-    finite and is always summed in full when corrections are on.
-    """
+    """Stepping parameters: step size and step count."""
 
     dt: float
     n_steps: int
-    series_order: int = 3
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
-        if self.series_order < 0:
-            raise ValueError("series_order must be nonnegative")
 
 
-def _quantum(v: PotentialSpec, series_order: int) -> bool:
-    """Whether the kicks carry the quantum terms, which vanish for degree <= 2."""
-    needed = max((v.degree - 1) // 2, 0)
-    if 0 < series_order < needed:
-        warnings.warn(
-            f"series_order {series_order} is below the {needed} terms this potential "
-            "needs; the finite series is summed in full rather than truncated",
-            stacklevel=3,
-        )
-    return series_order > 0 and needed > 0
-
-
-def stability_limit(grid: Grid, v: PotentialSpec) -> float:
-    """Largest admissible step: 0.5*min(m*dq/p_max, dp/max|V'|).
-
-    :func:`propagate` is unconditionally stable, so the bound is
-    conservative; it is enforced all the same.
-    """
-    p_max = float(np.max(np.abs(grid.p)))
-    bound = 0.5 * v.mass * grid.delta_q / p_max
-    v_prime_max = float(np.max(np.abs(v.derivative_values(grid.q, 1))))
-    if v_prime_max > 0:
-        bound = min(bound, 0.5 * grid.delta_p / v_prime_max)
-    return bound
-
-
-def _moyal_symbols(grid: Grid, v: PotentialSpec, quantum: bool) -> tuple[np.ndarray, np.ndarray]:
+def _moyal_symbols(grid: Grid, v: PotentialSpec) -> tuple[np.ndarray, np.ndarray]:
     """Fourier symbols of the transport ``-(p/m) d/dq``, diagonal in (k_q, p), and the potential term.
 
     Both are purely imaginary, with the Nyquist column zeroed since a real
@@ -117,25 +78,25 @@ def _moyal_symbols(grid: Grid, v: PotentialSpec, quantum: bool) -> tuple[np.ndar
     ikq = 2j * np.pi * np.fft.rfftfreq(grid.n_points, d=grid.delta_q)
     ikq[-1] = 0.0
     transport = -(grid.p[None, :] / v.mass) * ikq[:, None]
-    # numpy.polynomial is imported on first use, not with the package
-    return transport, _force_symbol(grid, np.polynomial.Polynomial(v.coefficients), quantum)
+    return transport, _force_symbol(grid, v.polynomial)
 
 
-def _force_symbol(grid: Grid, u: np.polynomial.Polynomial, quantum: bool) -> np.ndarray:
+def _force_symbol(grid: Grid, u: np.polynomial.Polynomial) -> np.ndarray:
     """Symbol over (q, k_p) of the Moyal potential term of the polynomial ``u``.
 
-    With ``quantum``, the exact two-point difference ``(i/hbar) [u(q_j + m dq)
-    - u(q_j - m dq)]``: ``u`` sampled once on the doubled lattice ``k in
-    [-n/2, 3n/2)``, read at the rows ``(j - m, j + m)`` of ``_pair_indices``.
-    Without, the classical ``u'(q) i k_p``, the same for degree <= 2.
+    The exact two-point difference ``(i/hbar) [u(q_j + m dq) - u(q_j - m dq)]``:
+    ``u`` sampled once on the doubled lattice ``k in [-n/2, 3n/2)``, read at
+    the rows ``(j - m, j + m)`` of ``_pair_indices``.  For degree <= 2 the
+    difference is the classical ``u'(q) i k_p``, which is taken then, so
+    quadratic wells stay bit-exact.
     """
     n = grid.n_points
-    if quantum:
+    if u.trim().degree() <= 2:
+        force = u.deriv()(grid.q)[:, None] * (2j * np.pi * np.fft.rfftfreq(n, d=grid.delta_p))
+    else:
         lower, upper = _pair_indices(n)
         samples = u(grid.q_min + grid.delta_q * np.arange(-n // 2, 3 * n // 2))
         force = (1j / grid.hbar) * (samples[upper + n // 2] - samples[lower + n // 2])
-    else:
-        force = u.deriv()(grid.q)[:, None] * (2j * np.pi * np.fft.rfftfreq(n, d=grid.delta_p))
     force[:, -1] = 0.0
     return force
 
@@ -147,13 +108,13 @@ def _apply(values: np.ndarray, symbol: np.ndarray, axis: int) -> np.ndarray:
     return np.fft.irfft(spectrum, n=values.shape[axis], axis=axis)
 
 
-def moyal_rhs(w: WignerFunction, v: PotentialSpec, series_order: int = 3) -> np.ndarray:
+def moyal_rhs(w: WignerFunction, v: PotentialSpec) -> np.ndarray:
     """Time derivative dW/dt of the distribution under the given potential.
 
     For quadratic potentials every quantum correction vanishes identically
     and the result is pure classical transport.
     """
-    transport, force = _moyal_symbols(w.grid, v, _quantum(v, series_order))
+    transport, force = _moyal_symbols(w.grid, v)
     return _apply(w.values, transport, 0) + _apply(w.values, force, 1)
 
 
@@ -168,24 +129,17 @@ def propagate(w: WignerFunction, v: PotentialSpec, cfg: EvolutionConfig) -> Wign
     the weights cancel the ``[T,[T,V]]`` error, and since ``[V,[V,[V,T]]] =
     0`` for ``T = p^2/2m``, the remaining ``[V,[T,V]]``, proportional to
     ``V'^2/m``, depends on q alone and cancels inside that kick.  Each step
-    is unitary and conserves mass to rounding.  ``dt`` must still satisfy
-    :func:`stability_limit`.  Aborts on mass drift beyond 1e-4, on
+    is unitary and conserves mass to rounding, so any ``dt`` is stable: the
+    step count sets the accuracy.  Aborts on mass drift beyond 1e-4, on
     non-finite values, on amplitude blow-up, and on a marginal edge value
     above 1e-12 of its peak: drift and kick are periodic, so a state that
     leaves the lattice would re-enter it from the other side.
     """
-    limit = stability_limit(w.grid, v)
-    if cfg.dt > limit:
-        raise ValueError(
-            f"dt={cfg.dt} exceeds the stability bound {limit:.3e} "
-            "(0.5*min(m*dq/p_max, dp/max|V'|)) for this grid and potential"
-        )
-    quantum = _quantum(v, cfg.series_order)
-    transport, force = _moyal_symbols(w.grid, v, quantum)
+    transport, force = _moyal_symbols(w.grid, v)
     dt = cfg.dt
-    potential = np.polynomial.Polynomial(v.coefficients)
+    potential = v.polynomial
     gradient = potential - dt**2 / (48.0 * v.mass) * potential.deriv() ** 2
-    middle_force = _force_symbol(w.grid, gradient, quantum)  # degree <= 2 exactly when V's is
+    middle_force = _force_symbol(w.grid, gradient)  # degree <= 2 exactly when V's is
     half_drift = np.exp(dt / 2.0 * transport)
     kick_middle = np.exp(2.0 * dt / 3.0 * middle_force)
     kick_edge, kick_joined = (np.exp(c * dt * force) for c in (1.0 / 6.0, 1.0 / 3.0))
@@ -236,7 +190,7 @@ def split_step_schrodinger(psi: WaveFunction, v: PotentialSpec, cfg: EvolutionCo
         raise ValueError("split_step_schrodinger expects a position-representation state")
     g = psi.grid
     n = g.n_points
-    v_values = v.derivative_values(g.q, 0)
+    v_values = v.polynomial(g.q)
     half_kick = np.exp(-0.5j * cfg.dt * v_values / g.hbar)
     # internal spectral step on the full-band lattice: the plain FFT pair is
     # exactly unitary, so no mode can grow under repeated application

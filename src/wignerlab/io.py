@@ -68,6 +68,12 @@ def _read_spec(json_path: Path, what: str) -> dict:
     return spec
 
 
+def _number(json_path: Path, field: str, value) -> float:
+    if not isinstance(value, (int, float)) or not np.isfinite(value):
+        raise ValueError(f"{json_path}: {field} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def save_wavefunction(psi: WaveFunction, csv_path: str | Path) -> list[Path]:
     csv_path = Path(csv_path)
     label = "q" if psi.representation == "position" else "p"
@@ -132,23 +138,20 @@ def load_filter_spec(json_path: str | Path, grid: Grid) -> FilterSpec:
         if not device_path.is_absolute():
             device_path = json_path.parent / device_path
         device = load_wavefunction(device_path)
-    elif isinstance(device_entry, dict) and "gaussian" in device_entry:
-        params = device_entry["gaussian"]
-        device = gaussian_wavefunction(
-            GaussianSpec(
-                width=float(params["width"]),
-                center=float(params.get("center", 0.0)),
-                momentum_offset=float(params.get("momentum_offset", 0.0)),
-            ),
-            grid,
-        )
+    elif isinstance(device_entry, dict) and isinstance(device_entry.get("gaussian"), dict):
+        params = {"center": 0.0, "momentum_offset": 0.0, **device_entry["gaussian"]}
+        fields = ("width", "center", "momentum_offset")
+        gaussian = {name: _number(json_path, f"device.gaussian.{name}", params[name]) for name in fields}
+        device = gaussian_wavefunction(GaussianSpec(**gaussian), grid)
     else:
-        raise ValueError("filter device must be a CSV path or an inline gaussian spec")
+        raise ValueError(
+            f"{json_path}: filter device must be a CSV path or an inline gaussian object, got {device_entry!r}"
+        )
     return FilterSpec(
         kind=spec["kind"],
         device=device,
-        q_offset=float(spec.get("q_offset", 0.0)),
-        p_offset=float(spec.get("p_offset", 0.0)),
+        q_offset=_number(json_path, "q_offset", spec.get("q_offset", 0.0)),
+        p_offset=_number(json_path, "p_offset", spec.get("p_offset", 0.0)),
     )
 
 
@@ -159,7 +162,8 @@ def load_potential_spec(json_path: str | Path) -> PotentialSpec:
     coefficients = spec["coefficients"]
     if not isinstance(coefficients, list) or not all(isinstance(c, (int, float)) for c in coefficients):
         raise ValueError(f"{json_path}: coefficients must be a list of numbers, got {coefficients!r}")
-    return PotentialSpec(coefficients=tuple(coefficients), mass=float(spec.get("mass", 1.0)))
+    mass = _number(json_path, "mass", spec.get("mass", 1.0))
+    return PotentialSpec(coefficients=tuple(coefficients), mass=mass)
 
 
 def write_manifest(out_dir: str | Path, command: str, grid: Grid, inputs: list[Path], outputs: list[Path]) -> Path:

@@ -22,7 +22,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GridMismatchError, InvariantViolation
-from .grid import POSITION, Grid, WaveFunction, _frozen_array, _pair_correlation, normalize, squared_norm
+from .grid import (
+    POSITION, Grid, WaveFunction, _frozen_array, _pair_correlation, _pair_indices, normalize, squared_norm,
+)
 
 #: States with h*integral(W^2) above this are considered pure.
 PURITY_THRESHOLD = 1.0 - 1e-6
@@ -130,9 +132,10 @@ def wdf_from_density(rho: DensityMatrix) -> WignerFunction:
     result on a lattice of length ``L``.
     """
     n = rho.grid.n_points
-    j, m = np.arange(n)[:, None], np.arange(n // 2 + 1)
-    valid = (j + m < n) & (j - m >= 0)
-    corr = np.where(valid, rho.entries.ravel().take(np.where(valid, (j + m) * n + (j - m), 0)), 0)
+    lower, upper = _pair_indices(n)
+    valid = (upper < n) & (lower >= 0)
+    corr = np.where(valid, rho.entries.ravel().take(np.where(valid, upper * n + lower, 0)), 0)
+    del lower, upper, valid  # the two index grids hold as many bytes as corr
     return WignerFunction(rho.grid, _transform_correlation(corr, rho.grid))
 
 

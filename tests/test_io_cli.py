@@ -223,6 +223,20 @@ class TestCli:
         angle = np.arctan2(-expectation(final, lambda q, p: p), expectation(final, lambda q, p: q))
         assert angle == pytest.approx(1.5708, abs=1e-5)
 
+    def test_evolve_accepts_a_coarse_step(self, tmp_path, capsys):
+        # dt = 0.0314 is 11x the explicit-scheme bound 0.5*min(m*dq/p_max, dp/max|V'|) = 2.8e-3
+        main(["state", "--gaussian", "q0=1", "center=2", "--out", str(tmp_path / "s")])
+        (tmp_path / "harmonic.json").write_text(json.dumps({"coefficients": [0, 0, 0.5], "mass": 1.0}))
+        capsys.readouterr()
+        rc = main(
+            ["evolve", str(tmp_path / "s/state.csv"), "--potential", str(tmp_path / "harmonic.json"),
+             "--t", "1.5708", "--dt", "0.0315", "--out", str(tmp_path / "e")]
+        )
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["steps"] == 50
+        assert payload["mass"] == pytest.approx(1.0, abs=1e-7)
+
     def test_figure_commands(self, tmp_path, capsys):
         assert main(["figure", "fig3", "--out", str(tmp_path / "f3")]) == 0
         w = wio.load_wigner(tmp_path / "f3/fig3_cat_wdf.csv")
@@ -265,7 +279,21 @@ class TestCli:
                          id="coefficients-number"),
             pytest.param("evolve", {"coefficients": []}, "potential needs 1 to 9 coefficients (degree at most 8), got 0",
                          id="coefficients-empty"),
+            pytest.param("evolve", {"coefficients": [0, 0, 0.5], "mass": [1]},
+                         "spec.json: mass must be a finite number, got [1]", id="mass-list"),
+            pytest.param("evolve", {"coefficients": [0, 0, 0.5], "mass": float("inf")},
+                         "spec.json: mass must be a finite number, got inf", id="mass-infinite"),
             pytest.param("filter", [1], "spec.json: a filter spec must be a JSON object, got list", id="filter-list"),
+            pytest.param("filter", {"kind": "coordinate", "device": {"gaussian": 5}},
+                         "spec.json: filter device must be a CSV path or an inline gaussian object, got {'gaussian': 5}",
+                         id="device-gaussian-number"),
+            pytest.param("filter", {"kind": "coordinate", "device": {"gaussian": {"width": [1]}}},
+                         "spec.json: device.gaussian.width must be a finite number, got [1]", id="device-width-list"),
+            pytest.param("filter", {"kind": "coordinate", "device": {"gaussian": {"width": 1}}, "q_offset": [1]},
+                         "spec.json: q_offset must be a finite number, got [1]", id="q-offset-list"),
+            pytest.param("filter", {"kind": "general_momentum", "device": {"gaussian": {"width": 1}},
+                                    "q_offset": float("nan")},
+                         "spec.json: q_offset must be a finite number, got nan", id="q-offset-nan"),
         ],
     )
     def test_malformed_spec_is_a_usage_error(self, tmp_path, capsys, command, spec, message):
@@ -352,6 +380,13 @@ class TestCli:
         assert rc == 2
         assert f"error: {flag} must be" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
+
+
+def test_every_exported_name_resolves():
+    import wignerlab
+
+    assert [name for name in wignerlab.__all__ if not hasattr(wignerlab, name)] == []
+    assert len(set(wignerlab.__all__)) == len(wignerlab.__all__)
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
