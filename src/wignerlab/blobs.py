@@ -77,7 +77,7 @@ def smoothed_minimum(w: WignerFunction, sigma_q: float, sigma_p: float) -> float
     for axis, sigma, cell in ((0, sigma_q, g.delta_q), (1, sigma_p, g.delta_p)):
         kernel = np.exp(-((offsets * cell) ** 2) / (2.0 * sigma**2))
         kernel = np.expand_dims(kernel / kernel.sum(), 1 - axis)
-        smoothed = _linear_convolution(smoothed, kernel, {axis: n // 2})
+        smoothed = _linear_convolution(smoothed, kernel, axis, n // 2)
     return float(smoothed.min())
 
 

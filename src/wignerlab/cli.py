@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvariantViolation
-from .grid import Grid, _pair_correlation, make_grid, squared_norm, to_position
+from .grid import Grid, _centre_p, _pair_correlation, make_grid, squared_norm, to_position
 from .wigner import (
     WignerFunction,
     overlap_probability,
@@ -37,6 +37,14 @@ from .filtering import detect, filter_wavefunction, filter_wdf
 from .evolution import EvolutionConfig, propagate
 from .blobs import blob_report
 from . import io as wio
+
+
+#: Traced peak of the largest N x N subcommand, ``evolve``, in 8 N^2-byte matrices, rounded up
+#: (10.5 at N=256, 9.4 at N=512); a grid whose budget exceeds MemAvailable is refused.
+MEMORY_BUDGET = 11
+
+#: Subcommands that build or load an N x N matrix (``filter`` only with ``--wdf``).
+_MATRIX_COMMANDS = {"wdf", "detect", "evolve", "overlap", "blob", "figure"}
 
 
 def _parse_grid(text: str, hbar: float) -> Grid:
@@ -249,7 +257,7 @@ def figure4_scan(d: float, q_i: float, q_m: float, grid: Grid) -> tuple[np.ndarr
     centers = grid.q[(grid.q >= -1.5 * d) & (grid.q <= 1.5 * d)]
     n = grid.n_points
     # irfft at column n/2 (p = 0): offsets 0 and n/2 once, the others twice, signed (-1)^m
-    weights = np.r_[1.0, 2.0 * (-1.0) ** np.arange(1, n // 2), (-1.0) ** (n // 2)]
+    weights = _centre_p(np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0])
     rows = []
     for center in centers:
         slit = (np.pi * q_m**2) ** (-0.25) * np.exp(-((grid.q - center) ** 2) / (2 * q_m**2))
@@ -339,12 +347,22 @@ def _mend_grid_tokens(argv: list[str]) -> list[str]:
     return mended
 
 
-def _lattice_size(args) -> str:
+def _lattice_size(args) -> int:
     """N of the run's lattice, from ``--grid`` or from the sidecar of its first input."""
     if hasattr(args, "grid"):
-        return args.grid.split(":")[-1]
+        return _parse_grid(args.grid, args.hbar).n_points
     first = next(getattr(args, name) for name in ("input", "state", "a") if hasattr(args, name))
-    return str(wio._read_sidecar(Path(first))["n_points"])
+    return int(wio._read_sidecar(Path(first))["n_points"])
+
+
+def _available_memory() -> int | None:
+    """``MemAvailable`` of ``/proc/meminfo`` in bytes, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as meminfo:
+            fields = dict(line.split(":", 1) for line in meminfo)
+        return int(fields["MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError, ValueError, IndexError):
+        return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -358,6 +376,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.qm is None:
             args.qm = 0.75 if args.which == "fig2" else args.qi
     try:
+        if args.command in _MATRIX_COMMANDS or getattr(args, "wdf", False):
+            available = _available_memory()
+            if available is not None and MEMORY_BUDGET * 8 * _lattice_size(args) ** 2 > available:
+                raise MemoryError
         return args.func(args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

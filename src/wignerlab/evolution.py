@@ -143,6 +143,7 @@ def propagate(w: WignerFunction, v: PotentialSpec, cfg: EvolutionConfig) -> Wign
     half_drift = np.exp(dt / 2.0 * transport)
     kick_middle = np.exp(2.0 * dt / 3.0 * middle_force)
     kick_edge, kick_joined = (np.exp(c * dt * force) for c in (1.0 / 6.0, 1.0 / 3.0))
+    del transport, force, middle_force  # only the five phases are needed from here on
     current = w.values
     initial_mass = float(current.sum()) * w.grid.delta_q * w.grid.delta_p
     amplitude_cap = 10.0 * max(2.0 / w.grid.h, float(np.max(np.abs(current))))

@@ -26,6 +26,7 @@ from .grid import (
     POSITION,
     Grid,
     WaveFunction,
+    _centre_p,
     _frozen_array,
     _half_dft,
     _linear_convolution,
@@ -150,7 +151,7 @@ def filter_wavefunction(psi_in: WaveFunction, f: FilterSpec) -> tuple[WaveFuncti
         offset = (f.p_offset, -f.q_offset)[axis]
         kicked = psi.values * np.exp(1j * offset * psi.coordinates / g.hbar)
         start, cell = _centring(g, axis)
-        values = (cell / np.sqrt(g.h)) * _linear_convolution(kicked, device, {0: start})
+        values = (cell / np.sqrt(g.h)) * _linear_convolution(kicked, device, 0, start)
     raw = to_position(WaveFunction(g, values, psi.representation))
 
     transmitted = float(np.sum(np.abs(raw.values) ** 2) * raw.quadrature_delta)
@@ -191,7 +192,7 @@ def filter_wdf(w_in: WignerFunction, f: FilterSpec) -> WignerFunction:
         return WignerFunction(g, np.fft.irfft(spectrum, n, axis=1))
     start, cell = _centring(g, 0)
     w_m = wigner_values_of_amplitudes(device, g)
-    return WignerFunction(g, cell * _linear_convolution(values, w_m, {0: start}))
+    return WignerFunction(g, cell * _linear_convolution(values, w_m, 0, start))
 
 
 def detect(w_in: WignerFunction, w_m: WignerFunction) -> DetectionMap:
@@ -205,10 +206,10 @@ def detect(w_in: WignerFunction, w_m: WignerFunction) -> DetectionMap:
     if g != w_m.grid:
         raise GridMismatchError("state and device live on different grids")
     q_start, q_cell = _centring(g, 0)
-    spectra = [np.fft.rfft(w.values, axis=1) for w in (w_in, w_m)]
-    spectrum = _linear_convolution(*spectra, {0: q_start})
-    spectrum[:, 1::2] *= -1  # the p window starts at n/2
-    return DetectionMap(g, np.fft.irfft(spectrum, g.n_points, axis=1) * q_cell * g.delta_p)
+    spectrum = np.fft.rfft(w_in.values, axis=1)
+    # in place, so two spectra are alive at once rather than three
+    _linear_convolution(spectrum, np.fft.rfft(w_m.values, axis=1), 0, q_start, out=spectrum)
+    return DetectionMap(g, np.fft.irfft(_centre_p(spectrum), g.n_points, axis=1) * q_cell * g.delta_p)
 
 
 def detect_from_wavefunctions(psi_in: WaveFunction, psi_m: WaveFunction) -> DetectionMap:

@@ -221,25 +221,42 @@ def _pair_correlation(values: np.ndarray) -> np.ndarray:
     return np.conj(_zero_extended(values, lower)) * _zero_extended(values, upper)
 
 
-def _linear_convolution(a: np.ndarray, b: np.ndarray, starts: dict[int, int]) -> np.ndarray:
-    """Zero-extended convolution of two arrays over the axes in ``starts``.
+def _centre_p(half: np.ndarray) -> np.ndarray:
+    """Negate the odd offsets ``m`` (last axis) in place: the ``(-1)^m`` that puts p = 0 at column n/2."""
+    half[..., 1::2] *= -1
+    return half
 
-    Each key of ``starts`` is a convolved axis of length n, and its value
-    the first index of the n-long window kept from the full convolution;
-    the remaining axes are broadcast elementwise.  Padding to 2n rather than
-    2n - 1 keeps the FFT length even, which is faster, and the extra
-    sample is exactly zero.  Real operands take the real-input FFT.
+
+#: Lines that :func:`_linear_convolution` transforms at once: a block of the axis it does not convolve.
+_BLOCK = 64
+
+
+def _linear_convolution(
+    a: np.ndarray, b: np.ndarray, axis: int, start: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Zero-extended convolution of ``a`` and ``b`` along ``axis``, the other axis broadcast elementwise.
+
+    Keeps the n-long window from index ``start``, written into ``out`` when
+    given, which may alias ``a`` or ``b`` (block k of the result reads only
+    block k of the operands).  Padding to 2n, not 2n - 1, keeps the FFT
+    length even; the extra sample is exactly zero.  Lines go ``_BLOCK`` at a
+    time, so the padded temporaries are ``2n x _BLOCK``, not ``2n x n``.  That
+    is exact: each line gets the same length-2n pocketfft call as in one
+    whole-array transform, so the result is bit-identical.
     """
-    axes = tuple(starts)
-    sizes = [2 * a.shape[axis] for axis in axes]
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        full = np.fft.ifftn(np.fft.fftn(a, sizes, axes) * np.fft.fftn(b, sizes, axes), axes=axes)
-    else:
-        full = np.fft.irfftn(np.fft.rfftn(a, sizes, axes) * np.fft.rfftn(b, sizes, axes), sizes, axes)
-    window = [slice(None)] * full.ndim
-    for axis, start in starts.items():
-        window[axis] = slice(start, start + a.shape[axis])
-    return full[tuple(window)]
+    n = a.shape[axis]
+    real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
+    forward, inverse = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    lines = lambda v: v.reshape(n, -1) if v.ndim == 1 else v if axis == 0 else v.T  # a 1-D operand is one line
+    x, y = lines(a), lines(b)
+    for first in range(0, max(x.shape[1], y.shape[1]), _BLOCK):
+        xb, yb = (v if v.shape[1] == 1 else v[:, first:first + _BLOCK] for v in (x, y))  # a kernel (extent 1) goes whole
+        window = inverse(forward(xb, 2 * n, 0) * forward(yb, 2 * n, 0), 2 * n, 0)[start:start + n]
+        if out is None:  # allocated after the first block's transforms, so their peaks do not add
+            out = np.empty(np.broadcast_shapes(a.shape, b.shape), window.dtype)
+        lines(out)[:, first:first + _BLOCK] = window
+        del window  # a view that would keep the block's full transform alive into the next block
+    return out
 
 
 def fourier_transform(psi: WaveFunction) -> WaveFunction:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import GridMismatchError, InvariantViolation
 from .grid import (
-    POSITION, Grid, WaveFunction, _frozen_array, _pair_correlation, _pair_indices, normalize, squared_norm,
+    POSITION, Grid, WaveFunction, _centre_p, _frozen_array, _pair_correlation, _pair_indices, normalize, squared_norm,
 )
 
 #: States with h*integral(W^2) above this are considered pure.
@@ -96,8 +96,7 @@ def _transform_correlation(half: np.ndarray, grid: Grid) -> np.ndarray:
     Negates the odd offsets of ``half`` in place; that alternating sign
     centres the p axis.
     """
-    half[:, 1::2] *= -1
-    return (2.0 * grid.delta_q / grid.h) * np.fft.hfft(half, grid.n_points, axis=1)
+    return (2.0 * grid.delta_q / grid.h) * np.fft.hfft(_centre_p(half), grid.n_points, axis=1)
 
 
 def wigner_values_of_amplitudes(amplitudes: np.ndarray, grid: Grid) -> np.ndarray:

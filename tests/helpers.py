@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 
 from wignerlab import GaussianSpec, WaveFunction, make_grid, normalize
+from wignerlab.grid import _zero_extended, to_momentum, to_position
+from wignerlab.wigner import wigner_values_of_amplitudes
 
 DESK_GRID = dict(q_min=-12.0, q_max=12.0, n_points=256)
 
@@ -103,3 +105,70 @@ def traced_peak(call):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+# The whole-array formulas that the blocked q-axis kernel replaced.  The
+# blocked results must equal them bit for bit, since each 1-D transform is
+# the same pocketfft call.
+
+
+def one_shot_convolution(a, b, starts):
+    """Zero-extended convolution over the axes in ``starts`` (axis -> first kept index), in one transform."""
+    axes = tuple(starts)
+    sizes = [2 * a.shape[axis] for axis in axes]
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        full = np.fft.ifftn(np.fft.fftn(a, sizes, axes) * np.fft.fftn(b, sizes, axes), axes=axes)
+    else:
+        full = np.fft.irfftn(np.fft.rfftn(a, sizes, axes) * np.fft.rfftn(b, sizes, axes), sizes, axes)
+    window = [slice(None)] * full.ndim
+    for axis, start in starts.items():
+        window[axis] = slice(start, start + a.shape[axis])
+    return full[tuple(window)]
+
+
+def one_shot_detect(w_in, w_m):
+    """Detection map values: q-axis convolution of the two p-spectra, p window from n/2."""
+    g = w_in.grid
+    spectra = [np.fft.rfft(w.values, axis=1) for w in (w_in, w_m)]
+    spectrum = one_shot_convolution(*spectra, {0: g.origin_index()})
+    spectrum[:, 1::2] *= -1
+    return np.fft.irfft(spectrum, g.n_points, axis=1) * g.delta_q * g.delta_p
+
+
+def one_shot_smoothed_minimum(w, sigma_q, sigma_p):
+    """Minimum after the two linear Gaussian passes, each one whole-array transform."""
+    g = w.grid
+    n = g.n_points
+    offsets = np.arange(n) - n // 2
+    smoothed = w.values
+    for axis, sigma, cell in ((0, sigma_q, g.delta_q), (1, sigma_p, g.delta_p)):
+        kernel = np.exp(-((offsets * cell) ** 2) / (2.0 * sigma**2))
+        kernel = np.expand_dims(kernel / kernel.sum(), 1 - axis)
+        smoothed = one_shot_convolution(smoothed, kernel, {axis: n // 2})
+    return float(smoothed.min())
+
+
+def one_shot_q_axis_filter_wdf(w_in, f):
+    """Values of the ``momentum`` / ``general_coordinate`` laws: shift along p, convolve along q."""
+    g = w_in.grid
+    n = g.n_points
+    steps = np.clip(g.steps_of(f.p_offset, g.delta_p), -n, n)
+    values = w_in.values
+    if steps:
+        values = _zero_extended(values, np.arange(n) - steps, axis=1)
+    w_m = wigner_values_of_amplitudes(to_position(f.device).values, g)
+    return g.delta_q * one_shot_convolution(values, w_m, {0: g.origin_index()})
+
+
+def one_shot_general_filter(psi_in, f):
+    """Normalized output values and transmission of a general filter, convolving in one transform."""
+    g = psi_in.grid
+    axis = 0 if f.kind == "general_coordinate" else 1
+    to_own = (to_position, to_momentum)[axis]
+    psi = to_own(psi_in)
+    kicked = psi.values * np.exp(1j * (f.p_offset, -f.q_offset)[axis] * psi.coordinates / g.hbar)
+    start, cell = (g.origin_index(), g.delta_q) if axis == 0 else (g.n_points // 2, g.delta_p)
+    values = (cell / np.sqrt(g.h)) * one_shot_convolution(kicked, to_own(f.device).values, {0: start})
+    raw = to_position(WaveFunction(g, values, psi.representation))
+    transmitted = float(np.sum(np.abs(raw.values) ** 2) * raw.quadrature_delta)
+    return normalize(raw).values, transmitted

@@ -20,7 +20,7 @@ from wignerlab import (
 )
 from wignerlab.grid import WaveFunction
 
-from helpers import desk_grid, random_superposition, traced_peak
+from helpers import desk_grid, one_shot_smoothed_minimum, random_superposition, traced_peak
 
 
 def _gauss_wdf(grid, width=1.0):
@@ -103,10 +103,17 @@ class TestSmoothedMinimum:
                             smoothed[j, k] += w.values[a, b] * kernel[u, v]
         assert abs(smoothed_minimum(w, sigma_q, sigma_p) - smoothed.min()) <= 1e-15
 
-    def test_peak_memory_within_seven_output_matrices(self):
+    def test_peak_memory_within_two_and_a_half_output_matrices(self):
         w = _cat_wdf(desk_grid(1024))
-        _, peak = traced_peak(lambda: smoothed_minimum(w, 0.7, 0.7))
-        assert peak <= 7 * w.values.nbytes
+        for call in (lambda: smoothed_minimum(w, 0.7, 0.7), lambda: blob_report(w)):
+            _, peak = traced_peak(call)
+            assert peak <= 2.5 * w.values.nbytes
+
+    @pytest.mark.parametrize("n", [200, 1024])  # n=200 leaves a tail block on both passes
+    def test_equals_one_shot_formula(self, n):
+        w = _cat_wdf(desk_grid(n))
+        for sigma_q, sigma_p in ((0.7, 0.7), (0.3, 1.4)):
+            assert smoothed_minimum(w, sigma_q, sigma_p) == one_shot_smoothed_minimum(w, sigma_q, sigma_p)
 
     def test_rejects_bad_widths(self, grid):
         with pytest.raises(ValueError):

@@ -32,7 +32,17 @@ from wignerlab.filtering import (
 )
 from wignerlab.wigner import wigner_values_of_amplitudes
 
-from helpers import density_width, desk_grid, random_gaussian_device, random_superposition, traced_peak
+from helpers import (
+    convolution_safe_pair,
+    density_width,
+    desk_grid,
+    one_shot_detect,
+    one_shot_general_filter,
+    one_shot_q_axis_filter_wdf,
+    random_gaussian_device,
+    random_superposition,
+    traced_peak,
+)
 
 ALL_KINDS = [COORDINATE, MOMENTUM_KIND, GENERAL_COORDINATE, GENERAL_MOMENTUM]
 
@@ -107,6 +117,17 @@ class TestFilterWavefunction:
         with pytest.raises(ValueError, match=f"{kind} filter takes no {offset}"):
             FilterSpec(kind=kind, device=device, **{offset: grid.delta_q * grid.delta_p})
 
+    @pytest.mark.parametrize("n", [200, 1024])
+    @pytest.mark.parametrize("kind", [GENERAL_COORDINATE, GENERAL_MOMENTUM])
+    def test_general_kinds_equal_one_shot_formula(self, kind, n):
+        g = desk_grid(n)
+        psi, device = convolution_safe_pair(g, np.random.default_rng(n + 2))
+        spec = _spec_for(kind, device, g)
+        filtered, transmitted = filter_wavefunction(psi, spec)
+        expected, expected_transmission = one_shot_general_filter(psi, spec)
+        assert np.array_equal(filtered.values, expected)
+        assert transmitted == expected_transmission
+
 
 class TestPhaseSpaceCommutation:
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -143,6 +164,22 @@ class TestPhaseSpaceCommutation:
         via_plain = filter_wdf(w, FilterSpec(kind=plain, device=device))
         via_general = filter_wdf(w, FilterSpec(kind=general, device=device, **{offset: 0.0}))
         assert np.array_equal(via_plain.values, via_general.values)
+
+    @pytest.mark.parametrize("n", [200, 1024])
+    @pytest.mark.parametrize("kind", [MOMENTUM_KIND, GENERAL_COORDINATE])
+    def test_q_axis_laws_equal_one_shot_formula(self, kind, n):
+        g = desk_grid(n)
+        psi, device = convolution_safe_pair(g, np.random.default_rng(n + 1))
+        w_in, spec = wdf_from_wavefunction(psi), _spec_for(kind, device, g)
+        assert np.array_equal(filter_wdf(w_in, spec).values, one_shot_q_axis_filter_wdf(w_in, spec))
+
+    @pytest.mark.parametrize("kind, bound", [(MOMENTUM_KIND, 3.5), (GENERAL_COORDINATE, 4.5)])
+    def test_q_axis_law_peak_memory(self, kind, bound):
+        g = desk_grid(1024)
+        w_in = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), g))
+        spec = _spec_for(kind, gaussian_wavefunction(GaussianSpec(width=0.8, center=1.0), g), g)
+        result, peak = traced_peak(lambda: filter_wdf(w_in, spec))
+        assert peak <= bound * result.values.nbytes
 
     @pytest.mark.filterwarnings("ignore:wavefunction edge amplitude")
     def test_p_axis_law_is_exact_beyond_containment(self):
@@ -259,12 +296,20 @@ class TestDetect:
 
         assert purity(WignerFunction(grid, readout.values)) == pytest.approx(0.5, abs=1e-8)
 
-    def test_peak_memory_within_seven_output_matrices(self):
+    def test_peak_memory_within_three_and_a_half_output_matrices(self):
         g = desk_grid(1024)
         state = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), g))
         device = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=0.8, center=1.0), g))
         result, peak = traced_peak(lambda: detect(state, device))
-        assert peak <= 7 * result.values.nbytes
+        assert peak <= 3.5 * result.values.nbytes
+
+    @pytest.mark.parametrize("n", [200, 1024])  # 101 spectrum columns leave a tail block at n=200
+    def test_equals_one_shot_formula(self, n):
+        g = desk_grid(n)
+        psi, _ = convolution_safe_pair(g, np.random.default_rng(n))
+        state = wdf_from_wavefunction(psi)
+        device = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=0.8, center=1.0, momentum_offset=0.5), g))
+        assert np.array_equal(detect(state, device).values, one_shot_detect(state, device))
 
     def test_classical_device_data(self, grid):
         # device supplied as raw phase-space data, no wavefunction behind it

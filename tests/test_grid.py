@@ -13,7 +13,7 @@ from wignerlab import (
     squared_norm,
 )
 from wignerlab.grid import _half_dft, _linear_convolution, _zero_extended
-from helpers import desk_grid, random_superposition
+from helpers import desk_grid, one_shot_convolution, random_superposition
 
 
 class TestMakeGrid:
@@ -176,25 +176,43 @@ class TestKernels:
         if kind is complex:
             a = a + 1j * rng.normal(size=n)
             b = b - 1j * rng.normal(size=n)
-        result = _linear_convolution(a, b, {0: offset})
+        result = _linear_convolution(a, b, 0, offset)
         assert np.iscomplexobj(result) == (kind is complex)
         assert np.max(np.abs(result - np.convolve(a, b)[offset: offset + n])) < 1e-12
 
     def test_convolution_2d_matches_double_sum(self):
-        n = 12
+        # 150 rows: two full 64-wide blocks and a tail
+        rows, n = 150, 12
         rng = np.random.default_rng(5)
-        a, b = rng.normal(size=(2, n, n))
-        s0, s1 = 5, n // 2
-        expected = np.zeros((n, n))
-        for k in range(n):
+        a, b = rng.normal(size=(2, rows, n))
+        s1 = n // 2
+        expected = np.zeros((rows, n))
+        for k in range(rows):
             for l in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        if 0 <= k + s0 - i < n and 0 <= l + s1 - j < n:
-                            expected[k, l] += a[i, j] * b[k + s0 - i, l + s1 - j]
-        assert np.max(np.abs(_linear_convolution(a, b, {0: s0, 1: s1}) - expected)) < 1e-12
-        rows = np.array([np.convolve(x, y)[s1: s1 + n] for x, y in zip(a, b)])
-        assert np.max(np.abs(_linear_convolution(a, b, {1: s1}) - rows)) < 1e-12
+                for j in range(n):
+                    if 0 <= l + s1 - j < n:
+                        expected[k, l] += a[k, j] * b[k, l + s1 - j]
+        assert np.max(np.abs(_linear_convolution(a, b, 1, s1) - expected)) < 1e-12
+
+    @pytest.mark.parametrize("kind", [float, complex])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("operand", ["matrix", "kernel", "aliased"])
+    def test_blocked_convolution_equals_one_shot(self, kind, axis, operand):
+        n, width = 40, 150  # the blocked axis leaves a tail block
+        rng = np.random.default_rng(11)
+        shape = (n, width) if axis == 0 else (width, n)
+        a, b = rng.normal(size=(2, *shape))
+        if kind is complex:
+            a, b = a + 1j * rng.normal(size=shape), b - 1j * rng.normal(size=shape)
+        if operand == "kernel":  # extent 1 on the blocked axis, broadcast over it
+            b = b[:, :1] if axis == 0 else b[:1]
+        expected = one_shot_convolution(a, b, {axis: 7})
+        if operand == "aliased":
+            result = a.copy()
+            assert _linear_convolution(result, b, axis, 7, out=result) is result
+        else:
+            result = _linear_convolution(a, b, axis, 7)
+        assert np.array_equal(result, expected)
 
     def test_zero_extended_matches_explicit_extension(self):
         n = 6

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -7,11 +8,35 @@ import numpy as np
 import pytest
 
 from wignerlab import GaussianSpec, WignerFunction, gaussian_wavefunction, wdf_from_wavefunction
+from wignerlab import cli
 from wignerlab import io as wio
 from wignerlab.cli import main
 from wignerlab.filtering import GENERAL_COORDINATE
 
-from helpers import desk_grid
+from helpers import desk_grid, traced_peak
+
+
+#: One run of each subcommand that builds an N x N matrix, on the files of ``budget_inputs``.
+MATRIX_RUNS = [
+    pytest.param(["wdf", "{state}"], id="wdf"),
+    pytest.param(["filter", "{state}", "--filter", "{slit}", "--wdf"], id="filter-wdf"),
+    pytest.param(["detect", "{state}", "{state}"], id="detect"),
+    pytest.param(["evolve", "{state}", "--potential", "{well}", "--t", "0.002", "--dt", "0.001"], id="evolve"),
+    pytest.param(["overlap", "{state}", "{state}"], id="overlap"),
+    pytest.param(["blob", "{state}"], id="blob"),
+    pytest.param(["figure", "fig2"], id="figure"),
+]
+
+
+@pytest.fixture(scope="module")
+def budget_inputs(tmp_path_factory):
+    """A cat state on -12:12:256, a coordinate slit and a quartic well, as CLI input files."""
+    tmp = tmp_path_factory.mktemp("budget")
+    main(["state", "--cat", "d=4", "qi=1", "--grid=-12:12:256", "--out", str(tmp)])
+    slit = {"kind": "coordinate", "device": {"gaussian": {"width": 0.8, "center": 0.5}}}
+    (tmp / "slit.json").write_text(json.dumps(slit))
+    (tmp / "well.json").write_text(json.dumps({"coefficients": [0, 0, 0.5, 0, 0.01]}))
+    return {"state": str(tmp / "state.csv"), "slit": str(tmp / "slit.json"), "well": str(tmp / "well.json")}
 
 
 class TestRoundTrips:
@@ -355,6 +380,56 @@ class TestCli:
         monkeypatch.setattr(cli, command, exhausted)
         assert main([token.format(state=tmp_path / "s/state.csv") for token in argv]) == 2
         assert capsys.readouterr().err == f"error: out of memory at N={n_points}; use a smaller grid\n"
+
+    @pytest.mark.parametrize("argv", MATRIX_RUNS)
+    def test_grid_beyond_available_memory_is_refused(self, budget_inputs, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "_available_memory", lambda: cli.MEMORY_BUDGET * 8 * 256**2 - 1)
+        out = [] if argv[0] == "overlap" else ["--out", str(tmp_path / "o")]
+        assert main([token.format(**budget_inputs) for token in argv] + out) == 2
+        assert capsys.readouterr().err == "error: out of memory at N=256; use a smaller grid\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("available", [None, "exact"], ids=["unreadable", "fits"])
+    def test_grid_within_available_memory_runs(self, budget_inputs, tmp_path, capsys, monkeypatch, available):
+        budget = cli.MEMORY_BUDGET * 8 * 256**2
+        monkeypatch.setattr(cli, "_available_memory", lambda: None if available is None else budget)
+        assert main(["wdf", budget_inputs["state"], "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "wdf.csv").exists()
+
+    def test_budget_spares_vector_commands_and_io_errors(self, budget_inputs, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_available_memory", lambda: 1)
+        assert main(["state", "--gaussian", "q0=1", "--out", str(tmp_path / "s")]) == 0
+        assert main(["filter", budget_inputs["state"], "--filter", budget_inputs["slit"], "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["wdf", str(tmp_path / "missing.csv"), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: no such file: {tmp_path / 'missing.csv'}\n"
+
+    @pytest.mark.parametrize(
+        "meminfo, expected",
+        [
+            ("MemTotal:       8000000 kB\nMemAvailable:   2048 kB\n", 2048 * 1024),
+            ("MemTotal:       8000000 kB\n", None),
+            ("MemAvailable: many kB\n", None),
+            (OSError("no meminfo"), None),
+        ],
+        ids=["present", "absent", "garbled", "unreadable"],
+    )
+    def test_available_memory_reader(self, monkeypatch, meminfo, expected):
+        def fake_open(path):
+            if isinstance(meminfo, Exception):
+                raise meminfo
+            return io.StringIO(meminfo)
+
+        monkeypatch.setattr(cli, "open", fake_open, raising=False)
+        assert cli._available_memory() == expected
+
+    @pytest.mark.parametrize("argv", MATRIX_RUNS)
+    def test_traced_peak_within_memory_budget(self, budget_inputs, tmp_path, capsys, argv):
+        # the budget is honest only if no subcommand needs more than it assumes
+        out = [] if argv[0] == "overlap" else ["--out", str(tmp_path)]
+        rc, peak = traced_peak(lambda: main([token.format(**budget_inputs) for token in argv] + out))
+        assert rc == 0
+        assert peak <= cli.MEMORY_BUDGET * 8 * 256**2
 
     @pytest.mark.parametrize(
         "times, flag",
