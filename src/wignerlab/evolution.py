@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .grid import POSITION, Grid, WaveFunction, _pair_indices
+from .grid import POSITION, Grid, WaveFunction, _pair_views
 from .wigner import WignerFunction
 
 _MASS_DRIFT_ABORT = 1e-4
@@ -86,7 +86,7 @@ def _force_symbol(grid: Grid, u: np.polynomial.Polynomial) -> np.ndarray:
 
     The exact two-point difference ``(i/hbar) [u(q_j + m dq) - u(q_j - m dq)]``:
     ``u`` sampled once on the doubled lattice ``k in [-n/2, 3n/2)``, read at
-    the rows ``(j - m, j + m)`` of ``_pair_indices``.  For degree <= 2 the
+    the rows ``(j - m, j + m)`` through ``_pair_views``.  For degree <= 2 the
     difference is the classical ``u'(q) i k_p``, which is taken then, so
     quadratic wells stay bit-exact.
     """
@@ -94,9 +94,8 @@ def _force_symbol(grid: Grid, u: np.polynomial.Polynomial) -> np.ndarray:
     if u.trim().degree() <= 2:
         force = u.deriv()(grid.q)[:, None] * (2j * np.pi * np.fft.rfftfreq(n, d=grid.delta_p))
     else:
-        lower, upper = _pair_indices(n)
-        samples = u(grid.q_min + grid.delta_q * np.arange(-n // 2, 3 * n // 2))
-        force = (1j / grid.hbar) * (samples[upper + n // 2] - samples[lower + n // 2])
+        lower, upper = _pair_views(u(grid.q_min + grid.delta_q * np.arange(-n // 2, 3 * n // 2)), n)
+        force = (1j / grid.hbar) * (upper - lower)
     force[:, -1] = 0.0
     return force
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import GridMismatchError, InvariantViolation
 from .grid import (
+    _BLOCK,
     POSITION,
     Grid,
     WaveFunction,
@@ -31,7 +32,6 @@ from .grid import (
     _half_dft,
     _linear_convolution,
     _pair_correlation,
-    _zero_extended,
     normalize,
     to_momentum,
     to_position,
@@ -181,15 +181,23 @@ def filter_wdf(w_in: WignerFunction, f: FilterSpec) -> WignerFunction:
     n = g.n_points
     axis = 1 if f.kind in (COORDINATE, GENERAL_MOMENTUM) else 0
     offset, spacing = ((f.q_offset, g.delta_q), (f.p_offset, g.delta_p))[1 - axis]
-    # source index i - steps; a shift of n or more cells leaves only zeros
+    # index i reads i - steps, zero off the lattice; a shift of n or more cells leaves only zeros
     steps = np.clip(g.steps_of(offset, spacing), -n, n)
     values = w_in.values
     if steps:
-        values = _zero_extended(values, np.arange(n) - steps, axis=1 - axis)
+        lo, hi = max(steps, 0), max(-steps, 0)
+        values = np.zeros_like(values)
+        np.moveaxis(values, 1 - axis, 0)[lo:n - hi] = np.moveaxis(w_in.values, 1 - axis, 0)[hi:n - lo]
     device = to_position(f.device).values
     if axis == 1:
-        spectrum = np.fft.rfft(values, axis=1) * np.conj(_pair_correlation(device))
-        return WignerFunction(g, np.fft.irfft(spectrum, n, axis=1))
+        spectrum = np.fft.rfft(values, axis=1)
+        del values  # frees the shifted copy, if any
+        c = _pair_correlation(device)
+        spectrum *= np.conj(c, out=c)
+        del c
+        values = np.fft.irfft(spectrum, n, axis=1)
+        del spectrum  # before the frozen copy
+        return WignerFunction(g, values)
     start, cell = _centring(g, 0)
     w_m = wigner_values_of_amplitudes(device, g)
     return WignerFunction(g, cell * _linear_convolution(values, w_m, 0, start))
@@ -209,7 +217,11 @@ def detect(w_in: WignerFunction, w_m: WignerFunction) -> DetectionMap:
     spectrum = np.fft.rfft(w_in.values, axis=1)
     # in place, so two spectra are alive at once rather than three
     _linear_convolution(spectrum, np.fft.rfft(w_m.values, axis=1), 0, q_start, out=spectrum)
-    return DetectionMap(g, np.fft.irfft(_centre_p(spectrum), g.n_points, axis=1) * q_cell * g.delta_p)
+    values = np.fft.irfft(_centre_p(spectrum), g.n_points, axis=1)
+    del spectrum  # before the frozen copy
+    values *= q_cell
+    values *= g.delta_p
+    return DetectionMap(g, values)
 
 
 def detect_from_wavefunctions(psi_in: WaveFunction, psi_m: WaveFunction) -> DetectionMap:
@@ -224,13 +236,17 @@ def detect_from_wavefunctions(psi_in: WaveFunction, psi_m: WaveFunction) -> Dete
     g = psi_in.grid
     n = g.n_points
     a = to_position(psi_in).values
-    b = np.conj(to_position(psi_m).values)
-    j = np.arange(n)
-    gathered = _zero_extended(b, j[:, None] - j[None, :] + g.origin_index()) * a
+    # row j, column k reads b[j - k + origin] of b = conj(psi_m) at lattice indices [-n, 2n): a reversed window
+    extended = np.pad(np.conj(to_position(psi_m).values), n)
+    origin = g.origin_index()
+    toeplitz = np.lib.stride_tricks.sliding_window_view(extended, n)[origin + 1:origin + 1 + n, ::-1]
     # the transform is taken relative to q_min; the missing factor
     # exp(-i p q_min/hbar) has unit modulus and drops out of |amplitude|^2
-    amplitude = _half_dft(gathered)
-    return DetectionMap(g, (np.abs(amplitude) ** 2) * g.delta_q**2 / g.h)
+    values = np.empty((n, n))
+    for first in range(0, n, _BLOCK):
+        rows = slice(first, first + _BLOCK)
+        values[rows] = np.abs(_half_dft(toeplitz[rows] * a)) ** 2 * g.delta_q**2 / g.h
+    return DetectionMap(g, values)
 
 
 def _common_support_mass(m1: np.ndarray, m2: np.ndarray, delta: float) -> float:

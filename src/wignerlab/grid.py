@@ -196,29 +196,22 @@ def _half_dft(values: np.ndarray) -> np.ndarray:
     return np.fft.fft(values * _quarter_phases(n), 2 * n)[..., :n]
 
 
-def _zero_extended(values: np.ndarray, index: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Gather ``values`` along ``axis`` at ``index``, reading zero off the lattice.
+def _pair_views(extended: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only views ``[j, m] -> extended[j -/+ m + n/2]``, ``m in [0, n/2]``, of lattice indices ``[-n/2, 3n/2)``.
 
-    The axis of length n is extended by n zeros, so any index in
-    ``[-n, 2n)`` is valid: ``[0, n)`` reads the samples, ``[n, 2n)`` the
-    zeros, and ``[-n, 0)`` wraps around onto the zeros.
+    The rows ``(j - m, j + m)`` that rfft column ``m`` pairs at row ``j``, as strided windows: no index grid, no copy.
     """
-    n = values.shape[axis]
-    widths = [(0, 0)] * values.ndim
-    widths[axis] = (0, n)
-    return np.take(np.pad(values, widths), index, axis=axis)
-
-
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``(j - m, j + m)`` that rfft column ``m in [0, n/2]`` pairs at lattice row ``j``."""
-    j, m = np.arange(n)[:, None], np.arange(n // 2 + 1)
-    return j - m, j + m
+    windows = np.lib.stride_tricks.sliding_window_view(extended, n // 2 + 1)
+    return windows[:n, ::-1], windows[n // 2:3 * n // 2]
 
 
 def _pair_correlation(values: np.ndarray) -> np.ndarray:
     """``c_j(m) = conj(values[j-m]) * values[j+m]`` for ``m in [0, n/2]``, zero off the lattice."""
-    lower, upper = _pair_indices(values.shape[-1])
-    return np.conj(_zero_extended(values, lower)) * _zero_extended(values, upper)
+    n = values.shape[-1]
+    lower, upper = _pair_views(np.pad(values, n // 2), n)
+    out = np.conj(lower)
+    out *= upper
+    return out
 
 
 def _centre_p(half: np.ndarray) -> np.ndarray:
@@ -227,7 +220,7 @@ def _centre_p(half: np.ndarray) -> np.ndarray:
     return half
 
 
-#: Lines that :func:`_linear_convolution` transforms at once: a block of the axis it does not convolve.
+#: Lines that a blocked kernel transforms at once: a block of the axis it does not transform.
 _BLOCK = 64
 
 

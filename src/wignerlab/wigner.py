@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import GridMismatchError, InvariantViolation
 from .grid import (
-    POSITION, Grid, WaveFunction, _centre_p, _frozen_array, _pair_correlation, _pair_indices, normalize, squared_norm,
+    _BLOCK, POSITION, Grid, WaveFunction, _centre_p, _frozen_array, _pair_correlation, normalize, squared_norm,
 )
 
 #: States with h*integral(W^2) above this are considered pure.
@@ -93,10 +93,12 @@ def mixed_density(states: Sequence[WaveFunction], weights: Sequence[float]) -> D
 def _transform_correlation(half: np.ndarray, grid: Grid) -> np.ndarray:
     """Hermitian transform over the offsets ``m in [0, n/2]``, scaled to a distribution.
 
-    Negates the odd offsets of ``half`` in place; that alternating sign
-    centres the p axis.
+    Overwrites ``half``: negating its odd offsets centres the p axis, and its
+    conjugate's forward-norm ``irfft`` is ``hfft`` without the copy.
     """
-    return (2.0 * grid.delta_q / grid.h) * np.fft.hfft(_centre_p(half), grid.n_points, axis=1)
+    out = np.fft.irfft(np.conjugate(_centre_p(half), out=half), grid.n_points, axis=1, norm="forward")
+    out *= 2.0 * grid.delta_q / grid.h
+    return out
 
 
 def wigner_values_of_amplitudes(amplitudes: np.ndarray, grid: Grid) -> np.ndarray:
@@ -131,11 +133,13 @@ def wdf_from_density(rho: DensityMatrix) -> WignerFunction:
     result on a lattice of length ``L``.
     """
     n = rho.grid.n_points
-    lower, upper = _pair_indices(n)
-    valid = (upper < n) & (lower >= 0)
-    corr = np.where(valid, rho.entries.ravel().take(np.where(valid, upper * n + lower, 0)), 0)
-    del lower, upper, valid  # the two index grids hold as many bytes as corr
-    return WignerFunction(rho.grid, _transform_correlation(corr, rho.grid))
+    j, m = np.arange(n)[:, None], np.arange(n // 2 + 1)
+    valid = m <= np.minimum(j, n - 1 - j)  # rows j -/+ m both on the lattice
+    corr = rho.entries.ravel().take((j * (n + 1) + m * (n - 1)) * valid)  # flat index (j + m) n + j - m
+    corr[~valid] = 0
+    values = _transform_correlation(corr, rho.grid)
+    del corr  # before the frozen copy
+    return WignerFunction(rho.grid, values)
 
 
 def marginal_q(w: WignerFunction) -> np.ndarray:
@@ -216,11 +220,17 @@ def recover_wavefunction(w: WignerFunction) -> WaveFunction:
     if pur < PURITY_THRESHOLD:
         raise InvariantViolation(f"purity {pur:.6f} below pure-state threshold; cannot invert")
     g = w.grid
+    n = g.n_points
     j0 = g.origin_index()
-    halved = _upsample_rows(w.values)
-    rows = halved[np.arange(g.n_points) + j0]
-    phases = np.exp(1j * np.outer(g.q, g.p) / g.hbar)
-    correlation = (rows * phases).sum(axis=1) * g.delta_p
+    # q_j p_k / hbar = pi (j - j0)(k - n/2) / n, as dq dp n = pi hbar: the phases are exact roots of unity
+    roots = np.exp(1j * np.pi * np.arange(2 * n) / n)
+    j, k = np.arange(n)[:, None] - j0, np.arange(n) - n // 2
+    correlation = np.zeros(n, dtype=np.complex128)
+    for first in range(0, n, _BLOCK):  # so neither the 2n x n upsample nor the phase matrix is ever whole
+        cols = slice(first, first + _BLOCK)
+        rows = _upsample_rows(w.values[:, cols])[j0:j0 + n]
+        correlation += (rows * roots[j * k[cols] % (2 * n)]).sum(axis=1)
+    correlation *= g.delta_p
     reference = correlation[j0].real
     if reference <= MIN_REFERENCE**2:
         raise InvariantViolation(

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 
 from wignerlab import GaussianSpec, WaveFunction, make_grid, normalize
-from wignerlab.grid import _zero_extended, to_momentum, to_position
+from wignerlab.grid import to_momentum, to_position
 from wignerlab.wigner import wigner_values_of_amplitudes
 
 DESK_GRID = dict(q_min=-12.0, q_max=12.0, n_points=256)
@@ -155,7 +155,7 @@ def one_shot_q_axis_filter_wdf(w_in, f):
     steps = np.clip(g.steps_of(f.p_offset, g.delta_p), -n, n)
     values = w_in.values
     if steps:
-        values = _zero_extended(values, np.arange(n) - steps, axis=1)
+        values = zero_extended_take(values, np.arange(n) - steps, axis=1)
     w_m = wigner_values_of_amplitudes(to_position(f.device).values, g)
     return g.delta_q * one_shot_convolution(values, w_m, {0: g.origin_index()})
 
@@ -172,3 +172,91 @@ def one_shot_general_filter(psi_in, f):
     raw = to_position(WaveFunction(g, values, psi.representation))
     transmitted = float(np.sum(np.abs(raw.values) ** 2) * raw.quadrature_delta)
     return normalize(raw).values, transmitted
+
+
+# The index-gather formulas that the strided window views replaced.  Every
+# gather moves the same numbers as a view, so each site must equal these bit
+# for bit; recover_wavefunction, whose phases are now exact roots of unity,
+# only to rounding.
+
+
+def zero_extended_take(values, index, axis=-1):
+    """Gather ``values`` along ``axis`` at ``index`` in ``[-n, 2n)``, reading zero off ``[0, n)``."""
+    n = values.shape[axis]
+    widths = [(0, 0)] * values.ndim
+    widths[axis] = (0, n)
+    return np.take(np.pad(values, widths), index, axis=axis)
+
+
+def pair_rows(n):
+    """Rows ``(j - m, j + m)`` that rfft column ``m in [0, n/2]`` pairs at lattice row ``j``."""
+    j, m = np.arange(n)[:, None], np.arange(n // 2 + 1)
+    return j - m, j + m
+
+
+def gathered_pair_correlation(values):
+    lower, upper = pair_rows(values.shape[-1])
+    return np.conj(zero_extended_take(values, lower)) * zero_extended_take(values, upper)
+
+
+def _hermitian_transform(half, grid):
+    half[:, 1::2] *= -1
+    return (2.0 * grid.delta_q / grid.h) * np.fft.hfft(half, grid.n_points, axis=1)
+
+
+def gathered_wigner_values(amplitudes, grid):
+    return _hermitian_transform(gathered_pair_correlation(np.asarray(amplitudes, dtype=complex)), grid)
+
+
+def gathered_density_wigner(rho):
+    n = rho.grid.n_points
+    lower, upper = pair_rows(n)
+    valid = (upper < n) & (lower >= 0)
+    corr = np.where(valid, rho.entries.ravel().take(np.where(valid, upper * n + lower, 0)), 0)
+    return _hermitian_transform(corr, rho.grid)
+
+
+def gathered_force_symbol(grid, u):
+    """The two-point kick of a polynomial of degree above two."""
+    n = grid.n_points
+    lower, upper = pair_rows(n)
+    samples = u(grid.q_min + grid.delta_q * np.arange(-n // 2, 3 * n // 2))
+    force = (1j / grid.hbar) * (samples[upper + n // 2] - samples[lower + n // 2])
+    force[:, -1] = 0.0
+    return force
+
+
+def gathered_p_axis_filter_wdf(w_in, f):
+    """Values of the ``coordinate`` / ``general_momentum`` laws: shift along q, product over p."""
+    g = w_in.grid
+    n = g.n_points
+    steps = np.clip(g.steps_of(f.q_offset, g.delta_q), -n, n)
+    values = w_in.values
+    if steps:
+        values = zero_extended_take(values, np.arange(n) - steps, axis=0)
+    device = to_position(f.device).values
+    return np.fft.irfft(np.fft.rfft(values, axis=1) * np.conj(gathered_pair_correlation(device)), n, axis=1)
+
+
+def gathered_detection(psi_in, psi_m):
+    """Amplitude-side detection map values from the whole Toeplitz gather."""
+    g = psi_in.grid
+    n = g.n_points
+    a, b = to_position(psi_in).values, np.conj(to_position(psi_m).values)
+    j = np.arange(n)
+    gathered = zero_extended_take(b, j[:, None] - j[None, :] + g.origin_index()) * a
+    quarter = np.array([1.0, 1.0j, -1.0, -1.0j])[j % 4]
+    amplitude = np.fft.fft(gathered * quarter, 2 * n)[..., :n]
+    return (np.abs(amplitude) ** 2) * g.delta_q**2 / g.h
+
+
+def exp_phase_recovery(w):
+    """Recovered amplitudes with phases ``exp(1j * outer(q, p) / hbar)`` over the whole upsample."""
+    g = w.grid
+    n = g.n_points
+    j0 = g.origin_index()
+    spectrum = np.fft.rfft(w.values, axis=0)
+    spectrum[n // 2] *= 0.5
+    rows = (np.fft.irfft(spectrum, 2 * n, axis=0) * 2.0)[j0:j0 + n]
+    correlation = (rows * np.exp(1j * np.outer(g.q, g.p) / g.hbar)).sum(axis=1) * g.delta_p
+    return normalize(WaveFunction(g, correlation / np.sqrt(correlation[j0].real))).values

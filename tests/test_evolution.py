@@ -24,7 +24,7 @@ from wignerlab import (
 )
 from wignerlab import evolution
 
-from helpers import density_width
+from helpers import density_width, gathered_force_symbol
 
 FREE = PotentialSpec(coefficients=(0.0,), mass=1.0)
 HARMONIC = PotentialSpec(coefficients=(0.0, 0.0, 0.5), mass=1.0)
@@ -142,6 +142,13 @@ class TestMoyalRHS:
         reference = series_symbol(grid, u.coef)
         kick = evolution._force_symbol(grid, u)
         assert np.max(np.abs(kick - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("n, hbar", [(128, 1.0), (200, 0.7)])
+    @pytest.mark.parametrize("coefficients", [(0.1, -0.2, 0.5, 0.05, 0.25), OCTIC_WELL], ids=["quartic", "octic"])
+    def test_two_point_kick_equals_gather_formula(self, coefficients, n, hbar):
+        grid = make_grid(-8.0, 8.0, n, hbar=hbar)
+        u = np.polynomial.Polynomial(coefficients)
+        assert np.array_equal(evolution._force_symbol(grid, u), gathered_force_symbol(grid, u))
 
     def test_short_time_cross_check_against_oracle(self, grid):
         # one-sided second-order difference of the oracle pins sign and size

@@ -36,6 +36,8 @@ from helpers import (
     convolution_safe_pair,
     density_width,
     desk_grid,
+    gathered_detection,
+    gathered_p_axis_filter_wdf,
     one_shot_detect,
     one_shot_general_filter,
     one_shot_q_axis_filter_wdf,
@@ -173,8 +175,21 @@ class TestPhaseSpaceCommutation:
         w_in, spec = wdf_from_wavefunction(psi), _spec_for(kind, device, g)
         assert np.array_equal(filter_wdf(w_in, spec).values, one_shot_q_axis_filter_wdf(w_in, spec))
 
-    @pytest.mark.parametrize("kind, bound", [(MOMENTUM_KIND, 3.5), (GENERAL_COORDINATE, 4.5)])
-    def test_q_axis_law_peak_memory(self, kind, bound):
+    @pytest.mark.parametrize("n", [200, 1024])
+    @pytest.mark.parametrize(
+        "kind, cells", [(COORDINATE, 0), (GENERAL_MOMENTUM, 9), (GENERAL_MOMENTUM, -7), (GENERAL_MOMENTUM, 300)]
+    )
+    def test_p_axis_laws_equal_gather_formula(self, kind, cells, n):
+        g = desk_grid(n)
+        psi, device = convolution_safe_pair(g, np.random.default_rng(n + 2))
+        w_in = wdf_from_wavefunction(psi)
+        spec = FilterSpec(kind=kind, device=device, q_offset=cells * g.delta_q) if cells else FilterSpec(kind, device)
+        assert np.array_equal(filter_wdf(w_in, spec).values, gathered_p_axis_filter_wdf(w_in, spec))
+
+    @pytest.mark.parametrize(
+        "kind, bound", [(COORDINATE, 2.5), (GENERAL_MOMENTUM, 2.5), (MOMENTUM_KIND, 3.5), (GENERAL_COORDINATE, 4.5)]
+    )
+    def test_law_peak_memory(self, kind, bound):
         g = desk_grid(1024)
         w_in = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), g))
         spec = _spec_for(kind, gaussian_wavefunction(GaussianSpec(width=0.8, center=1.0), g), g)
@@ -296,12 +311,27 @@ class TestDetect:
 
         assert purity(WignerFunction(grid, readout.values)) == pytest.approx(0.5, abs=1e-8)
 
-    def test_peak_memory_within_three_and_a_half_output_matrices(self):
+    def test_peak_memory_within_two_and_three_quarter_output_matrices(self):
         g = desk_grid(1024)
         state = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), g))
         device = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=0.8, center=1.0), g))
         result, peak = traced_peak(lambda: detect(state, device))
-        assert peak <= 3.5 * result.values.nbytes
+        assert peak <= 2.75 * result.values.nbytes
+
+    def test_from_wavefunctions_peak_memory_within_two_and_a_half_output_matrices(self):
+        g = desk_grid(1024)
+        state = gaussian_wavefunction(GaussianSpec(width=1.0), g)
+        device = gaussian_wavefunction(GaussianSpec(width=0.8, center=1.0), g)
+        result, peak = traced_peak(lambda: detect_from_wavefunctions(state, device))
+        assert peak <= 2.5 * result.values.nbytes
+
+    @pytest.mark.parametrize("n, origin", [(200, 87), (1024, 512)])  # 200 rows leave a tail block
+    def test_from_wavefunctions_equals_gather_formula(self, n, origin):
+        dq = 24.0 / n
+        g = make_grid(-origin * dq, (n - origin) * dq, n)
+        assert g.origin_index() == origin
+        psi, device = convolution_safe_pair(g, np.random.default_rng(n + 3))
+        assert np.array_equal(detect_from_wavefunctions(psi, device).values, gathered_detection(psi, device))
 
     @pytest.mark.parametrize("n", [200, 1024])  # 101 spectrum columns leave a tail block at n=200
     def test_equals_one_shot_formula(self, n):

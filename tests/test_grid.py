@@ -12,8 +12,8 @@ from wignerlab import (
     normalize,
     squared_norm,
 )
-from wignerlab.grid import _half_dft, _linear_convolution, _zero_extended
-from helpers import desk_grid, one_shot_convolution, random_superposition
+from wignerlab.grid import _half_dft, _linear_convolution, _pair_correlation, _pair_views
+from helpers import desk_grid, gathered_pair_correlation, one_shot_convolution, pair_rows, random_superposition
 
 
 class TestMakeGrid:
@@ -214,19 +214,28 @@ class TestKernels:
             result = _linear_convolution(a, b, axis, 7)
         assert np.array_equal(result, expected)
 
-    def test_zero_extended_matches_explicit_extension(self):
-        n = 6
-        rng = np.random.default_rng(9)
-        values = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        index = np.arange(-n, 2 * n)
-        for axis in (0, 1):
-            lines = np.moveaxis(values, axis, 0)
-            result = np.moveaxis(_zero_extended(values, index, axis), axis, 0)
-            for line, i in zip(result, index):
-                assert np.array_equal(line, lines[i] if 0 <= i < n else np.zeros(n))
-        row = values[0]
-        expected = [row[i] if 0 <= i < n else 0 for i in index]
-        assert np.array_equal(_zero_extended(row, index.reshape(3, n)).ravel(), expected)
+    @pytest.mark.parametrize("n", [8, 200, 1024])
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_pair_views_match_index_formula(self, n, kind):
+        rng = np.random.default_rng(n)
+        extended = rng.normal(size=2 * n).astype(kind)  # lattice indices [-n/2, 3n/2)
+        if kind is complex:
+            extended += 1j * rng.normal(size=2 * n)
+        lower_rows, upper_rows = pair_rows(n)
+        lower, upper = _pair_views(extended, n)
+        assert np.array_equal(lower, extended[lower_rows + n // 2])
+        assert np.array_equal(upper, extended[upper_rows + n // 2])
+        assert not lower.flags.writeable and not upper.flags.writeable
+        assert np.shares_memory(lower, extended) and np.shares_memory(upper, extended)
+
+    @pytest.mark.parametrize("n", [8, 200, 1024])
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_pair_correlation_equals_gather_formula(self, n, kind):
+        rng = np.random.default_rng(n + 1)
+        values = rng.normal(size=n).astype(kind)
+        if kind is complex:
+            values += 1j * rng.normal(size=n)
+        assert np.array_equal(_pair_correlation(values), gathered_pair_correlation(values))
 
     def test_half_dft_matches_exponential_sum(self):
         n = 16

@@ -32,7 +32,15 @@ from wignerlab import (
 )
 from wignerlab.wigner import _upsample_rows, wigner_values_of_amplitudes
 
-from helpers import aligned_max_error, desk_grid, random_superposition, traced_peak
+from helpers import (
+    aligned_max_error,
+    desk_grid,
+    exp_phase_recovery,
+    gathered_density_wigner,
+    gathered_wigner_values,
+    random_superposition,
+    traced_peak,
+)
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +127,7 @@ class TestDefiningSum:
         assert np.max(np.abs(wdf_from_density(DensityMatrix(g, rho)).values - expected)) <= 1e-13
 
 
-def test_peak_memory_within_four_output_matrices():
+def test_peak_memory_within_two_and_a_half_output_matrices():
     psi = gaussian_wavefunction(GaussianSpec(width=1.0), desk_grid(1024))
     tracemalloc.start()
     try:
@@ -127,13 +135,30 @@ def test_peak_memory_within_four_output_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * w.values.nbytes
+    assert peak <= 2.5 * w.values.nbytes
 
 
-def test_density_peak_memory_within_four_output_matrices():
+def test_density_peak_memory_within_two_and_a_half_output_matrices():
     rho = pure_density(gaussian_wavefunction(GaussianSpec(width=1.0), desk_grid(1024)))
     w, peak = traced_peak(lambda: wdf_from_density(rho))
-    assert peak <= 4 * w.values.nbytes
+    assert peak <= 2.5 * w.values.nbytes
+
+
+@pytest.mark.parametrize("n", [200, 1024])
+class TestEqualsGatherFormula:
+    def test_amplitudes(self, n):
+        g = desk_grid(n)
+        rng = np.random.default_rng(n)
+        amplitudes = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert np.array_equal(wigner_values_of_amplitudes(amplitudes, g), gathered_wigner_values(amplitudes, g))
+
+    def test_density_matrix(self, n):
+        g = desk_grid(n)
+        rng = np.random.default_rng(n + 1)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        entries = a + a.conj().T
+        rho = DensityMatrix(g, entries / (np.trace(entries).real * g.delta_q))
+        assert np.array_equal(wdf_from_density(rho).values, gathered_density_wigner(rho))
 
 
 class TestFromDensity:
@@ -354,6 +379,18 @@ class TestRecovery:
             assert aligned_max_error(recovered, psi) < 1e-8
             w_again = wdf_from_wavefunction(recovered)
             assert np.max(np.abs(w_again.values - w.values)) < 1e-8
+
+    @pytest.mark.parametrize("n, hbar", [(256, 1.0), (1024, 1.0), (256, 0.6)])
+    def test_matches_exponential_phase_formula(self, n, hbar):
+        g = desk_grid(n, hbar=hbar)
+        psi = random_superposition(g, np.random.default_rng(n), require_center_amplitude=0.05)
+        w = wdf_from_wavefunction(psi)
+        assert np.max(np.abs(recover_wavefunction(w).values - exp_phase_recovery(w))) <= 1e-12
+
+    def test_peak_memory_within_one_and_a_half_output_matrices(self):
+        w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), desk_grid(1024)))
+        _, peak = traced_peak(lambda: recover_wavefunction(w))
+        assert peak <= 1.5 * w.values.nbytes
 
     def test_mixed_state_rejected(self):
         g = desk_grid()
