@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -170,12 +172,22 @@ def _cmd_evolve(args) -> int:
     dump_every = args.dump_every if args.dump_every else n_steps
     done = 0
     frame = 0
-    while done < n_steps:
-        chunk = min(dump_every, n_steps - done)
-        w = propagate(w, potential, EvolutionConfig(dt=dt, n_steps=chunk))
-        done += chunk
-        frame += 1
-        written += wio.save_wigner(w, out_dir / f"wdf_{frame:04d}.csv")
+    writers = []  # (pid, frame, path) of the one forked frame writer not yet joined, if any
+    try:
+        while done < n_steps:
+            chunk = min(dump_every, n_steps - done)
+            w = propagate(w, potential, EvolutionConfig(dt=dt, n_steps=chunk))
+            done += chunk
+            frame += 1
+            path = out_dir / f"wdf_{frame:04d}.csv"
+            _join_writers(writers)
+            if done < n_steps and hasattr(os, "fork"):  # the next chunk overlaps this frame's write
+                writers.append((_fork_writer(w, path), w, path))
+                written += [path, wio._sidecar_path(path)]
+            else:
+                written += wio.save_wigner(w, path)
+    finally:
+        _join_writers(writers)
     wio.write_manifest(out_dir, "evolve", w.grid, [Path(args.input), Path(args.potential)], written)
     _emit(
         {
@@ -187,6 +199,32 @@ def _cmd_evolve(args) -> int:
         }
     )
     return 0
+
+
+def _fork_writer(w: WignerFunction, path: Path) -> int:
+    """Write ``w`` to ``path`` in a forked child; returns the child's pid."""
+    with warnings.catch_warnings():
+        # Python 3.12+ warns of fork beside numpy's idle BLAS threads; the child only
+        # formats and writes, and takes no lock that another thread holds
+        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            wio.save_wigner(w, path)
+            code = 0
+        finally:
+            os._exit(code)  # never unwind into the caller's stack, buffers or exit hooks
+    return pid
+
+
+def _join_writers(writers: list[tuple[int, WignerFunction, Path]]) -> None:
+    """Wait for each forked writer; a failed one is repeated here, so its real error is raised."""
+    while writers:
+        pid, w, path = writers.pop()
+        if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
+            wio.save_wigner(w, path)
 
 
 def _cmd_overlap(args) -> int:

@@ -200,7 +200,10 @@ def filter_wdf(w_in: WignerFunction, f: FilterSpec) -> WignerFunction:
         return WignerFunction(g, values)
     start, cell = _centring(g, 0)
     w_m = wigner_values_of_amplitudes(device, g)
-    return WignerFunction(g, cell * _linear_convolution(values, w_m, 0, start))
+    out = _linear_convolution(values, w_m, 0, start)
+    del values, w_m
+    out *= cell
+    return WignerFunction(g, out)
 
 
 def detect(w_in: WignerFunction, w_m: WignerFunction) -> DetectionMap:

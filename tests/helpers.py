@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
-from wignerlab import GaussianSpec, WaveFunction, make_grid, normalize
+from wignerlab import EvolutionConfig, GaussianSpec, WaveFunction, make_grid, normalize, propagate
+from wignerlab import io as wio
 from wignerlab.grid import to_momentum, to_position
-from wignerlab.wigner import wigner_values_of_amplitudes
+from wignerlab.wigner import wdf_from_wavefunction, wigner_values_of_amplitudes
 
 DESK_GRID = dict(q_min=-12.0, q_max=12.0, n_points=256)
 
@@ -260,3 +263,27 @@ def exp_phase_recovery(w):
     rows = (np.fft.irfft(spectrum, 2 * n, axis=0) * 2.0)[j0:j0 + n]
     correlation = (rows * np.exp(1j * np.outer(g.q, g.p) / g.hbar)).sum(axis=1) * g.delta_p
     return normalize(WaveFunction(g, correlation / np.sqrt(correlation[j0].real))).values
+
+
+def evolve_in_process(state_csv, potential_json, t, dt, dump_every, out_dir):
+    """The ``evolve`` subcommand with every frame written in process: ``propagate`` chunks and ``save_wigner``.
+
+    Writes the frames and ``run_manifest.json`` into ``out_dir`` and returns the
+    line the command prints.  An abort raises once the frames before it are written.
+    """
+    w = wdf_from_wavefunction(to_position(wio.load_wavefunction(state_csv)))
+    potential = wio.load_potential_spec(potential_json)
+    n_steps = max(int(np.ceil(t / dt - 1e-12)), 1)
+    dt = t / n_steps
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written, done, frame = [], 0, 0
+    while done < n_steps:
+        chunk = min(dump_every or n_steps, n_steps - done)
+        w = propagate(w, potential, EvolutionConfig(dt=dt, n_steps=chunk))
+        done += chunk
+        frame += 1
+        written += wio.save_wigner(w, out_dir / f"wdf_{frame:04d}.csv")
+    wio.write_manifest(out_dir, "evolve", w.grid, [Path(state_csv), Path(potential_json)], written)
+    payload = {"steps": n_steps, "dt": dt, "mass": w.mass(), "min_value": float(w.values.min()), "frames": frame}
+    return json.dumps(payload, sort_keys=True) + "\n"

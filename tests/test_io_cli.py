@@ -1,8 +1,11 @@
 import io
 import json
+import os
+import shutil
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +14,10 @@ from wignerlab import GaussianSpec, WignerFunction, gaussian_wavefunction, wdf_f
 from wignerlab import cli
 from wignerlab import io as wio
 from wignerlab.cli import main
+from wignerlab.errors import InvariantViolation
 from wignerlab.filtering import GENERAL_COORDINATE
 
-from helpers import desk_grid, traced_peak
+from helpers import desk_grid, evolve_in_process, traced_peak
 
 
 #: One run of each subcommand that builds an N x N matrix, on the files of ``budget_inputs``.
@@ -455,6 +459,151 @@ class TestCli:
         assert rc == 2
         assert f"error: {flag} must be" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
+
+
+@pytest.fixture(scope="module")
+def evolve_inputs(tmp_path_factory):
+    """Gaussian states on N=256 and N=64, one that runs off a free lattice, and their potentials."""
+    tmp = tmp_path_factory.mktemp("evolve")
+    main(["state", "--gaussian", "q0=1", "center=0.5", "--grid=-12:12:256", "--out", str(tmp / "n256")])
+    main(["state", "--gaussian", "q0=1", "--grid=-8:8:64", "--out", str(tmp / "n64")])
+    main(["state", "--gaussian", "q0=1", "center=-3", "p0=3", "--grid=-10:10:128", "--out", str(tmp / "runaway")])
+    (tmp / "well.json").write_text(json.dumps({"coefficients": [0, 0, 0.5, 0, 0.01]}))
+    (tmp / "free.json").write_text(json.dumps({"coefficients": [0]}))
+    return tmp
+
+
+def _evolve_argv(inputs, state, t, dt, dump_every, out, potential="well.json"):
+    return ["evolve", str(inputs / state / "state.csv"), "--potential", str(inputs / potential),
+            "--t", t, "--dt", dt, "--dump-every", dump_every, "--out", str(out)]
+
+
+def _snapshot(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestEvolveWriters:
+    """Frames 1..n-1 of ``evolve`` are written by a forked child while the next chunk runs."""
+
+    @pytest.mark.parametrize(
+        "state, t, dump_every",
+        [("n256", "0.15", "50"), ("n256", "0.15", "0"), ("n64", "0.012", "1")],
+        ids=["n256-every50", "n256-once", "n64-every1"],
+    )
+    def test_outputs_equal_in_process_writes(self, evolve_inputs, tmp_path, capsys, state, t, dump_every):
+        out = tmp_path / "e"
+        assert main(_evolve_argv(evolve_inputs, state, t, "1e-3", dump_every, out)) == 0
+        printed, forked = capsys.readouterr().out, _snapshot(out)
+        _assert_no_child_left()
+        shutil.rmtree(out)
+        state_csv = evolve_inputs / state / "state.csv"
+        expected = evolve_in_process(state_csv, evolve_inputs / "well.json", float(t), 1e-3, int(dump_every), out)
+        assert printed == expected
+        assert forked == _snapshot(out)
+        assert len(forked) == 2 * json.loads(printed)["frames"] + 1
+
+    def test_edge_abort_leaves_complete_frames_and_no_child(self, evolve_inputs, tmp_path, capsys):
+        out = tmp_path / "e"
+        assert main(_evolve_argv(evolve_inputs, "runaway", "4", "0.05", "8", out, potential="free.json")) == 1
+        assert "reached the lattice boundary" in capsys.readouterr().err
+        _assert_no_child_left()
+        forked = _snapshot(out)
+        shutil.rmtree(out)
+        with pytest.raises(InvariantViolation):
+            evolve_in_process(evolve_inputs / "runaway/state.csv", evolve_inputs / "free.json", 4.0, 0.05, 8, out)
+        assert forked == _snapshot(out)
+        assert sorted(forked) == [f"wdf_{k:04d}.{ext}" for k in (1, 2, 3) for ext in ("csv", "json")]
+
+    def test_failed_writer_is_repeated_and_its_error_exits_2(self, evolve_inputs, tmp_path, capsys):
+        out = tmp_path / "e"
+        (out / "wdf_0001.csv").mkdir(parents=True)
+        assert main(_evolve_argv(evolve_inputs, "n64", "0.012", "1e-3", "4", out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "wdf_0001.csv" in captured.err
+        assert captured.out == ""
+        _assert_no_child_left()
+        assert not (out / "run_manifest.json").exists()
+
+    def test_writer_that_fails_once_gives_correct_bytes(self, evolve_inputs, tmp_path, capsys, monkeypatch):
+        parent, save = os.getpid(), wio.save_wigner
+
+        def fails_in_child(w, path):
+            if os.getpid() != parent:
+                raise OSError("lost writer")
+            return save(w, path)
+
+        monkeypatch.setattr(wio, "save_wigner", fails_in_child)
+        assert main(_evolve_argv(evolve_inputs, "n64", "0.012", "1e-3", "4", tmp_path / "e")) == 0
+        monkeypatch.undo()
+        printed = capsys.readouterr().out
+        state_csv, well = evolve_inputs / "n64/state.csv", evolve_inputs / "well.json"
+        assert printed == evolve_in_process(state_csv, well, 0.012, 1e-3, 4, tmp_path / "o")
+        assert _snapshot(tmp_path / "e").keys() == _snapshot(tmp_path / "o").keys()
+        for name, data in _snapshot(tmp_path / "e").items():
+            if name != "run_manifest.json":
+                assert data == (tmp_path / "o" / name).read_bytes()
+
+    def test_at_most_one_writer_alive(self, evolve_inputs, tmp_path, capsys, monkeypatch):
+        fork, waitpid = os.fork, os.waitpid
+        live, forks, most = set(), [], [0]
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                live.add(pid)
+                forks.append(pid)
+                most[0] = max(most[0], len(live))
+            return pid
+
+        def counting_waitpid(pid, options):
+            reaped = waitpid(pid, options)
+            live.discard(reaped[0])
+            return reaped
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(os, "waitpid", counting_waitpid)
+        assert main(_evolve_argv(evolve_inputs, "n64", "0.012", "1e-3", "1", tmp_path / "e")) == 0
+        assert json.loads(capsys.readouterr().out)["frames"] == 12
+        assert (len(forks), most[0], live) == (11, 1, set())
+
+    def test_without_fork_every_frame_is_written_in_process(self, evolve_inputs, tmp_path, capsys, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert main(_evolve_argv(evolve_inputs, "n64", "0.012", "1e-3", "4", tmp_path / "e")) == 0
+        printed = capsys.readouterr().out
+        monkeypatch.undo()
+        assert main(_evolve_argv(evolve_inputs, "n64", "0.012", "1e-3", "4", tmp_path / "f")) == 0
+        assert capsys.readouterr().out == printed
+        frames = [name for name in _snapshot(tmp_path / "e") if name != "run_manifest.json"]
+        assert all((tmp_path / "e" / name).read_bytes() == (tmp_path / "f" / name).read_bytes() for name in frames)
+
+    def test_fork_warning_alone_is_silenced(self, evolve_inputs, tmp_path, capsys, monkeypatch):
+        # the DeprecationWarning Python 3.12+ gives for fork in a threaded process, and one other
+        fork = os.fork
+
+        def warning_fork():
+            message = f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks"
+            warnings.warn(message + " in the child.", DeprecationWarning)
+            warnings.warn("another deprecation", DeprecationWarning)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(_evolve_argv(evolve_inputs, "n64", "0.012", "1e-3", "4", tmp_path / "e")) == 0
+        assert [str(w.message) for w in caught] == ["another deprecation"] * 2
+
+    def test_one_json_line_from_a_fresh_process(self, evolve_inputs, tmp_path):
+        argv = _evolve_argv(evolve_inputs, "n64", "0.012", "1e-3", "1", tmp_path / "e")
+        result = subprocess.run([sys.executable, "-m", "wignerlab.cli", *argv], capture_output=True, text=True,
+                                timeout=120)
+        assert (result.returncode, result.stderr) == (0, "")
+        (line,) = result.stdout.splitlines()
+        assert json.loads(line)["frames"] == 12
 
 
 def test_every_exported_name_resolves():
