@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -181,11 +179,13 @@ def _cmd_evolve(args) -> int:
             frame += 1
             path = out_dir / f"wdf_{frame:04d}.csv"
             _join_writers(writers)
-            if done < n_steps and hasattr(os, "fork"):  # the next chunk overlaps this frame's write
-                writers.append((_fork_writer(w, path), w, path))
-                written += [path, wio._sidecar_path(path)]
-            else:
+            # the next chunk overlaps this frame's write in a helper; the last frame splits its own write
+            pid = wio._fork(lambda: wio.save_wigner(w, path)) if done < n_steps else None
+            if pid is None:
                 written += wio.save_wigner(w, path)
+            else:
+                writers.append((pid, w, path))
+                written += [path, wio._sidecar_path(path)]
     finally:
         _join_writers(writers)
     wio.write_manifest(out_dir, "evolve", w.grid, [Path(args.input), Path(args.potential)], written)
@@ -201,29 +201,11 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _fork_writer(w: WignerFunction, path: Path) -> int:
-    """Write ``w`` to ``path`` in a forked child; returns the child's pid."""
-    with warnings.catch_warnings():
-        # Python 3.12+ warns of fork beside numpy's idle BLAS threads; the child only
-        # formats and writes, and takes no lock that another thread holds
-        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
-                                DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            wio.save_wigner(w, path)
-            code = 0
-        finally:
-            os._exit(code)  # never unwind into the caller's stack, buffers or exit hooks
-    return pid
-
-
 def _join_writers(writers: list[tuple[int, WignerFunction, Path]]) -> None:
     """Wait for each forked writer; a failed one is repeated here, so its real error is raised."""
     while writers:
         pid, w, path = writers.pop()
-        if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
+        if not wio._joined(pid):
             wio.save_wigner(w, path)
 
 
@@ -269,7 +251,7 @@ def _cmd_figure(args) -> int:
     else:  # fig4
         scan, centers = figure4_scan(args.d, args.qi, args.qm, grid)
         path = out_dir / "fig4_scan.csv"
-        np.savetxt(path, scan, fmt="%.17g", delimiter=",")
+        np.savetxt(path, scan, fmt=wio._FMT, delimiter=",")
         meta = {
             "rows": "slit center D",
             "columns": "q",

@@ -6,12 +6,19 @@ with a sidecar ``<stem>.json`` holding
 
 Distribution / detection-map CSV: a plain numeric matrix (rows = q,
 columns = p) with a sidecar holding the grid fields.  Floats are written
-with 17 significant digits so values round-trip exactly.
+with 17 significant digits so values round-trip exactly.  A forked helper
+writes or reads the second half of a matrix's rows on the other core.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
+import os
+import shutil
+import tempfile
+import warnings
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +31,34 @@ from .evolution import PotentialSpec
 from .wigner import WignerFunction
 
 _FMT = "%.17g"
+_GRID_FIELDS = ("q_min", "delta_q", "n_points", "hbar")
+
+_in_helper = False  # True in a forked helper, which must not fork again
+
+
+def _fork(work) -> int | None:
+    """Run ``work()`` in a forked helper; its pid, or None without ``os.fork`` or inside a helper."""
+    global _in_helper
+    if _in_helper or not hasattr(os, "fork"):
+        return None
+    with warnings.catch_warnings():
+        # Python 3.12+ warns of fork beside numpy's idle BLAS threads; the helper takes no lock they hold
+        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        _in_helper = True
+        try:  # never unwind into the caller's stack, buffers or exit hooks
+            work()
+            os._exit(0)
+        finally:
+            os._exit(1)
+    return pid
+
+
+def _joined(pid: int | None) -> bool:
+    """Wait for the helper ``pid``; True when it exited 0, False when it failed or never ran."""
+    return pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 
 
 def _sidecar_path(csv_path: Path) -> Path:
@@ -36,16 +71,18 @@ def _read_sidecar(csv_path: Path) -> dict:
     sidecar = _sidecar_path(csv_path)
     if not sidecar.exists():
         raise FileNotFoundError(f"{csv_path} has no metadata sidecar {sidecar.name}")
-    return json.loads(sidecar.read_text())
+    meta = _read_spec(sidecar, "metadata sidecar")
+    for field in _GRID_FIELDS:
+        if field not in meta:
+            raise ValueError(f"{sidecar}: missing field {field}")
+        _number(sidecar, field, meta[field])
+    if meta["n_points"] != int(meta["n_points"]):
+        raise ValueError(f"{sidecar}: n_points must be an integer, got {meta['n_points']!r}")
+    return meta
 
 
 def _grid_dict(grid: Grid) -> dict:
-    return {
-        "q_min": grid.q_min,
-        "delta_q": grid.delta_q,
-        "n_points": grid.n_points,
-        "hbar": grid.hbar,
-    }
+    return {field: getattr(grid, field) for field in _GRID_FIELDS}
 
 
 def _grid_from_dict(meta: dict) -> Grid:
@@ -64,7 +101,7 @@ def _write_json(path: Path, payload: dict) -> None:
 def _read_spec(json_path: Path, what: str) -> dict:
     spec = json.loads(json_path.read_text())
     if not isinstance(spec, dict):
-        raise ValueError(f"{json_path}: a {what} spec must be a JSON object, got {type(spec).__name__}")
+        raise ValueError(f"{json_path}: a {what} must be a JSON object, got {type(spec).__name__}")
     return spec
 
 
@@ -97,9 +134,31 @@ def load_wavefunction(csv_path: str | Path) -> WaveFunction:
 
 
 def save_matrix(values: np.ndarray, grid: Grid, csv_path: str | Path) -> list[Path]:
-    """Shared matrix writer for distributions and detection maps."""
+    """Shared matrix writer for distributions and detection maps.
+
+    A helper formats rows ``[n/2:]`` into an unlinked file, appended once this process has
+    formatted the rest; if the helper failed, this process formats them too.
+    """
     csv_path = Path(csv_path)
-    np.savetxt(csv_path, values, fmt=_FMT, delimiter=",")
+    half = len(values) // 2
+    with tempfile.TemporaryFile() as tail:
+
+        def format_tail():
+            np.savetxt(tail, values[half:], fmt=_FMT, delimiter=",")
+            tail.flush()
+
+        pid = _fork(format_tail)
+        try:
+            np.savetxt(csv_path, values if pid is None else values[:half], fmt=_FMT, delimiter=",")
+        finally:
+            tail_done = _joined(pid)
+        if pid is not None:
+            with open(csv_path, "ab") as out:
+                if tail_done:
+                    tail.seek(0)
+                    shutil.copyfileobj(tail, out)
+                else:
+                    np.savetxt(out, values[half:], fmt=_FMT, delimiter=",")
     sidecar = _sidecar_path(csv_path)
     _write_json(sidecar, _grid_dict(grid))
     return [csv_path, sidecar]
@@ -111,10 +170,46 @@ def save_wigner(w: WignerFunction, csv_path: str | Path) -> list[Path]:
 
 def load_wigner(csv_path: str | Path) -> WignerFunction:
     csv_path = Path(csv_path)
-    meta = _read_sidecar(csv_path)
-    grid = _grid_from_dict(meta)
-    values = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-    return WignerFunction(grid, values)
+    grid = _grid_from_dict(_read_sidecar(csv_path))
+    return WignerFunction(grid, _load_matrix(csv_path, grid.n_points))
+
+
+def _strict_loadtxt(csv_path: Path, start: int, stop: int | None) -> np.ndarray:
+    """``np.loadtxt`` of lines ``[start:stop]`` of a matrix CSV, raising every warning."""
+    with open(csv_path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(islice(fh, start, stop), delimiter=",", ndmin=2)
+
+
+def _load_matrix(csv_path: Path, n: int) -> np.ndarray:
+    """``np.loadtxt(csv_path, delimiter=",", ndmin=2)``; a helper parses lines ``[n/2:]`` into shared memory.
+
+    Lines parse independently, so the halves stack to the whole-file parse.  On any warning,
+    error or shape other than (n, n) this process parses the whole file, so its messages appear once.
+    """
+    shared = mmap.mmap(-1, 8 * (n * n + 1))
+    count, values = np.frombuffer(shared, np.int64, 1), np.frombuffer(shared, offset=8).reshape(n, n)
+
+    def parse_tail():
+        rows = _strict_loadtxt(csv_path, n // 2, None)
+        if rows.shape[1] != n:  # a one-column tail would broadcast; more rows than n fail to fit
+            raise ValueError("not the tail of an n x n matrix")
+        values[n - len(rows):] = rows
+        count[0] = len(rows)
+
+    pid = _fork(parse_tail)
+    head = None
+    try:
+        if pid is not None:
+            head = _strict_loadtxt(csv_path, 0, n // 2)
+    except (OSError, ValueError, Warning):
+        pass  # the whole-file parse below raises the real error
+    finally:
+        tail_done = _joined(pid)
+    if not tail_done or head is None or head.shape != (n - count[0], n):
+        return np.loadtxt(csv_path, delimiter=",", ndmin=2)
+    values[:len(head)] = head
+    return values
 
 
 def is_wavefunction_file(csv_path: str | Path) -> bool:
@@ -131,7 +226,7 @@ def load_filter_spec(json_path: str | Path, grid: Grid) -> FilterSpec:
     evaluated on the target grid.
     """
     json_path = Path(json_path)
-    spec = _read_spec(json_path, "filter")
+    spec = _read_spec(json_path, "filter spec")
     device_entry = spec["device"]
     if isinstance(device_entry, str):
         device_path = Path(device_entry)
@@ -158,7 +253,7 @@ def load_filter_spec(json_path: str | Path, grid: Grid) -> FilterSpec:
 def load_potential_spec(json_path: str | Path) -> PotentialSpec:
     """Potential description: ``{"coefficients": [...], "mass": 1.0}``."""
     json_path = Path(json_path)
-    spec = _read_spec(json_path, "potential")
+    spec = _read_spec(json_path, "potential spec")
     coefficients = spec["coefficients"]
     if not isinstance(coefficients, list) or not all(isinstance(c, (int, float)) for c in coefficients):
         raise ValueError(f"{json_path}: coefficients must be a list of numbers, got {coefficients!r}")

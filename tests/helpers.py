@@ -265,8 +265,19 @@ def exp_phase_recovery(w):
     return normalize(WaveFunction(g, correlation / np.sqrt(correlation[j0].real))).values
 
 
+# The one-process matrix CSV formulas, the oracle of the two-process writer and reader.
+
+
+def oracle_save_matrix(path, values):
+    np.savetxt(path, values, fmt="%.17g", delimiter=",")
+
+
+def oracle_load_matrix(path):
+    return np.loadtxt(path, delimiter=",", ndmin=2)
+
+
 def evolve_in_process(state_csv, potential_json, t, dt, dump_every, out_dir):
-    """The ``evolve`` subcommand with every frame written in process: ``propagate`` chunks and ``save_wigner``.
+    """The ``evolve`` subcommand with every frame written in process through the oracle writer.
 
     Writes the frames and ``run_manifest.json`` into ``out_dir`` and returns the
     line the command prints.  An abort raises once the frames before it are written.
@@ -283,7 +294,12 @@ def evolve_in_process(state_csv, potential_json, t, dt, dump_every, out_dir):
         w = propagate(w, potential, EvolutionConfig(dt=dt, n_steps=chunk))
         done += chunk
         frame += 1
-        written += wio.save_wigner(w, out_dir / f"wdf_{frame:04d}.csv")
+        path = out_dir / f"wdf_{frame:04d}.csv"
+        oracle_save_matrix(path, w.values)
+        g = w.grid
+        sidecar = {"q_min": g.q_min, "delta_q": g.delta_q, "n_points": g.n_points, "hbar": g.hbar}
+        path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        written += [path, path.with_suffix(".json")]
     wio.write_manifest(out_dir, "evolve", w.grid, [Path(state_csv), Path(potential_json)], written)
     payload = {"steps": n_steps, "dt": dt, "mass": w.mass(), "min_value": float(w.values.min()), "frames": frame}
     return json.dumps(payload, sort_keys=True) + "\n"

@@ -17,7 +17,7 @@ from wignerlab.cli import main
 from wignerlab.errors import InvariantViolation
 from wignerlab.filtering import GENERAL_COORDINATE
 
-from helpers import desk_grid, evolve_in_process, traced_peak
+from helpers import desk_grid, evolve_in_process, oracle_load_matrix, oracle_save_matrix, traced_peak
 
 
 #: One run of each subcommand that builds an N x N matrix, on the files of ``budget_inputs``.
@@ -336,6 +336,29 @@ class TestCli:
         assert main([command, str(tmp_path / "s/state.csv"), *options, "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["overlap", "detect", "blob"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda meta: [1, 2], "wdf.json: a metadata sidecar must be a JSON object, got list",
+                         id="list"),
+            pytest.param(lambda meta: {k: v for k, v in meta.items() if k != "n_points"},
+                         "wdf.json: missing field n_points", id="missing-n-points"),
+            pytest.param(lambda meta: {**meta, "n_points": 64.7}, "wdf.json: n_points must be an integer, got 64.7",
+                         id="fractional-n-points"),
+        ],
+    )
+    def test_malformed_sidecar_is_a_usage_error(self, tmp_path, capsys, command, edit, message):
+        main(["state", "--gaussian", "q0=1", "--grid=-8:8:64", "--out", str(tmp_path / "s")])
+        main(["wdf", str(tmp_path / "s/state.csv"), "--out", str(tmp_path / "w")])
+        sidecar = tmp_path / "w/wdf.json"
+        sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+        capsys.readouterr()
+        out = [] if command == "overlap" else ["--out", str(tmp_path / "o")]
+        matrix = str(tmp_path / "w/wdf.csv")
+        assert main([command, matrix, *([matrix] if command != "blob" else []), *out]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'w'}/{message}\n"
+
     def test_invariant_violation_exit_code(self, tmp_path, capsys):
         # corrupt the stored amplitudes so the distribution gate trips
         main(["state", "--gaussian", "q0=1", "--out", str(tmp_path / "s")])
@@ -569,7 +592,7 @@ class TestEvolveWriters:
         monkeypatch.setattr(os, "waitpid", counting_waitpid)
         assert main(_evolve_argv(evolve_inputs, "n64", "0.012", "1e-3", "1", tmp_path / "e")) == 0
         assert json.loads(capsys.readouterr().out)["frames"] == 12
-        assert (len(forks), most[0], live) == (11, 1, set())
+        assert (len(forks), most[0], live) == (12, 1, set())
 
     def test_without_fork_every_frame_is_written_in_process(self, evolve_inputs, tmp_path, capsys, monkeypatch):
         monkeypatch.delattr(os, "fork")
@@ -595,7 +618,7 @@ class TestEvolveWriters:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(_evolve_argv(evolve_inputs, "n64", "0.012", "1e-3", "4", tmp_path / "e")) == 0
-        assert [str(w.message) for w in caught] == ["another deprecation"] * 2
+        assert [str(w.message) for w in caught] == ["another deprecation"] * 3
 
     def test_one_json_line_from_a_fresh_process(self, evolve_inputs, tmp_path):
         argv = _evolve_argv(evolve_inputs, "n64", "0.012", "1e-3", "1", tmp_path / "e")
@@ -604,6 +627,200 @@ class TestEvolveWriters:
         assert (result.returncode, result.stderr) == (0, "")
         (line,) = result.stdout.splitlines()
         assert json.loads(line)["frames"] == 12
+
+
+def _special_matrix(n, rng):
+    """Values of every magnitude, with -0.0, 5e-324, +-1e308 and each %.17g exponent form in both halves."""
+    values = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-30, 30, size=(n, n))
+    specials = [-0.0, 5e-324, 1e308, -1e308, 1e-5, 1.5e16, 123456789012345678.0, 0.1]
+    for half in (0, n // 2):
+        values[half, :len(specials)] = specials
+        values[n - 1 - half, -len(specials):] = specials
+    return values
+
+
+def _whole_file_parses(monkeypatch):
+    """Paths this process hands to ``np.loadtxt`` whole; the split parses iterators of lines."""
+    parses, loadtxt = [], np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        if isinstance(source, (str, os.PathLike)):
+            parses.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return parses
+
+
+@pytest.fixture(scope="module")
+def matrix_inputs(tmp_path_factory):
+    """A cat state on -12:12:256, its distribution matrix, a slit and a quartic well, as CLI input files."""
+    tmp = tmp_path_factory.mktemp("matrix")
+    main(["state", "--cat", "d=4", "qi=1", "--grid=-12:12:256", "--out", str(tmp)])
+    main(["wdf", str(tmp / "state.csv"), "--out", str(tmp)])
+    slit = {"kind": "coordinate", "device": {"gaussian": {"width": 0.8, "center": 0.5}}}
+    (tmp / "slit.json").write_text(json.dumps(slit))
+    (tmp / "well.json").write_text(json.dumps({"coefficients": [0, 0, 0.5, 0, 0.01]}))
+    return {"state": str(tmp / "state.csv"), "wdf": str(tmp / "wdf.csv"), "slit": str(tmp / "slit.json"),
+            "well": str(tmp / "well.json")}
+
+
+class TestSplitMatrixIO:
+    """Matrix CSVs are written and read in two row halves, the second by one forked helper."""
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_bytes_equal_the_one_process_writer(self, tmp_path, capfd, n):
+        values = _special_matrix(n, np.random.default_rng(n))
+        files = wio.save_matrix(values, desk_grid(n), tmp_path / "split.csv")
+        _assert_no_child_left()
+        oracle_save_matrix(tmp_path / "oracle.csv", values)
+        assert files == [tmp_path / "split.csv", tmp_path / "split.json"]
+        assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        loaded = wio._load_matrix(tmp_path / "split.csv", n)
+        _assert_no_child_left()
+        assert loaded.tobytes() == oracle_load_matrix(tmp_path / "oracle.csv").tobytes()
+        assert capfd.readouterr().err == ""
+
+    def test_round_trip_is_bit_exact(self, tmp_path, capfd, monkeypatch, grid):
+        psi = gaussian_wavefunction(GaussianSpec(width=1.0, center=0.5, momentum_offset=1.0), grid)
+        w = wdf_from_wavefunction(psi)
+        whole = _whole_file_parses(monkeypatch)
+        loaded = wio.load_wigner(wio.save_wigner(w, tmp_path / "w.csv")[0])
+        _assert_no_child_left()
+        assert whole == []
+        assert loaded.grid == w.grid
+        assert loaded.values.tobytes() == w.values.tobytes()
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_comment_and_blank_lines_in_each_half(self, tmp_path, capfd, monkeypatch, newline):
+        n = 64
+        oracle_save_matrix(tmp_path / "w.csv", _special_matrix(n, np.random.default_rng(7)))
+        lines = (tmp_path / "w.csv").read_text().splitlines()
+        for at in (3 * n // 4, n // 4):
+            lines[at:at] = ["# a comment", ""]
+        (tmp_path / "w.csv").write_bytes(newline.join(lines + [""]).encode())
+        whole = _whole_file_parses(monkeypatch)
+        loaded = wio._load_matrix(tmp_path / "w.csv", n)
+        _assert_no_child_left()
+        assert whole == []
+        monkeypatch.undo()
+        assert loaded.tobytes() == oracle_load_matrix(tmp_path / "w.csv").tobytes()
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "rows, edit",
+        [
+            (slice(50, 51), lambda line: line.replace(",", ",1.2.3,", 1)),
+            (slice(32, None), lambda line: line.split(",")[0]),
+        ],
+        ids=["malformed-field", "one-column-tail"],
+    )
+    def test_bad_rows_in_second_half_give_the_whole_file_error(self, tmp_path, capfd, monkeypatch, rows, edit):
+        main(["state", "--gaussian", "q0=1", "--grid=-8:8:64", "--out", str(tmp_path / "s")])
+        main(["wdf", str(tmp_path / "s/state.csv"), "--out", str(tmp_path / "w")])
+        csv_path = tmp_path / "w/wdf.csv"
+        lines = csv_path.read_text().splitlines()
+        lines[rows] = [edit(line) for line in lines[rows]]
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as oracle:
+            oracle_load_matrix(csv_path)
+        assert f"row {rows.start + 1}" in str(oracle.value)
+        capfd.readouterr()
+        assert main(["blob", str(csv_path), "--out", str(tmp_path / "b")]) == 2
+        _assert_no_child_left()
+        split = capfd.readouterr()
+        assert split.err == f"error: {oracle.value}\n"
+        monkeypatch.delattr(os, "fork")
+        assert main(["blob", str(csv_path), "--out", str(tmp_path / "b")]) == 2
+        assert capfd.readouterr() == split
+
+    @pytest.mark.parametrize("rows", [0, 3, 59, 74], ids=["empty", "short", "missing-rows", "extra-rows"])
+    def test_wrong_row_count_warns_and_fails_as_the_whole_file_parse(self, tmp_path, capfd, monkeypatch, rows):
+        oracle_save_matrix(tmp_path / "w.csv", np.ones((rows, 64)))
+        wio.save_matrix(np.ones((64, 64)), desk_grid(64), tmp_path / "full.csv")
+        (tmp_path / "full.json").replace(tmp_path / "w.json")
+        outcomes = []
+        for serial in (False, True):
+            if serial:
+                monkeypatch.delattr(os, "fork")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError) as error:
+                    wio.load_wigner(tmp_path / "w.csv")
+            _assert_no_child_left()
+            outcomes.append(([(w.category, str(w.message)) for w in caught], str(error.value), capfd.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        caught, message, _ = outcomes[0]
+        assert [category for category, _ in caught] == [UserWarning] * (rows == 0)
+        shape = (rows, 64) if rows else (0, 1)
+        assert message == f"expected values in Wigner matrix of shape (64, 64), got shape {shape}"
+
+    def test_failed_helper_gives_the_oracle_bytes_and_values(self, tmp_path, capfd, monkeypatch):
+        parent, savetxt, loadtxt = os.getpid(), np.savetxt, np.loadtxt
+
+        def only_in_parent(real):
+            def call(*args, **kwargs):
+                if os.getpid() != parent:
+                    raise OSError("lost helper")
+                return real(*args, **kwargs)
+            return call
+
+        values = _special_matrix(64, np.random.default_rng(3))
+        oracle_save_matrix(tmp_path / "oracle.csv", values)
+        monkeypatch.setattr(np, "savetxt", only_in_parent(savetxt))
+        monkeypatch.setattr(np, "loadtxt", only_in_parent(loadtxt))
+        wio.save_matrix(values, desk_grid(64), tmp_path / "w.csv")
+        _assert_no_child_left()
+        loaded = wio._load_matrix(tmp_path / "oracle.csv", 64)
+        _assert_no_child_left()
+        monkeypatch.undo()
+        assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert loaded.tobytes() == oracle_load_matrix(tmp_path / "oracle.csv").tobytes()
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["wdf", "{state}", "--out", "{out}"], id="wdf"),
+            pytest.param(["filter", "{state}", "--filter", "{slit}", "--wdf", "--out", "{out}"], id="filter-wdf"),
+            pytest.param(["detect", "{wdf}", "{wdf}", "--out", "{out}"], id="detect"),
+            pytest.param(["evolve", "{wdf}", "--potential", "{well}", "--t", "0.002", "--dt", "0.001",
+                          "--dump-every", "1", "--out", "{out}"], id="evolve"),
+            pytest.param(["overlap", "{wdf}", "{wdf}"], id="overlap"),
+            pytest.param(["blob", "{wdf}", "--out", "{out}"], id="blob"),
+            pytest.param(["figure", "fig2", "--out", "{out}"], id="fig2"),
+            pytest.param(["figure", "fig4", "--out", "{out}"], id="fig4"),
+        ],
+    )
+    def test_commands_without_fork_are_serial_and_equal(self, matrix_inputs, tmp_path, capfd, monkeypatch, argv):
+        runs = []
+        for name in ("split", "serial"):
+            if name == "serial":
+                monkeypatch.delattr(os, "fork")
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)  # printed paths are relative to the run's directory
+            assert main([token.format(out="o", **matrix_inputs) for token in argv]) == 0
+            _assert_no_child_left()
+            files = _snapshot(tmp_path / name / "o") if (tmp_path / name / "o").exists() else {}
+            runs.append((files, capfd.readouterr()))
+        assert runs[0] == runs[1]
+
+    def test_only_the_main_process_forks(self, matrix_inputs, evolve_inputs, tmp_path, capfd, monkeypatch):
+        log, fork = tmp_path / "forks.log", os.fork
+
+        def logging_fork():
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", logging_fork)
+        assert main(_evolve_argv(evolve_inputs, "n64", "0.012", "1e-3", "1", tmp_path / "e")) == 0
+        assert main(["detect", matrix_inputs["wdf"], matrix_inputs["wdf"], "--out", str(tmp_path / "d")]) == 0
+        _assert_no_child_left()
+        # 11 frame writers and the last frame's split, then two split reads and one split write
+        assert log.read_text().split() == [str(os.getpid())] * 15
+        assert capfd.readouterr().err == ""
 
 
 def test_every_exported_name_resolves():
