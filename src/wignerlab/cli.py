@@ -34,7 +34,7 @@ from .states import (
     gaussian_wdf_closed_form,
 )
 from .filtering import detect, filter_wavefunction, filter_wdf
-from .evolution import EvolutionConfig, propagate
+from .evolution import _frames
 from .blobs import blob_report
 from . import io as wio
 
@@ -168,19 +168,13 @@ def _cmd_evolve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     dump_every = args.dump_every if args.dump_every else n_steps
-    done = 0
-    frame = 0
     writers = []  # (pid, frame, path) of the one forked frame writer not yet joined, if any
     try:
-        while done < n_steps:
-            chunk = min(dump_every, n_steps - done)
-            w = propagate(w, potential, EvolutionConfig(dt=dt, n_steps=chunk))
-            done += chunk
-            frame += 1
+        for frame, w in enumerate(_frames(w, potential, dt, n_steps, dump_every), 1):
             path = out_dir / f"wdf_{frame:04d}.csv"
             _join_writers(writers)
-            # the next chunk overlaps this frame's write in a helper; the last frame splits its own write
-            pid = wio._fork(lambda: wio.save_wigner(w, path)) if done < n_steps else None
+            # the next frame's steps overlap this frame's write in a helper; the last frame splits its own write
+            pid = wio._fork(lambda: wio.save_wigner(w, path)) if frame * dump_every < n_steps else None
             if pid is None:
                 written += wio.save_wigner(w, path)
             else:

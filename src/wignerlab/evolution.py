@@ -134,26 +134,35 @@ def propagate(w: WignerFunction, v: PotentialSpec, cfg: EvolutionConfig) -> Wign
     above 1e-12 of its peak: drift and kick are periodic, so a state that
     leaves the lattice would re-enter it from the other side.
     """
-    transport, force = _moyal_symbols(w.grid, v)
-    dt = cfg.dt
+    return next(_frames(w, v, cfg.dt, cfg.n_steps, cfg.n_steps), w)  # no frame without a step
+
+
+def _frames(w: WignerFunction, v: PotentialSpec, dt: float, n_steps: int, every: int):
+    """:func:`propagate`'s state after every ``every`` steps and the last; phases and abort baselines set once.
+
+    Step numbers count over the run; the 25-step checks restart at each frame, as in chunked ``propagate``.
+    """
+    grid, current = w.grid, w.values
+    del w  # the caller's state is not kept for the whole run
+    transport, force = _moyal_symbols(grid, v)
     potential = v.polynomial
     gradient = potential - dt**2 / (48.0 * v.mass) * potential.deriv() ** 2
-    middle_force = _force_symbol(w.grid, gradient)  # degree <= 2 exactly when V's is
+    middle_force = _force_symbol(grid, gradient)  # degree <= 2 exactly when V's is
     half_drift = np.exp(dt / 2.0 * transport)
     kick_middle = np.exp(2.0 * dt / 3.0 * middle_force)
     kick_edge, kick_joined = (np.exp(c * dt * force) for c in (1.0 / 6.0, 1.0 / 3.0))
-    del transport, force, middle_force  # only the five phases are needed from here on
-    current = w.values
-    initial_mass = float(current.sum()) * w.grid.delta_q * w.grid.delta_p
-    amplitude_cap = 10.0 * max(2.0 / w.grid.h, float(np.max(np.abs(current))))
-    cell = w.grid.delta_q * w.grid.delta_p
+    del transport, force, middle_force  # only the four phases are needed from here on
+    initial_mass = float(current.sum()) * grid.delta_q * grid.delta_p
+    amplitude_cap = 10.0 * max(2.0 / grid.h, float(np.max(np.abs(current))))
+    cell = grid.delta_q * grid.delta_p
     deferred = False
-    for step in range(cfg.n_steps):
+    for step in range(n_steps):
         current = _apply(current, kick_joined if deferred else kick_edge, 1)
         current = _apply(current, half_drift, 0)
         current = _apply(current, kick_middle, 1)
         current = _apply(current, half_drift, 0)
-        deferred = not (step % 25 == 24 or step == cfg.n_steps - 1)
+        frame_end = step % every == every - 1 or step == n_steps - 1
+        deferred = not (step % every % 25 == 24 or frame_end)
         if deferred:
             continue
         current = _apply(current, kick_edge, 1)
@@ -175,7 +184,8 @@ def propagate(w: WignerFunction, v: PotentialSpec, cfg: EvolutionConfig) -> Wign
                     f"edge value {edge / top:.2e} of the {name}-marginal at step {step + 1}: the state "
                     "reached the lattice boundary and would wrap around; enlarge the grid or shorten the run"
                 )
-    return WignerFunction(w.grid, current)
+        if frame_end:
+            yield WignerFunction(grid, current)
 
 
 def split_step_schrodinger(psi: WaveFunction, v: PotentialSpec, cfg: EvolutionConfig) -> WaveFunction:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wignerlab import GaussianSpec, WignerFunction, gaussian_wavefunction, wdf_from_wavefunction
-from wignerlab import cli
+from wignerlab import cli, evolution
 from wignerlab import io as wio
 from wignerlab.cli import main
 from wignerlab.errors import InvariantViolation
@@ -511,12 +511,12 @@ def _assert_no_child_left():
 
 
 class TestEvolveWriters:
-    """Frames 1..n-1 of ``evolve`` are written by a forked child while the next chunk runs."""
+    """Frames 1..n-1 of ``evolve`` are written by a forked child while the next frame's steps run."""
 
     @pytest.mark.parametrize(
         "state, t, dump_every",
-        [("n256", "0.15", "50"), ("n256", "0.15", "0"), ("n64", "0.012", "1")],
-        ids=["n256-every50", "n256-once", "n64-every1"],
+        [("n256", "0.15", "50"), ("n256", "0.15", "0"), ("n64", "0.012", "1"), ("n256", "0.15", "30")],
+        ids=["n256-every50", "n256-once", "n64-every1", "n256-every30"],
     )
     def test_outputs_equal_in_process_writes(self, evolve_inputs, tmp_path, capsys, state, t, dump_every):
         out = tmp_path / "e"
@@ -533,7 +533,7 @@ class TestEvolveWriters:
     def test_edge_abort_leaves_complete_frames_and_no_child(self, evolve_inputs, tmp_path, capsys):
         out = tmp_path / "e"
         assert main(_evolve_argv(evolve_inputs, "runaway", "4", "0.05", "8", out, potential="free.json")) == 1
-        assert "reached the lattice boundary" in capsys.readouterr().err
+        assert "at step 32: the state reached the lattice boundary" in capsys.readouterr().err
         _assert_no_child_left()
         forked = _snapshot(out)
         shutil.rmtree(out)
@@ -627,6 +627,37 @@ class TestEvolveWriters:
         assert (result.returncode, result.stderr) == (0, "")
         (line,) = result.stdout.splitlines()
         assert json.loads(line)["frames"] == 12
+
+
+class TestEvolveStream:
+    """One stepper serves the whole ``evolve`` run: its phases, baselines and step count span every frame."""
+
+    def test_phases_are_built_once_per_run(self, evolve_inputs, tmp_path, capsys, monkeypatch):
+        force_symbol, calls = evolution._force_symbol, []
+
+        def counting_force_symbol(grid, u):
+            calls.append(u)
+            return force_symbol(grid, u)
+
+        monkeypatch.setattr(evolution, "_force_symbol", counting_force_symbol)
+        assert main(_evolve_argv(evolve_inputs, "n64", "0.012", "1e-3", "1", tmp_path / "e")) == 0
+        assert json.loads(capsys.readouterr().out)["frames"] == 12
+        assert len(calls) == 2  # the potential's kick and the force-gradient kick
+
+    def test_mass_drift_is_measured_over_the_run(self, evolve_inputs, tmp_path, capsys, monkeypatch):
+        # each drift loses 1e-6 of the mass, 2e-6 a step: 5e-5 a frame, 1e-4 only over three frames
+        apply = evolution._apply
+
+        def leaking_apply(values, symbol, axis):
+            result = apply(values, symbol, axis)
+            return result * (1.0 - 1e-6) if axis == 0 else result
+
+        monkeypatch.setattr(evolution, "_apply", leaking_apply)
+        out = tmp_path / "e"
+        assert main(_evolve_argv(evolve_inputs, "n64", "0.1", "1e-3", "25", out)) == 1
+        assert "invariant violation: mass drift 1.50e-04 at step 75 exceeds 1e-4" in capsys.readouterr().err
+        _assert_no_child_left()
+        assert sorted(_snapshot(out)) == [f"wdf_{k:04d}.{ext}" for k in (1, 2) for ext in ("csv", "json")]
 
 
 def _special_matrix(n, rng):
