@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -168,20 +169,17 @@ def _cmd_evolve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     dump_every = args.dump_every if args.dump_every else n_steps
-    writers = []  # (pid, frame, path) of the one forked frame writer not yet joined, if any
+    finish = list  # the latest frame's write, still to finish; ``list`` finishes nothing
     try:
         for frame, w in enumerate(_frames(w, potential, dt, n_steps, dump_every), 1):
             path = out_dir / f"wdf_{frame:04d}.csv"
-            _join_writers(writers)
-            # the next frame's steps overlap this frame's write in a helper; the last frame splits its own write
-            pid = wio._fork(lambda: wio.save_wigner(w, path)) if frame * dump_every < n_steps else None
-            if pid is None:
-                written += wio.save_wigner(w, path)
-            else:
-                writers.append((pid, w, path))
-                written += [path, wio._sidecar_path(path)]
+            previous, finish = finish, list  # each finish runs once, even when it raises
+            written += previous()
+            # the next frame's steps overlap this frame's write in a helper; the last frame has no next steps
+            last = frame * dump_every >= n_steps
+            finish = partial(wio.save_wigner, w, path) if last else wio.start_save_wigner(w, path)
     finally:
-        _join_writers(writers)
+        written += finish()  # the last frame, or the frame pending when stepping aborted
     wio.write_manifest(out_dir, "evolve", w.grid, [Path(args.input), Path(args.potential)], written)
     _emit(
         {
@@ -193,14 +191,6 @@ def _cmd_evolve(args) -> int:
         }
     )
     return 0
-
-
-def _join_writers(writers: list[tuple[int, WignerFunction, Path]]) -> None:
-    """Wait for each forked writer; a failed one is repeated here, so its real error is raised."""
-    while writers:
-        pid, w, path = writers.pop()
-        if not wio._joined(pid):
-            wio.save_wigner(w, path)
 
 
 def _cmd_overlap(args) -> int:

@@ -18,6 +18,7 @@ import os
 import shutil
 import tempfile
 import warnings
+from collections.abc import Callable
 from itertools import islice
 from pathlib import Path
 
@@ -71,10 +72,8 @@ def _read_sidecar(csv_path: Path) -> dict:
     sidecar = _sidecar_path(csv_path)
     if not sidecar.exists():
         raise FileNotFoundError(f"{csv_path} has no metadata sidecar {sidecar.name}")
-    meta = _read_spec(sidecar, "metadata sidecar")
+    meta = _read_spec(sidecar, "metadata sidecar", _GRID_FIELDS)
     for field in _GRID_FIELDS:
-        if field not in meta:
-            raise ValueError(f"{sidecar}: missing field {field}")
         _number(sidecar, field, meta[field])
     if meta["n_points"] != int(meta["n_points"]):
         raise ValueError(f"{sidecar}: n_points must be an integer, got {meta['n_points']!r}")
@@ -98,15 +97,18 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _read_spec(json_path: Path, what: str) -> dict:
+def _read_spec(json_path: Path, what: str, required: tuple[str, ...]) -> dict:
     spec = json.loads(json_path.read_text())
     if not isinstance(spec, dict):
         raise ValueError(f"{json_path}: a {what} must be a JSON object, got {type(spec).__name__}")
+    for field in required:
+        if field not in spec:
+            raise ValueError(f"{json_path}: missing field {field}")
     return spec
 
 
 def _number(json_path: Path, field: str, value) -> float:
-    if not isinstance(value, (int, float)) or not np.isfinite(value):
+    if type(value) not in (int, float) or not np.isfinite(value):  # a JSON true or false is no number
         raise ValueError(f"{json_path}: {field} must be a finite number, got {value!r}")
     return float(value)
 
@@ -136,8 +138,8 @@ def load_wavefunction(csv_path: str | Path) -> WaveFunction:
 def save_matrix(values: np.ndarray, grid: Grid, csv_path: str | Path) -> list[Path]:
     """Shared matrix writer for distributions and detection maps.
 
-    A helper formats rows ``[n/2:]`` into an unlinked file, appended once this process has
-    formatted the rest; if the helper failed, this process formats them too.
+    This process formats rows ``[:n/2]``, then appends rows ``[n/2:]``: the unlinked file a
+    helper formatted them into, or, where no helper finished, its own formatting of them.
     """
     csv_path = Path(csv_path)
     half = len(values) // 2
@@ -149,16 +151,15 @@ def save_matrix(values: np.ndarray, grid: Grid, csv_path: str | Path) -> list[Pa
 
         pid = _fork(format_tail)
         try:
-            np.savetxt(csv_path, values if pid is None else values[:half], fmt=_FMT, delimiter=",")
+            np.savetxt(csv_path, values[:half], fmt=_FMT, delimiter=",")
         finally:
             tail_done = _joined(pid)
-        if pid is not None:
-            with open(csv_path, "ab") as out:
-                if tail_done:
-                    tail.seek(0)
-                    shutil.copyfileobj(tail, out)
-                else:
-                    np.savetxt(out, values[half:], fmt=_FMT, delimiter=",")
+        with open(csv_path, "ab") as out:
+            if tail_done:
+                tail.seek(0)
+                shutil.copyfileobj(tail, out)
+            else:
+                np.savetxt(out, values[half:], fmt=_FMT, delimiter=",")
     sidecar = _sidecar_path(csv_path)
     _write_json(sidecar, _grid_dict(grid))
     return [csv_path, sidecar]
@@ -166,6 +167,13 @@ def save_matrix(values: np.ndarray, grid: Grid, csv_path: str | Path) -> list[Pa
 
 def save_wigner(w: WignerFunction, csv_path: str | Path) -> list[Path]:
     return save_matrix(w.values, w.grid, csv_path)
+
+
+def start_save_wigner(w: WignerFunction, csv_path: str | Path) -> Callable[[], list[Path]]:
+    """Start :func:`save_wigner` in a forked helper; its finish, called once, joins it and writes what it did not."""
+    csv_path = Path(csv_path)
+    pid = _fork(lambda: save_wigner(w, csv_path))
+    return lambda: [csv_path, _sidecar_path(csv_path)] if _joined(pid) else save_wigner(w, csv_path)
 
 
 def load_wigner(csv_path: str | Path) -> WignerFunction:
@@ -226,7 +234,7 @@ def load_filter_spec(json_path: str | Path, grid: Grid) -> FilterSpec:
     evaluated on the target grid.
     """
     json_path = Path(json_path)
-    spec = _read_spec(json_path, "filter spec")
+    spec = _read_spec(json_path, "filter spec", ("kind", "device"))
     device_entry = spec["device"]
     if isinstance(device_entry, str):
         device_path = Path(device_entry)
@@ -253,9 +261,9 @@ def load_filter_spec(json_path: str | Path, grid: Grid) -> FilterSpec:
 def load_potential_spec(json_path: str | Path) -> PotentialSpec:
     """Potential description: ``{"coefficients": [...], "mass": 1.0}``."""
     json_path = Path(json_path)
-    spec = _read_spec(json_path, "potential spec")
+    spec = _read_spec(json_path, "potential spec", ("coefficients",))
     coefficients = spec["coefficients"]
-    if not isinstance(coefficients, list) or not all(isinstance(c, (int, float)) for c in coefficients):
+    if not isinstance(coefficients, list) or not all(type(c) in (int, float) for c in coefficients):
         raise ValueError(f"{json_path}: coefficients must be a list of numbers, got {coefficients!r}")
     mass = _number(json_path, "mass", spec.get("mass", 1.0))
     return PotentialSpec(coefficients=tuple(coefficients), mass=mass)

@@ -241,6 +241,14 @@ class TestDetect:
         with pytest.raises(InvariantViolation, match="non-finite"):
             DetectionMap(grid, values)
 
+    def test_map_rejects_values_below_rounding(self, grid):
+        values = np.zeros((grid.n_points, grid.n_points))
+        values[3, 4] = -1e-13  # rounding below zero is kept
+        DetectionMap(grid, values)
+        values[3, 4] = -1e-9
+        with pytest.raises(InvariantViolation, match=r"^detection map has negative values down to -1\.00e-09$"):
+            DetectionMap(grid, values)
+
     def test_equal_width_gaussians_double_variances(self, grid):
         state = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), grid))
         device = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), grid))

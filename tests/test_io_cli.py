@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +188,28 @@ class TestCli:
         assert main(["wdf", str(tmp_path / "f/filtered_wdf.csv"), "--out", str(tmp_path / "w")]) == 0
         assert json.loads(capsys.readouterr().out)["mass"] < 0.5
 
+    def test_overlap_rejects_filter_output_below_unit_mass(self, tmp_path, capsys):
+        main(["state", "--gaussian", "q0=1.5", "--out", str(tmp_path / "s")])
+        (tmp_path / "filter.json").write_text(
+            json.dumps({"kind": "coordinate", "device": {"gaussian": {"width": 1.0}}})
+        )
+        main(["filter", str(tmp_path / "s/state.csv"), "--filter", str(tmp_path / "filter.json"),
+              "--wdf", "--out", str(tmp_path / "f")])
+        capsys.readouterr()
+        filtered = tmp_path / "f/filtered_wdf.csv"
+        assert main(["overlap", str(tmp_path / "s/state.csv"), str(filtered)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation: total mass 0.")
+        assert err.endswith(f" of {filtered} deviates from 1 by more than 1e-6\n")
+
+    def test_matrix_without_sidecar_exits_2_naming_it(self, tmp_path, capsys):
+        main(["state", "--gaussian", "q0=1", "--grid=-8:8:64", "--out", str(tmp_path / "s")])
+        main(["wdf", str(tmp_path / "s/state.csv"), "--out", str(tmp_path / "w")])
+        (tmp_path / "w/wdf.json").unlink()
+        capsys.readouterr()
+        assert main(["blob", str(tmp_path / "w/wdf.csv"), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'w/wdf.csv'} has no metadata sidecar wdf.json\n"
+
     def test_filter_and_detect(self, tmp_path, capsys):
         main(["state", "--gaussian", "q0=1.5", "--out", str(tmp_path / "s")])
         (tmp_path / "filter.json").write_text(
@@ -308,11 +332,17 @@ class TestCli:
                          id="coefficients-number"),
             pytest.param("evolve", {"coefficients": []}, "potential needs 1 to 9 coefficients (degree at most 8), got 0",
                          id="coefficients-empty"),
+            pytest.param("evolve", {"mass": 1}, "spec.json: missing field coefficients", id="coefficients-missing"),
+            pytest.param("evolve", {"coefficients": [0, 0, True]},
+                         "spec.json: coefficients must be a list of numbers, got [0, 0, True]", id="coefficient-boolean"),
             pytest.param("evolve", {"coefficients": [0, 0, 0.5], "mass": [1]},
                          "spec.json: mass must be a finite number, got [1]", id="mass-list"),
             pytest.param("evolve", {"coefficients": [0, 0, 0.5], "mass": float("inf")},
                          "spec.json: mass must be a finite number, got inf", id="mass-infinite"),
             pytest.param("filter", [1], "spec.json: a filter spec must be a JSON object, got list", id="filter-list"),
+            pytest.param("filter", {"device": {"gaussian": {"width": 1}}}, "spec.json: missing field kind",
+                         id="kind-missing"),
+            pytest.param("filter", {"kind": "coordinate"}, "spec.json: missing field device", id="device-missing"),
             pytest.param("filter", {"kind": "coordinate", "device": {"gaussian": 5}},
                          "spec.json: filter device must be a CSV path or an inline gaussian object, got {'gaussian': 5}",
                          id="device-gaussian-number"),
@@ -323,6 +353,8 @@ class TestCli:
             pytest.param("filter", {"kind": "general_momentum", "device": {"gaussian": {"width": 1}},
                                     "q_offset": float("nan")},
                          "spec.json: q_offset must be a finite number, got nan", id="q-offset-nan"),
+            pytest.param("filter", {"kind": "general_momentum", "device": {"gaussian": {"width": 1}}, "q_offset": True},
+                         "spec.json: q_offset must be a finite number, got True", id="q-offset-boolean"),
         ],
     )
     def test_malformed_spec_is_a_usage_error(self, tmp_path, capsys, command, spec, message):
@@ -346,6 +378,8 @@ class TestCli:
                          "wdf.json: missing field n_points", id="missing-n-points"),
             pytest.param(lambda meta: {**meta, "n_points": 64.7}, "wdf.json: n_points must be an integer, got 64.7",
                          id="fractional-n-points"),
+            pytest.param(lambda meta: {**meta, "hbar": True}, "wdf.json: hbar must be a finite number, got True",
+                         id="boolean-hbar"),
         ],
     )
     def test_malformed_sidecar_is_a_usage_error(self, tmp_path, capsys, command, edit, message):
@@ -659,6 +693,21 @@ class TestEvolveStream:
         _assert_no_child_left()
         assert sorted(_snapshot(out)) == [f"wdf_{k:04d}.{ext}" for k in (1, 2) for ext in ("csv", "json")]
 
+    def test_amplitude_blow_up_aborts(self, evolve_inputs, tmp_path, capsys, monkeypatch):
+        # each drift grows the values by 10%: about 117-fold by the first check, past the cap of ten times the start
+        apply = evolution._apply
+
+        def growing_apply(values, symbol, axis):
+            result = apply(values, symbol, axis)
+            return result * 1.1 if axis == 0 else result
+
+        monkeypatch.setattr(evolution, "_apply", growing_apply)
+        out = tmp_path / "e"
+        assert main(_evolve_argv(evolve_inputs, "n64", "0.1", "1e-3", "25", out)) == 1
+        assert capsys.readouterr().err.startswith("invariant violation: evolution went unstable at step 25 (peak ")
+        _assert_no_child_left()
+        assert _snapshot(out) == {}
+
 
 def _special_matrix(n, rng):
     """Values of every magnitude, with -0.0, 5e-324, +-1e308 and each %.17g exponent form in both halves."""
@@ -852,6 +901,19 @@ class TestSplitMatrixIO:
         # 11 frame writers and the last frame's split, then two split reads and one split write
         assert log.read_text().split() == [str(os.getpid())] * 15
         assert capfd.readouterr().err == ""
+
+
+def test_only_io_forks_and_joins():
+    # the CLI forks nothing: it names no fork, join or sidecar helper of io, and no other module forks or waits
+    watched = {"fork", "waitpid"}
+    found = set()
+    for source in sorted(Path(wio.__file__).parent.glob("*.py")):
+        names = watched | {"_fork", "_joined", "_sidecar_path"} if source.name == "cli.py" else watched
+        for node in ast.walk(ast.parse(source.read_text())):
+            name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+            if isinstance(node, (ast.Attribute, ast.Name, ast.alias)) and name in names:
+                found.add((source.name, name))
+    assert sorted(found) == [("io.py", "fork"), ("io.py", "waitpid")]
 
 
 def test_every_exported_name_resolves():
