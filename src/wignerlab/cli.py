@@ -2,9 +2,10 @@
 
 Subcommands generate states, compute distributions, run filtering and
 detection pipelines, evolve states in time, and write the data behind the
-standard density-plot figures.  Every run writes a ``run_manifest.json``
-next to its outputs.  Exit codes: 0 success, 1 numerical-invariant
-violation, 2 usage or I/O error or out of memory.
+standard density-plot figures.  A run that writes files leaves a
+``run_manifest.json`` next to them only when it exits 0.  Exit codes:
+0 success, 1 numerical-invariant violation, 2 usage or I/O error or out
+of memory.
 """
 
 from __future__ import annotations
@@ -83,11 +84,16 @@ def _load_state_as_wdf(path: str) -> WignerFunction:
     return w
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+def _out_dir(args) -> Path:
+    """The ``--out`` directory, made at a command's first write, so a run refused before it leaves none."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
-def _cmd_state(args) -> int:
+# Each _cmd_* writes its files and returns its record (grid, inputs, outputs, payload): ``main``
+# writes the manifest of the first three and prints the payload, a dict as one line of JSON.
+def _cmd_state(args) -> tuple:
     grid = _parse_grid(args.grid, args.hbar)
     params = _parse_params(args.params)
     if args.gaussian == args.cat:
@@ -103,59 +109,43 @@ def _cmd_state(args) -> int:
         psi = cat_wavefunction(CatSpec(width=_pop(params, "qi"), separation=_pop(params, "d")), grid)
     if params:
         raise ValueError(f"unknown parameters: {sorted(params)}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = wio.save_wavefunction(psi, out_dir / "state.csv")
-    wio.write_manifest(out_dir, "state", grid, [], written)
-    _emit({"norm": squared_norm(psi), "files": [str(p) for p in written]})
-    return 0
+    written = wio.save_wavefunction(psi, _out_dir(args) / "state.csv")
+    return grid, (), written, {"norm": squared_norm(psi), "files": [str(p) for p in written]}
 
 
-def _cmd_wdf(args) -> int:
+def _cmd_wdf(args) -> tuple:
     w = _load_state_as_wdf(args.input)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = wio.save_wigner(w, out_dir / "wdf.csv")
-    wio.write_manifest(out_dir, "wdf", w.grid, [Path(args.input)], written)
-    _emit(
-        {
-            "mass": w.mass(),
-            "purity": purity(w),
-            "uncertainty_product": uncertainty_product(w),
-            "min_value": float(w.values.min()),
-        }
-    )
-    return 0
+    written = wio.save_wigner(w, _out_dir(args) / "wdf.csv")
+    payload = {
+        "mass": w.mass(),
+        "purity": purity(w),
+        "uncertainty_product": uncertainty_product(w),
+        "min_value": float(w.values.min()),
+    }
+    return w.grid, (args.input,), written, payload
 
 
-def _cmd_filter(args) -> int:
+def _cmd_filter(args) -> tuple:
     psi = to_position(wio.load_wavefunction(args.input))
     spec = wio.load_filter_spec(args.filter, psi.grid)
     filtered, transmitted = filter_wavefunction(psi, spec)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = wio.save_wavefunction(filtered, out_dir / "filtered.csv")
+    written = wio.save_wavefunction(filtered, _out_dir(args) / "filtered.csv")
     if args.wdf:
         w_out = filter_wdf(wdf_from_wavefunction(psi), spec)
-        written += wio.save_wigner(w_out, out_dir / "filtered_wdf.csv")
-    wio.write_manifest(out_dir, "filter", psi.grid, [Path(args.input), Path(args.filter)], written)
-    _emit({"transmission": transmitted})
-    return 0
+        written += wio.save_wigner(w_out, _out_dir(args) / "filtered_wdf.csv")
+    return psi.grid, (args.input, args.filter), written, {"transmission": transmitted}
 
 
-def _cmd_detect(args) -> int:
+def _cmd_detect(args) -> tuple:
     w_in = _load_state_as_wdf(args.state)
     w_m = _load_state_as_wdf(args.device)
     result = detect(w_in, w_m)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = wio.save_matrix(result.values, result.grid, out_dir / "detection.csv")
-    wio.write_manifest(out_dir, "detect", result.grid, [Path(args.state), Path(args.device)], written)
-    _emit({"min": float(result.values.min()), "mass": result.mass()})
-    return 0
+    written = wio.save_matrix(result.values, result.grid, _out_dir(args) / "detection.csv")
+    payload = {"min": float(result.values.min()), "mass": result.mass()}
+    return result.grid, (args.state, args.device), written, payload
 
 
-def _cmd_evolve(args) -> int:
+def _cmd_evolve(args) -> tuple:
     for flag, value in (("--t", args.t), ("--dt", args.dt)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{flag} must be finite and positive, got {value}")
@@ -165,8 +155,7 @@ def _cmd_evolve(args) -> int:
     potential = wio.load_potential_spec(args.potential)
     n_steps = max(int(np.ceil(args.t / args.dt - 1e-12)), 1)
     dt = args.t / n_steps
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)  # frames are written while stepping, so the directory is made before it
     written = []
     dump_every = args.dump_every if args.dump_every else n_steps
     finish = list  # the latest frame's write, still to finish; ``list`` finishes nothing
@@ -180,61 +169,48 @@ def _cmd_evolve(args) -> int:
             finish = partial(wio.save_wigner, w, path) if last else wio.start_save_wigner(w, path)
     finally:
         written += finish()  # the last frame, or the frame pending when stepping aborted
-    wio.write_manifest(out_dir, "evolve", w.grid, [Path(args.input), Path(args.potential)], written)
-    _emit(
-        {
-            "steps": n_steps,
-            "dt": dt,
-            "mass": w.mass(),
-            "min_value": float(w.values.min()),
-            "frames": frame,
-        }
-    )
-    return 0
+    payload = {
+        "steps": n_steps,
+        "dt": dt,
+        "mass": w.mass(),
+        "min_value": float(w.values.min()),
+        "frames": frame,
+    }
+    return w.grid, (args.input, args.potential), written, payload
 
 
-def _cmd_overlap(args) -> int:
+def _cmd_overlap(args) -> tuple:
     w1 = _load_state_as_wdf(args.a)
     w2 = _load_state_as_wdf(args.b)
     for path, w in ((args.a, w1), (args.b, w2)):
         if abs(w.mass() - 1.0) > 1e-6:  # filter outputs may carry less; overlap may not
             raise InvariantViolation(f"total mass {w.mass():.6g} of {path} deviates from 1 by more than 1e-6")
-    print("%.17g" % overlap_probability(w1, w2))
-    return 0
+    return None, (), (), "%.17g" % overlap_probability(w1, w2)
 
 
-def _cmd_blob(args) -> int:
+def _cmd_blob(args) -> tuple:
     w = _load_state_as_wdf(args.input)
-    report = blob_report(w)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "blob_report.json"
-    report_path.write_text(report.to_json() + "\n")
-    wio.write_manifest(out_dir, "blob", w.grid, [Path(args.input)], [report_path])
-    print(report.to_json())
-    return 0
+    report = blob_report(w).to_json()
+    report_path = _out_dir(args) / "blob_report.json"
+    report_path.write_text(report + "\n")
+    return w.grid, (args.input,), (report_path,), report
 
 
-def _cmd_figure(args) -> int:
+def _cmd_figure(args) -> tuple:
     grid = _parse_grid(args.grid, args.hbar)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    inputs: list[Path] = []
     if args.which == "fig2":
-        q_i, q_m = args.qi, args.qm
-        if q_i <= q_m:
+        if args.qi <= args.qm:
             print("warning: the aligned-slit figure expects q_i > q_m", file=sys.stderr)
-        state_wdf = gaussian_wdf_closed_form(GaussianSpec(width=q_i), grid)
-        slit_wdf = gaussian_wdf_closed_form(GaussianSpec(width=q_m), grid)
-        written += wio.save_wigner(state_wdf, out_dir / "fig2_input_wdf.csv")
-        written += wio.save_wigner(slit_wdf, out_dir / "fig2_filter_wdf.csv")
+        state_wdf = gaussian_wdf_closed_form(GaussianSpec(width=args.qi), grid)
+        slit_wdf = gaussian_wdf_closed_form(GaussianSpec(width=args.qm), grid)
+        written = wio.save_wigner(state_wdf, _out_dir(args) / "fig2_input_wdf.csv")
+        written += wio.save_wigner(slit_wdf, _out_dir(args) / "fig2_filter_wdf.csv")
     elif args.which == "fig3":
         cat = cat_wavefunction(CatSpec(width=args.qi, separation=args.d), grid)
-        written += wio.save_wigner(wdf_from_wavefunction(cat), out_dir / "fig3_cat_wdf.csv")
+        written = wio.save_wigner(wdf_from_wavefunction(cat), _out_dir(args) / "fig3_cat_wdf.csv")
     else:  # fig4
         scan, centers = figure4_scan(args.d, args.qi, args.qm, grid)
-        path = out_dir / "fig4_scan.csv"
+        path = _out_dir(args) / "fig4_scan.csv"
         np.savetxt(path, scan, fmt=wio._FMT, delimiter=",")
         meta = {
             "rows": "slit center D",
@@ -242,11 +218,10 @@ def _cmd_figure(args) -> int:
             "D_values": centers.tolist(),
             "grid": wio._grid_dict(grid),
         }
-        (out_dir / "fig4_scan.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-        written += [path, out_dir / "fig4_scan.json"]
-    wio.write_manifest(out_dir, f"figure:{args.which}", grid, inputs, written)
-    _emit({"files": [str(p) for p in written]})
-    return 0
+        meta_path = path.with_suffix(".json")
+        wio._write_json(meta_path, meta)
+        written = [path, meta_path]
+    return grid, (), written, {"files": [str(p) for p in written]}
 
 
 def figure4_scan(d: float, q_i: float, q_m: float, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -384,7 +359,12 @@ def main(argv: list[str] | None = None) -> int:
             available = _available_memory()
             if available is not None and MEMORY_BUDGET * 8 * _lattice_size(args) ** 2 > available:
                 raise MemoryError
-        return args.func(args)
+        grid, inputs, outputs, payload = args.func(args)
+        if grid is not None:  # overlap writes no files, so no manifest
+            command = f"figure:{args.which}" if args.command == "figure" else args.command
+            wio.write_manifest(args.out, command, grid, inputs, outputs)
+        print(payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True))
+        return 0
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1

@@ -51,6 +51,9 @@ class Grid:
             raise ValueError(
                 f"n_points must be even and >= 8, got {self.n_points}"
             )
+        for name in ("q_min", "delta_q", "hbar"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.delta_q > 0:
             raise ValueError("delta_q must be positive")
         if not self.hbar > 0:

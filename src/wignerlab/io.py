@@ -72,7 +72,7 @@ def _read_sidecar(csv_path: Path) -> dict:
     sidecar = _sidecar_path(csv_path)
     if not sidecar.exists():
         raise FileNotFoundError(f"{csv_path} has no metadata sidecar {sidecar.name}")
-    meta = _read_spec(sidecar, "metadata sidecar", _GRID_FIELDS)
+    meta = _read_spec(sidecar, "metadata sidecar", _GRID_FIELDS, ("representation",))
     for field in _GRID_FIELDS:
         _number(sidecar, field, meta[field])
     if meta["n_points"] != int(meta["n_points"]):
@@ -97,13 +97,22 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _read_spec(json_path: Path, what: str, required: tuple[str, ...]) -> dict:
+def _read_spec(json_path: Path, what: str, required: tuple[str, ...], optional: tuple[str, ...]) -> dict:
     spec = json.loads(json_path.read_text())
     if not isinstance(spec, dict):
         raise ValueError(f"{json_path}: a {what} must be a JSON object, got {type(spec).__name__}")
+    return _fields(json_path, spec, required, optional)
+
+
+def _fields(json_path: Path, spec: dict, required: tuple[str, ...], optional: tuple[str, ...],
+            prefix: str = "") -> dict:
+    """``spec`` once it holds every ``required`` field and no field outside ``required`` and ``optional``."""
     for field in required:
         if field not in spec:
-            raise ValueError(f"{json_path}: missing field {field}")
+            raise ValueError(f"{json_path}: missing field {prefix}{field}")
+    for field in spec:
+        if field not in required + optional:
+            raise ValueError(f"{json_path}: unknown field {prefix}{field}")
     return spec
 
 
@@ -234,7 +243,7 @@ def load_filter_spec(json_path: str | Path, grid: Grid) -> FilterSpec:
     evaluated on the target grid.
     """
     json_path = Path(json_path)
-    spec = _read_spec(json_path, "filter spec", ("kind", "device"))
+    spec = _read_spec(json_path, "filter spec", ("kind", "device"), ("q_offset", "p_offset"))
     device_entry = spec["device"]
     if isinstance(device_entry, str):
         device_path = Path(device_entry)
@@ -242,9 +251,10 @@ def load_filter_spec(json_path: str | Path, grid: Grid) -> FilterSpec:
             device_path = json_path.parent / device_path
         device = load_wavefunction(device_path)
     elif isinstance(device_entry, dict) and isinstance(device_entry.get("gaussian"), dict):
-        params = {"center": 0.0, "momentum_offset": 0.0, **device_entry["gaussian"]}
-        fields = ("width", "center", "momentum_offset")
-        gaussian = {name: _number(json_path, f"device.gaussian.{name}", params[name]) for name in fields}
+        _fields(json_path, device_entry, ("gaussian",), (), "device.")
+        optional = ("center", "momentum_offset")
+        params = _fields(json_path, device_entry["gaussian"], ("width",), optional, "device.gaussian.")
+        gaussian = {name: _number(json_path, f"device.gaussian.{name}", value) for name, value in params.items()}
         device = gaussian_wavefunction(GaussianSpec(**gaussian), grid)
     else:
         raise ValueError(
@@ -261,17 +271,19 @@ def load_filter_spec(json_path: str | Path, grid: Grid) -> FilterSpec:
 def load_potential_spec(json_path: str | Path) -> PotentialSpec:
     """Potential description: ``{"coefficients": [...], "mass": 1.0}``."""
     json_path = Path(json_path)
-    spec = _read_spec(json_path, "potential spec", ("coefficients",))
+    spec = _read_spec(json_path, "potential spec", ("coefficients",), ("mass",))
     coefficients = spec["coefficients"]
     if not isinstance(coefficients, list) or not all(type(c) in (int, float) for c in coefficients):
         raise ValueError(f"{json_path}: coefficients must be a list of numbers, got {coefficients!r}")
+    if not np.all(np.isfinite(coefficients)):  # Python's json reads NaN and Infinity
+        raise ValueError(f"{json_path}: coefficients must be finite, got {coefficients!r}")
     mass = _number(json_path, "mass", spec.get("mass", 1.0))
     return PotentialSpec(coefficients=tuple(coefficients), mass=mass)
 
 
-def write_manifest(out_dir: str | Path, command: str, grid: Grid, inputs: list[Path], outputs: list[Path]) -> Path:
-    """Record one command invocation and the files it touched in ``run_manifest.json``."""
+def write_manifest(out_dir: str | Path, command: str, grid: Grid, inputs: list, outputs: list) -> Path:
+    """Record one command invocation and the files (paths or path strings) it touched in ``run_manifest.json``."""
     path = Path(out_dir) / "run_manifest.json"
-    files = {"inputs": [str(p) for p in inputs], "outputs": [str(p) for p in outputs]}
+    files = {"inputs": [str(Path(p)) for p in inputs], "outputs": [str(Path(p)) for p in outputs]}
     _write_json(path, {"command": command, "grid": _grid_dict(grid), **files, "version": _version})
     return path

@@ -133,10 +133,9 @@ def wdf_from_density(rho: DensityMatrix) -> WignerFunction:
     result on a lattice of length ``L``.
     """
     n = rho.grid.n_points
-    j, m = np.arange(n)[:, None], np.arange(n // 2 + 1)
-    valid = m <= np.minimum(j, n - 1 - j)  # rows j -/+ m both on the lattice
-    corr = rho.entries.ravel().take((j * (n + 1) + m * (n - 1)) * valid)  # flat index (j + m) n + j - m
-    corr[~valid] = 0
+    corr = np.zeros((n, n // 2 + 1), dtype=np.complex128)
+    for m in range(n // 2 + 1):  # rows j -/+ m both on the lattice for m <= j < n - m
+        corr[m:n - m, m] = rho.entries.diagonal(-2 * m)
     values = _transform_correlation(corr, rho.grid)
     del corr  # before the frozen copy
     return WignerFunction(rho.grid, values)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wignerlab import (
+    Grid,
     GridMismatchError,
     InvariantViolation,
     WaveFunction,
@@ -39,6 +40,13 @@ class TestMakeGrid:
     def test_rejects_bad_parameters(self, args):
         with pytest.raises(ValueError):
             make_grid(*args)
+
+    @pytest.mark.parametrize("field", ["q_min", "delta_q", "hbar"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_fields(self, field, value):
+        fields = {"q_min": -4.0, "delta_q": 1.0, "n_points": 8, "hbar": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            Grid(**fields)
 
     def test_origin_index(self):
         assert make_grid(-12, 12, 256).origin_index() == 128

@@ -335,6 +335,10 @@ class TestCli:
             pytest.param("evolve", {"mass": 1}, "spec.json: missing field coefficients", id="coefficients-missing"),
             pytest.param("evolve", {"coefficients": [0, 0, True]},
                          "spec.json: coefficients must be a list of numbers, got [0, 0, True]", id="coefficient-boolean"),
+            pytest.param("evolve", {"coefficients": [0, 0, float("nan")]},
+                         "spec.json: coefficients must be finite, got [0, 0, nan]", id="coefficient-nan"),
+            pytest.param("evolve", {"coefficients": [0, 0, 0.5], "mas": 2}, "spec.json: unknown field mas",
+                         id="potential-unknown-field"),
             pytest.param("evolve", {"coefficients": [0, 0, 0.5], "mass": [1]},
                          "spec.json: mass must be a finite number, got [1]", id="mass-list"),
             pytest.param("evolve", {"coefficients": [0, 0, 0.5], "mass": float("inf")},
@@ -346,6 +350,14 @@ class TestCli:
             pytest.param("filter", {"kind": "coordinate", "device": {"gaussian": 5}},
                          "spec.json: filter device must be a CSV path or an inline gaussian object, got {'gaussian': 5}",
                          id="device-gaussian-number"),
+            pytest.param("filter", {"kind": "general_coordinate", "p_ofset": 0.5, "device": {"gaussian": {"width": 1}}},
+                         "spec.json: unknown field p_ofset", id="filter-unknown-field"),
+            pytest.param("filter", {"kind": "coordinate", "device": {"gaussian": {"width": 1}, "center": 3}},
+                         "spec.json: unknown field device.center", id="device-unknown-field"),
+            pytest.param("filter", {"kind": "coordinate", "device": {"gaussian": {"width": 1, "centre": 3}}},
+                         "spec.json: unknown field device.gaussian.centre", id="gaussian-unknown-field"),
+            pytest.param("filter", {"kind": "coordinate", "device": {"gaussian": {"center": 1}}},
+                         "spec.json: missing field device.gaussian.width", id="gaussian-width-missing"),
             pytest.param("filter", {"kind": "coordinate", "device": {"gaussian": {"width": [1]}}},
                          "spec.json: device.gaussian.width must be a finite number, got [1]", id="device-width-list"),
             pytest.param("filter", {"kind": "coordinate", "device": {"gaussian": {"width": 1}}, "q_offset": [1]},
@@ -380,6 +392,7 @@ class TestCli:
                          id="fractional-n-points"),
             pytest.param(lambda meta: {**meta, "hbar": True}, "wdf.json: hbar must be a finite number, got True",
                          id="boolean-hbar"),
+            pytest.param(lambda meta: {**meta, "hbar_": 1}, "wdf.json: unknown field hbar_", id="unknown-field"),
         ],
     )
     def test_malformed_sidecar_is_a_usage_error(self, tmp_path, capsys, command, edit, message):
@@ -392,6 +405,34 @@ class TestCli:
         matrix = str(tmp_path / "w/wdf.csv")
         assert main([command, matrix, *([matrix] if command != "blob" else []), *out]) == 2
         assert capsys.readouterr().err == f"error: {tmp_path / 'w'}/{message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["state", "--gaussian", "q0=1", "--hbar", "inf"], "hbar must be finite, got inf",
+                         id="state-hbar-inf"),
+            pytest.param(["state", "--gaussian", "q0=1", "--grid=-12:1e309:256"], "delta_q must be finite, got inf",
+                         id="state-q-max-overflow"),
+            pytest.param(["figure", "fig2", "--hbar", "inf"], "hbar must be finite, got inf", id="figure-hbar-inf"),
+            pytest.param(["figure", "fig2", "--qm", "0"], "width must be positive", id="figure-slit-width-zero"),
+        ],
+    )
+    def test_run_refused_before_writing_leaves_no_directory(self, tmp_path, capsys, argv, message):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_wdf_leaves_no_manifest(self, tmp_path, capsys, monkeypatch):
+        main(["state", "--gaussian", "q0=1", "--grid=-8:8:64", "--out", str(tmp_path / "s")])
+
+        def violated(w):
+            raise InvariantViolation("injected")
+
+        monkeypatch.setattr(cli, "uncertainty_product", violated)
+        capsys.readouterr()
+        assert main(["wdf", str(tmp_path / "s/state.csv"), "--out", str(tmp_path / "w")]) == 1
+        assert capsys.readouterr() == ("", "invariant violation: injected\n")
+        assert not (tmp_path / "w/run_manifest.json").exists()
 
     def test_invariant_violation_exit_code(self, tmp_path, capsys):
         # corrupt the stored amplitudes so the distribution gate trips
@@ -914,6 +955,19 @@ def test_only_io_forks_and_joins():
             if isinstance(node, (ast.Attribute, ast.Name, ast.alias)) and name in names:
                 found.add((source.name, name))
     assert sorted(found) == [("io.py", "fork"), ("io.py", "waitpid")]
+
+
+def test_only_main_writes_the_manifest_and_prints_the_record():
+    # the one place a run ends; a print to sys.stderr (figure's warning, main's errors) may appear anywhere
+    found = []
+    for function in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        for node in ast.walk(function) if isinstance(function, ast.FunctionDef) else ():
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                to_stderr = any(ast.unparse(keyword) == "file=sys.stderr" for keyword in node.keywords)
+                if name == "write_manifest" or (name == "print" and not to_stderr):
+                    found.append((function.name, name))
+    assert sorted(found) == [("main", "print"), ("main", "write_manifest")]
 
 
 def test_every_exported_name_resolves():
