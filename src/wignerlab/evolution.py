@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .grid import POSITION, Grid, WaveFunction, _pair_views
+from .grid import POSITION, Grid, WaveFunction, _adopt, _pair_views
 from .wigner import WignerFunction
 
 _MASS_DRIFT_ABORT = 1e-4
@@ -185,7 +185,7 @@ def _frames(w: WignerFunction, v: PotentialSpec, dt: float, n_steps: int, every:
                     "reached the lattice boundary and would wrap around; enlarge the grid or shorten the run"
                 )
         if frame_end:
-            yield WignerFunction(grid, current)
+            yield WignerFunction(grid, _adopt(current))
 
 
 def split_step_schrodinger(psi: WaveFunction, v: PotentialSpec, cfg: EvolutionConfig) -> WaveFunction:

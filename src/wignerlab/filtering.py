@@ -27,6 +27,7 @@ from .grid import (
     POSITION,
     Grid,
     WaveFunction,
+    _adopt,
     _centre_p,
     _frozen_array,
     _half_dft,
@@ -195,15 +196,11 @@ def filter_wdf(w_in: WignerFunction, f: FilterSpec) -> WignerFunction:
         c = _pair_correlation(device)
         spectrum *= np.conj(c, out=c)
         del c
-        values = np.fft.irfft(spectrum, n, axis=1)
-        del spectrum  # before the frozen copy
-        return WignerFunction(g, values)
+        return WignerFunction(g, _adopt(np.fft.irfft(spectrum, n, axis=1)))
     start, cell = _centring(g, 0)
-    w_m = wigner_values_of_amplitudes(device, g)
-    out = _linear_convolution(values, w_m, 0, start)
-    del values, w_m
+    out = _linear_convolution(values, wigner_values_of_amplitudes(device, g), 0, start)
     out *= cell
-    return WignerFunction(g, out)
+    return WignerFunction(g, _adopt(out))
 
 
 def detect(w_in: WignerFunction, w_m: WignerFunction) -> DetectionMap:
@@ -221,10 +218,9 @@ def detect(w_in: WignerFunction, w_m: WignerFunction) -> DetectionMap:
     # in place, so two spectra are alive at once rather than three
     _linear_convolution(spectrum, np.fft.rfft(w_m.values, axis=1), 0, q_start, out=spectrum)
     values = np.fft.irfft(_centre_p(spectrum), g.n_points, axis=1)
-    del spectrum  # before the frozen copy
     values *= q_cell
     values *= g.delta_p
-    return DetectionMap(g, values)
+    return DetectionMap(g, _adopt(values))
 
 
 def detect_from_wavefunctions(psi_in: WaveFunction, psi_m: WaveFunction) -> DetectionMap:
@@ -249,7 +245,7 @@ def detect_from_wavefunctions(psi_in: WaveFunction, psi_m: WaveFunction) -> Dete
     for first in range(0, n, _BLOCK):
         rows = slice(first, first + _BLOCK)
         values[rows] = np.abs(_half_dft(toeplitz[rows] * a)) ** 2 * g.delta_q**2 / g.h
-    return DetectionMap(g, values)
+    return DetectionMap(g, _adopt(values))
 
 
 def _common_support_mass(m1: np.ndarray, m2: np.ndarray, delta: float) -> float:

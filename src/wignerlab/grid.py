@@ -117,9 +117,21 @@ def make_grid(q_min: float, q_max: float, n_points: int, hbar: float = 1.0) -> G
     )
 
 
+class _Adopted(np.ndarray):
+    """The view type of :func:`_adopt`: marks an array the library has just built and hands over."""
+
+
+def _adopt(values: np.ndarray) -> np.ndarray:
+    """``values`` marked for its value type to keep rather than copy, when it spans all the memory it views."""
+    owner = values
+    while isinstance(owner, np.ndarray) and owner.base is not None:
+        owner = owner.base
+    return values.view(_Adopted) if memoryview(owner).nbytes == values.nbytes else values
+
+
 def _frozen_array(values, dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """Read-only copy of ``values`` as ``dtype``, checked for shape and finiteness."""
-    array = np.array(values, dtype=dtype)
+    """``values`` as read-only ``dtype``, checked for shape and finiteness: frozen in place if adopted, else a copy."""
+    array = np.asarray(values.base, dtype) if type(values) is _Adopted else np.array(values, dtype=dtype)
     if array.shape != shape:
         raise ValueError(f"expected {what} of shape {shape}, got shape {array.shape}")
     if not np.all(np.isfinite(array)):

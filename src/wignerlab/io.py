@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _version
-from .grid import Grid, WaveFunction
+from .grid import Grid, WaveFunction, _adopt
 from .states import GaussianSpec, gaussian_wavefunction
 from .filtering import FilterSpec
 from .evolution import PotentialSpec
@@ -188,7 +188,7 @@ def start_save_wigner(w: WignerFunction, csv_path: str | Path) -> Callable[[], l
 def load_wigner(csv_path: str | Path) -> WignerFunction:
     csv_path = Path(csv_path)
     grid = _grid_from_dict(_read_sidecar(csv_path))
-    return WignerFunction(grid, _load_matrix(csv_path, grid.n_points))
+    return WignerFunction(grid, _adopt(_load_matrix(csv_path, grid.n_points)))
 
 
 def _strict_loadtxt(csv_path: Path, start: int, stop: int | None) -> np.ndarray:
@@ -204,8 +204,8 @@ def _load_matrix(csv_path: Path, n: int) -> np.ndarray:
     Lines parse independently, so the halves stack to the whole-file parse.  On any warning,
     error or shape other than (n, n) this process parses the whole file, so its messages appear once.
     """
-    shared = mmap.mmap(-1, 8 * (n * n + 1))
-    count, values = np.frombuffer(shared, np.int64, 1), np.frombuffer(shared, offset=8).reshape(n, n)
+    values = np.ndarray((n, n), buffer=mmap.mmap(-1, 8 * n * n))  # exactly the matrix, so it can be adopted
+    count = np.ndarray(1, np.int64, mmap.mmap(-1, 8))
 
     def parse_tail():
         rows = _strict_loadtxt(csv_path, n // 2, None)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import POSITION, Grid, WaveFunction
+from .grid import POSITION, Grid, WaveFunction, _adopt
 from .wigner import WignerFunction
 
 #: Relative edge amplitude beyond which a state is rejected as not fitting.
@@ -95,7 +95,7 @@ def gaussian_wdf_closed_form(spec: GaussianSpec, grid: Grid) -> WignerFunction:
         -((qq - spec.center) ** 2) / spec.width**2
         - ((pp - spec.momentum_offset) ** 2) * spec.width**2 / grid.hbar**2
     )
-    return WignerFunction(grid, values)
+    return WignerFunction(grid, _adopt(values))
 
 
 def cat_norm_constant(spec: CatSpec) -> float:
@@ -140,7 +140,7 @@ def cat_wdf_closed_form(spec: CatSpec, grid: Grid) -> WignerFunction:
         + np.exp(-((qq + d) ** 2) / w2)
         + 2.0 * np.exp(-(qq**2) / w2) * np.cos(2.0 * d * pp / grid.hbar)
     )
-    return WignerFunction(grid, envelope * bracket)
+    return WignerFunction(grid, _adopt(envelope * bracket))
 
 
 def filtered_gaussian_wdf_closed_form(q_i: float, q_m: float, grid: Grid) -> WignerFunction:
@@ -160,7 +160,7 @@ def filtered_gaussian_wdf_closed_form(q_i: float, q_m: float, grid: Grid) -> Wig
         * np.exp(-(qq**2) / q_i**2 - (qq**2) / q_m**2)
         * np.exp(-(pp**2) / grid.hbar**2 * (q_i**2 * q_m**2 / sum_sq))
     )
-    return WignerFunction(grid, values)
+    return WignerFunction(grid, _adopt(values))
 
 
 def filtered_cat_wdf_closed_form(
@@ -197,4 +197,4 @@ def filtered_cat_wdf_closed_form(
     slit = (np.pi * q_m**2) ** (-0.25) * np.exp(-((grid.q - offset) ** 2) / (2 * q_m**2))
     transmitted = float(np.sum(np.abs(cat.values * slit) ** 2) * grid.delta_q)
     shape_mass = float(np.sum(shape) * grid.delta_q * grid.delta_p)
-    return WignerFunction(grid, shape * (transmitted / shape_mass))
+    return WignerFunction(grid, _adopt(shape * (transmitted / shape_mass)))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import GridMismatchError, InvariantViolation
 from .grid import (
-    _BLOCK, POSITION, Grid, WaveFunction, _centre_p, _frozen_array, _pair_correlation, normalize, squared_norm,
+    _BLOCK, POSITION, Grid, WaveFunction, _adopt, _centre_p, _frozen_array, _pair_correlation, normalize, squared_norm,
 )
 
 #: States with h*integral(W^2) above this are considered pure.
@@ -59,7 +59,8 @@ class DensityMatrix:
     def __post_init__(self):
         n = self.grid.n_points
         entries = _frozen_array(self.entries, np.complex128, (n, n), "entries in density matrix")
-        deviation = np.max(np.abs(entries - entries.conj().T))
+        blocks = (slice(first, first + _BLOCK) for first in range(0, n, _BLOCK))  # no N x N temporary
+        deviation = max(np.max(np.abs(entries[rows] - entries[:, rows].T.conj())) for rows in blocks)
         if deviation > 1e-12:
             raise InvariantViolation(
                 f"density matrix is not Hermitian (max deviation {deviation:.2e})"
@@ -77,17 +78,19 @@ def pure_density(psi: WaveFunction) -> DensityMatrix:
     """Projector |psi><psi| for a normalized position-representation state."""
     if psi.representation != POSITION:
         raise ValueError("pure_density expects a position-representation state")
-    return DensityMatrix(psi.grid, np.outer(psi.values, np.conj(psi.values)))
+    return DensityMatrix(psi.grid, _adopt(np.outer(psi.values, np.conj(psi.values))))
 
 
 def mixed_density(states: Sequence[WaveFunction], weights: Sequence[float]) -> DensityMatrix:
     """Statistical mixture sum_i w_i |psi_i><psi_i| with sum w_i = 1."""
     if len(states) != len(weights) or not states:
         raise ValueError("need one weight per state")
+    if not all(np.isfinite(w) and w >= 0 for w in weights):
+        raise InvariantViolation(f"mixture weights must be finite and nonnegative, got {[float(w) for w in weights]}")
     entries = sum(
         w * np.outer(s.values, np.conj(s.values)) for s, w in zip(states, weights)
     )
-    return DensityMatrix(states[0].grid, entries)
+    return DensityMatrix(states[0].grid, _adopt(entries))
 
 
 def _transform_correlation(half: np.ndarray, grid: Grid) -> np.ndarray:
@@ -120,7 +123,7 @@ def wdf_from_wavefunction(psi: WaveFunction) -> WignerFunction:
         raise InvariantViolation(
             f"input squared norm {norm} deviates from 1 by more than 1e-6"
         )
-    return WignerFunction(psi.grid, wigner_values_of_amplitudes(psi.values, psi.grid))
+    return WignerFunction(psi.grid, _adopt(wigner_values_of_amplitudes(psi.values, psi.grid)))
 
 
 def wdf_from_density(rho: DensityMatrix) -> WignerFunction:
@@ -136,9 +139,7 @@ def wdf_from_density(rho: DensityMatrix) -> WignerFunction:
     corr = np.zeros((n, n // 2 + 1), dtype=np.complex128)
     for m in range(n // 2 + 1):  # rows j -/+ m both on the lattice for m <= j < n - m
         corr[m:n - m, m] = rho.entries.diagonal(-2 * m)
-    values = _transform_correlation(corr, rho.grid)
-    del corr  # before the frozen copy
-    return WignerFunction(rho.grid, values)
+    return WignerFunction(rho.grid, _adopt(_transform_correlation(corr, rho.grid)))
 
 
 def marginal_q(w: WignerFunction) -> np.ndarray:

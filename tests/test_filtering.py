@@ -187,7 +187,7 @@ class TestPhaseSpaceCommutation:
         assert np.array_equal(filter_wdf(w_in, spec).values, gathered_p_axis_filter_wdf(w_in, spec))
 
     @pytest.mark.parametrize(
-        "kind, bound", [(COORDINATE, 2.5), (GENERAL_MOMENTUM, 2.5), (MOMENTUM_KIND, 2.5), (GENERAL_COORDINATE, 3.5)]
+        "kind, bound", [(COORDINATE, 2.25), (GENERAL_MOMENTUM, 2.25), (MOMENTUM_KIND, 2.5), (GENERAL_COORDINATE, 3.5)]
     )
     def test_law_peak_memory(self, kind, bound):
         g = desk_grid(1024)
@@ -326,12 +326,12 @@ class TestDetect:
         result, peak = traced_peak(lambda: detect(state, device))
         assert peak <= 2.75 * result.values.nbytes
 
-    def test_from_wavefunctions_peak_memory_within_two_and_a_half_output_matrices(self):
+    def test_from_wavefunctions_peak_memory_within_one_and_three_quarter_output_matrices(self):
         g = desk_grid(1024)
         state = gaussian_wavefunction(GaussianSpec(width=1.0), g)
         device = gaussian_wavefunction(GaussianSpec(width=0.8, center=1.0), g)
         result, peak = traced_peak(lambda: detect_from_wavefunctions(state, device))
-        assert peak <= 2.5 * result.values.nbytes
+        assert peak <= 1.75 * result.values.nbytes
 
     @pytest.mark.parametrize("n, origin", [(200, 87), (1024, 512)])  # 200 rows leave a tail block
     def test_from_wavefunctions_equals_gather_formula(self, n, origin):
