@@ -63,6 +63,12 @@ def command_table(n: int) -> list[tuple[str, list[str]]]:
     for every in (0, 1, 7, 30, 50):  # 50 steps of the quartic well
         argv = ["evolve", "s/state.csv", "--potential", "well.json", "--t", "0.05", "--dt", "1e-3"]
         table.append((f"e{every}", argv + ["--dump-every", str(every)]))
+    table += [  # refusals: each exits 2 and leaves no directory
+        ("rc", ["state", "--cat", "d=2", "qi=0.05", grid]),
+        ("rg", ["state", "--gaussian", "q0=1e-200", grid]),
+        ("r3", ["figure", "fig3", "--d", "2", "--qi", "0.05", grid]),
+        ("re", ["evolve", "s/state.csv", "--potential", "well.json", "--t", "1e300", "--dt", "1e-10"]),
+    ]
     return [(out, argv + ["--out", out] if out else argv) for out, argv in table]
 
 

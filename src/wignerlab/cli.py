@@ -151,6 +151,8 @@ def _cmd_evolve(args) -> tuple:
             raise ValueError(f"{flag} must be finite and positive, got {value}")
     if args.dump_every < 0:
         raise ValueError(f"--dump-every must be nonnegative, got {args.dump_every}")
+    if not np.isfinite(args.t / args.dt):
+        raise ValueError(f"--t {args.t:g} over --dt {args.dt:g} is not a finite step count")
     w = _load_state_as_wdf(args.input)
     potential = wio.load_potential_spec(args.potential)
     n_steps = max(int(np.ceil(args.t / args.dt - 1e-12)), 1)

@@ -80,6 +80,8 @@ class FilterSpec:
         if self.kind not in FILTER_KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r}")
         for name in ("q_offset", "p_offset"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
             if getattr(self, name) and name != _KIND_OFFSET.get(self.kind):
                 raise ValueError(f"the {self.kind} filter takes no {name}")
 

@@ -46,38 +46,26 @@ class CatSpec:
             raise ValueError("separation must be nonnegative")
 
 
-def _check_q_fit(grid: Grid, center: float, width: float) -> None:
-    if not grid.q_min <= center <= grid.q_max:
-        raise ValueError(f"center {center} lies outside the grid [{grid.q_min}, {grid.q_max}]")
-    edge = max(
-        np.exp(-((grid.q_min - center) ** 2) / (2 * width**2)),
-        np.exp(-((grid.q_max - grid.delta_q - center) ** 2) / (2 * width**2)),
-    )
-    if edge > _FIT_ERROR_LEVEL:
-        raise ValueError(
-            f"state of width {width} at center {center} does not fit the grid "
-            f"(relative edge amplitude {edge:.2e})"
-        )
-
-
-def _check_p_fit(grid: Grid, momentum_offset: float, width: float) -> None:
-    p_lo = grid.p[0]
-    p_hi = grid.p[-1]
-    p_width = grid.hbar / width
-    edge = max(
-        np.exp(-((p_lo - momentum_offset) ** 2) / (2 * p_width**2)),
-        np.exp(-((p_hi - momentum_offset) ** 2) / (2 * p_width**2)),
-    )
-    if not p_lo <= momentum_offset <= p_hi or edge > _FIT_ERROR_LEVEL:
-        raise ValueError(
-            f"momentum content at offset {momentum_offset} does not fit the lattice band"
-        )
+def _check_fit(grid: Grid, center: float, width: float, momentum_offset: float = 0.0) -> None:
+    """Refuse a Gaussian packet centred beyond the lattice ends, or with more than ``_FIT_ERROR_LEVEL``
+    of its peak at an end, on q (centre ``center``, extent ``width``) or p (``momentum_offset``, ``hbar/width``)."""
+    for axis, points, c, extent in (
+        ("q", grid.q, center, np.float64(width)),
+        ("p", grid.p, momentum_offset, grid.hbar / np.float64(width)),
+    ):
+        ends = points[[0, -1]]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # an extent of 0 or inf fails
+            edge = np.exp(-((ends - c) ** 2) / (2 * extent**2)).max()
+        if not (ends[0] <= c <= ends[1] and edge <= _FIT_ERROR_LEVEL):
+            raise ValueError(
+                f"packet of width {width} centred at {axis} = {c} does not fit the {axis} range "
+                f"[{ends[0]:.6g}, {ends[1]:.6g}] of the lattice (relative edge amplitude {edge:.2e})"
+            )
 
 
 def gaussian_wavefunction(spec: GaussianSpec, grid: Grid) -> WaveFunction:
     """Samples of ``(pi w^2)^(-1/4) exp(-(q-c)^2 / 2w^2) exp(i p0 q / hbar)``."""
-    _check_q_fit(grid, spec.center, spec.width)
-    _check_p_fit(grid, spec.momentum_offset, spec.width)
+    _check_fit(grid, spec.center, spec.width, spec.momentum_offset)
     q = grid.q
     values = (np.pi * spec.width**2) ** (-0.25) * np.exp(
         -((q - spec.center) ** 2) / (2 * spec.width**2)
@@ -88,12 +76,11 @@ def gaussian_wavefunction(spec: GaussianSpec, grid: Grid) -> WaveFunction:
 
 def gaussian_wdf_closed_form(spec: GaussianSpec, grid: Grid) -> WignerFunction:
     """Exact distribution ``(2/h) exp(-(q-c)^2/w^2 - (p-p0)^2 w^2/hbar^2)``."""
-    _check_q_fit(grid, spec.center, spec.width)
-    _check_p_fit(grid, spec.momentum_offset, spec.width)
-    qq, pp = np.meshgrid(grid.q, grid.p, indexing="ij")
+    _check_fit(grid, spec.center, spec.width, spec.momentum_offset)
+    q, p = grid.q[:, None], grid.p  # broadcast to the lattice: rows q, columns p
     values = (2.0 / grid.h) * np.exp(
-        -((qq - spec.center) ** 2) / spec.width**2
-        - ((pp - spec.momentum_offset) ** 2) * spec.width**2 / grid.hbar**2
+        -((q - spec.center) ** 2) / spec.width**2
+        - ((p - spec.momentum_offset) ** 2) * spec.width**2 / grid.hbar**2
     )
     return WignerFunction(grid, _adopt(values))
 
@@ -108,8 +95,8 @@ def cat_norm_constant(spec: CatSpec) -> float:
 
 def cat_wavefunction(spec: CatSpec, grid: Grid) -> WaveFunction:
     """Two-hump state ``N [exp(-(q-d)^2/2w^2) + exp(-(q+d)^2/2w^2)]``."""
-    _check_q_fit(grid, spec.separation, spec.width)
-    _check_q_fit(grid, -spec.separation, spec.width)
+    for hump in (spec.separation, -spec.separation):
+        _check_fit(grid, hump, spec.width)
     q = grid.q
     norm = cat_norm_constant(spec)
     values = norm * (
@@ -127,18 +114,18 @@ def cat_wdf_closed_form(spec: CatSpec, grid: Grid) -> WignerFunction:
     a shared momentum envelope.  The cross term peaks at the phase-space
     origin with value 2/h regardless of the separation.
     """
-    _check_q_fit(grid, spec.separation, spec.width)
-    _check_q_fit(grid, -spec.separation, spec.width)
-    qq, pp = np.meshgrid(grid.q, grid.p, indexing="ij")
+    for hump in (spec.separation, -spec.separation):
+        _check_fit(grid, hump, spec.width)
+    q, p = grid.q[:, None], grid.p
     w2 = spec.width**2
     d = spec.separation
-    envelope = np.exp(-(pp**2) * w2 / grid.hbar**2) / (
+    envelope = np.exp(-(p**2) * w2 / grid.hbar**2) / (
         grid.h * (1.0 + np.exp(-(d**2) / w2))
     )
     bracket = (
-        np.exp(-((qq - d) ** 2) / w2)
-        + np.exp(-((qq + d) ** 2) / w2)
-        + 2.0 * np.exp(-(qq**2) / w2) * np.cos(2.0 * d * pp / grid.hbar)
+        np.exp(-((q - d) ** 2) / w2)
+        + np.exp(-((q + d) ** 2) / w2)
+        + 2.0 * np.exp(-(q**2) / w2) * np.cos(2.0 * d * p / grid.hbar)
     )
     return WignerFunction(grid, _adopt(envelope * bracket))
 
@@ -152,13 +139,13 @@ def filtered_gaussian_wdf_closed_form(q_i: float, q_m: float, grid: Grid) -> Wig
     """
     if not (q_i > 0 and q_m > 0):
         raise ValueError("widths must be positive")
-    qq, pp = np.meshgrid(grid.q, grid.p, indexing="ij")
+    q, p = grid.q[:, None], grid.p
     sum_sq = q_i**2 + q_m**2
     values = (
         2.0
         / (grid.h * np.sqrt(np.pi * sum_sq))
-        * np.exp(-(qq**2) / q_i**2 - (qq**2) / q_m**2)
-        * np.exp(-(pp**2) / grid.hbar**2 * (q_i**2 * q_m**2 / sum_sq))
+        * np.exp(-(q**2) / q_i**2 - (q**2) / q_m**2)
+        * np.exp(-(p**2) / grid.hbar**2 * (q_i**2 * q_m**2 / sum_sq))
     )
     return WignerFunction(grid, _adopt(values))
 
@@ -176,20 +163,20 @@ def filtered_cat_wdf_closed_form(
     """
     if not q_m > 0:
         raise ValueError("slit width must be positive")
-    qq, pp = np.meshgrid(grid.q, grid.p, indexing="ij")
+    q, p = grid.q[:, None], grid.p
     d = spec.separation
     w2 = spec.width**2
     sum_sq = w2 + q_m**2
     shape = (
-        np.exp(-((qq - offset) ** 2) / q_m**2)
-        * np.exp(-(pp**2) / grid.hbar**2 * (w2 * q_m**2 / sum_sq))
+        np.exp(-((q - offset) ** 2) / q_m**2)
+        * np.exp(-(p**2) / grid.hbar**2 * (w2 * q_m**2 / sum_sq))
         * (
-            np.exp(-((qq - d) ** 2) / w2)
-            + np.exp(-((qq + d) ** 2) / w2)
+            np.exp(-((q - d) ** 2) / w2)
+            + np.exp(-((q + d) ** 2) / w2)
             + 2.0
-            * np.exp(-(qq**2) / w2)
+            * np.exp(-(q**2) / w2)
             * np.exp(-(d**2) / sum_sq)
-            * np.cos(2.0 * d * pp / grid.hbar * (q_m**2 / sum_sq))
+            * np.cos(2.0 * d * p / grid.hbar * (q_m**2 / sum_sq))
         )
     )
     # transmitted fraction of the raw filtered state fixes the constant

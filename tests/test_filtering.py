@@ -119,6 +119,13 @@ class TestFilterWavefunction:
         with pytest.raises(ValueError, match=f"{kind} filter takes no {offset}"):
             FilterSpec(kind=kind, device=device, **{offset: grid.delta_q * grid.delta_p})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("kind, offset", [(GENERAL_COORDINATE, "p_offset"), (GENERAL_MOMENTUM, "q_offset")])
+    def test_non_finite_offset_is_named(self, kind, offset, value, grid):
+        device = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
+        with pytest.raises(ValueError, match=f"^{offset} must be finite, got {value}$"):
+            FilterSpec(kind=kind, device=device, **{offset: value})
+
     @pytest.mark.parametrize("n", [200, 1024])
     @pytest.mark.parametrize("kind", [GENERAL_COORDINATE, GENERAL_MOMENTUM])
     def test_general_kinds_equal_one_shot_formula(self, kind, n):

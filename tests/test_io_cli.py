@@ -34,6 +34,11 @@ MATRIX_RUNS = [
 ]
 
 
+#: The refusal of a packet centred at p = 0 whose momentum content overflows the band of -12:12:256.
+P_BAND_MISFIT = ("packet of width {width} centred at p = 0.0 does not fit the p range [-16.7552, 16.6243] "
+                 "of the lattice (relative edge amplitude {edge})")
+
+
 @pytest.fixture(scope="module")
 def budget_inputs(tmp_path_factory):
     """A cat state on -12:12:256, a coordinate slit and a quartic well, as CLI input files."""
@@ -155,27 +160,43 @@ class TestCli:
         assert main(["overlap", str(tmp_path / "s/state.csv"), str(tmp_path / "s/state.csv")]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(1.0, abs=1e-8)
 
-    def test_overlap_rejects_unnormalized_matrix(self, tmp_path, capsys):
+    @staticmethod
+    def _matrix_of_mass(tmp_path, mass):
+        """A Gaussian distribution on -8:8:64 scaled to ``mass``, saved as a matrix CSV; its path."""
         main(["state", "--gaussian", "q0=1", "--grid=-8:8:64", "--out", str(tmp_path / "s")])
         main(["wdf", str(tmp_path / "s/state.csv"), "--out", str(tmp_path / "w")])
         w = wio.load_wigner(tmp_path / "w/wdf.csv")
-        tripled = tmp_path / "w/tripled.csv"
-        wio.save_wigner(WignerFunction(w.grid, 3.0 * w.values), tripled)
+        path = tmp_path / "w/scaled.csv"
+        wio.save_wigner(WignerFunction(w.grid, w.values * (mass / w.mass())), path)
+        return path
+
+    def test_overlap_rejects_unnormalized_matrix(self, tmp_path, capsys):
+        tripled = self._matrix_of_mass(tmp_path, 3.0)
         capsys.readouterr()
         assert main(["overlap", str(tmp_path / "w/wdf.csv"), str(tripled)]) == 1
         assert "total mass 3 " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["wdf", "detect"])
     def test_loaded_matrix_above_unit_mass_exits_1(self, tmp_path, capsys, command):
-        main(["state", "--gaussian", "q0=1", "--grid=-8:8:64", "--out", str(tmp_path / "s")])
-        main(["wdf", str(tmp_path / "s/state.csv"), "--out", str(tmp_path / "w")])
-        w = wio.load_wigner(tmp_path / "w/wdf.csv")
-        tripled = tmp_path / "w/tripled.csv"
-        wio.save_wigner(WignerFunction(w.grid, 3.0 * w.values), tripled)
+        tripled = self._matrix_of_mass(tmp_path, 3.0)
         inputs = [str(tripled)] if command == "wdf" else [str(tmp_path / "w/wdf.csv"), str(tripled)]
         capsys.readouterr()
         assert main([command, *inputs, "--out", str(tmp_path / "o")]) == 1
         assert "total mass 3 " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("excess, rc", [(3e-6, 1), (3e-7, 0)])
+    def test_load_gate_from_both_sides(self, tmp_path, capsys, excess, rc):
+        path = self._matrix_of_mass(tmp_path, 1.0 + excess)
+        capsys.readouterr()
+        assert main(["wdf", str(path), "--out", str(tmp_path / "o")]) == rc
+        assert ("exceeds 1 by more than 1e-6" in capsys.readouterr().err) == bool(rc)
+
+    @pytest.mark.parametrize("deficit, rc", [(3e-6, 1), (3e-7, 0)])
+    def test_overlap_gate_from_both_sides(self, tmp_path, capsys, deficit, rc):
+        path = self._matrix_of_mass(tmp_path, 1.0 - deficit)
+        capsys.readouterr()
+        assert main(["overlap", str(tmp_path / "w/wdf.csv"), str(path)]) == rc
+        assert ("deviates from 1 by more than 1e-6" in capsys.readouterr().err) == bool(rc)
 
     def test_filter_output_below_unit_mass_loads(self, tmp_path, capsys):
         main(["state", "--gaussian", "q0=1.5", "--out", str(tmp_path / "s")])
@@ -415,10 +436,22 @@ class TestCli:
                          id="state-q-max-overflow"),
             pytest.param(["figure", "fig2", "--hbar", "inf"], "hbar must be finite, got inf", id="figure-hbar-inf"),
             pytest.param(["figure", "fig2", "--qm", "0"], "width must be positive", id="figure-slit-width-zero"),
+            pytest.param(["state", "--cat", "d=2", "qi=0.05"], P_BAND_MISFIT.format(width=0.05, edge="7.08e-01"),
+                         id="cat-beyond-p-band"),
+            pytest.param(["figure", "fig3", "--d", "2", "--qi", "0.05"],
+                         P_BAND_MISFIT.format(width=0.05, edge="7.08e-01"), id="fig3-beyond-p-band"),
+            pytest.param(["state", "--gaussian", "q0=1e-200"], P_BAND_MISFIT.format(width=1e-200, edge="1.00e+00"),
+                         id="gaussian-width-1e-200"),
+            pytest.param(["state", "--cat", "d=1", "qi=1e-200"], P_BAND_MISFIT.format(width=1e-200, edge="1.00e+00"),
+                         id="cat-width-1e-200"),
+            pytest.param(["figure", "fig2", "--qm", "1e-200"], P_BAND_MISFIT.format(width=1e-200, edge="1.00e+00"),
+                         id="fig2-slit-width-1e-200"),
+            pytest.param(["evolve", "{state}", "--potential", "{well}", "--t", "1e300", "--dt", "1e-10"],
+                         "--t 1e+300 over --dt 1e-10 is not a finite step count", id="evolve-step-count-overflow"),
         ],
     )
-    def test_run_refused_before_writing_leaves_no_directory(self, tmp_path, capsys, argv, message):
-        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    def test_run_refused_before_writing_leaves_no_directory(self, budget_inputs, tmp_path, capsys, argv, message):
+        assert main([token.format(**budget_inputs) for token in argv] + ["--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "o").exists()
 

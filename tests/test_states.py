@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from wignerlab import (
 )
 from wignerlab.filtering import COORDINATE
 
-from helpers import desk_grid
+from helpers import desk_grid, traced_peak
 
 
 class TestGaussian:
@@ -174,3 +176,60 @@ class TestFilteredCat:
         slit = np.pi**-0.25 * np.exp(-((grid.q - 1.5) ** 2) / 2)
         transmitted = float(np.sum(np.abs(cat.values * slit) ** 2) * grid.delta_q)
         assert w.mass() == pytest.approx(transmitted, rel=1e-12)
+
+
+#: Packets whose amplitude at the nearer end of one axis is ``exp(-r**2 / 2)`` of their peak: that end
+#: lies ``r`` extents from the centre (the extent is ``width`` on q and ``hbar/width`` on p).
+FIT_CASES = {
+    "gaussian-q": lambda g, r: GaussianSpec(width=1.0, center=g.q[-1] - r),
+    "gaussian-p": lambda g, r: GaussianSpec(width=1.0, momentum_offset=g.p[-1] - r * g.hbar),
+    "cat-hump-q": lambda g, r: CatSpec(width=1.0, separation=g.q[-1] - r),
+    "cat-hump-p": lambda g, r: CatSpec(width=r * g.hbar / g.p[-1], separation=2.0),
+}
+GENERATORS = {
+    GaussianSpec: (gaussian_wavefunction, gaussian_wdf_closed_form),
+    CatSpec: (cat_wavefunction, cat_wdf_closed_form),
+}
+
+
+class TestFitGate:
+    """The 1e-6 edge amplitude of a generated packet, pinned a factor of 3 to either side on each axis."""
+
+    @pytest.mark.parametrize("form", [0, 1], ids=["wavefunction", "closed-form"])
+    @pytest.mark.parametrize("case", FIT_CASES)
+    def test_edge_above_the_level_is_refused_naming_the_axis(self, grid, case, form):
+        spec = FIT_CASES[case](grid, np.sqrt(-2 * np.log(3e-6)))
+        with pytest.raises(ValueError, match=rf"centred at {case[-1]} = .* edge amplitude 3\.00e-06\)$"):
+            GENERATORS[type(spec)][form](spec, grid)
+
+    @pytest.mark.parametrize("form", [0, 1], ids=["wavefunction", "closed-form"])
+    @pytest.mark.parametrize("case", FIT_CASES)
+    def test_edge_below_the_level_is_accepted(self, grid, case, form):
+        spec = FIT_CASES[case](grid, np.sqrt(-2 * np.log(3e-7)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the 1e-8 edge diagnostic of WaveFunction
+            GENERATORS[type(spec)][form](spec, grid)
+
+    @pytest.mark.parametrize("width", [1e-200, 1e300, float("inf")])
+    def test_vanishing_or_unbounded_width_is_refused(self, grid, width):
+        for spec in (GaussianSpec(width=width), CatSpec(width=width, separation=1.0)):
+            for generate in GENERATORS[type(spec)]:
+                with pytest.raises(ValueError, match="does not fit"):
+                    generate(spec, grid)
+
+
+@pytest.mark.parametrize(
+    "build, bound",
+    [
+        pytest.param(lambda g: gaussian_wdf_closed_form(GaussianSpec(0.9, 1.5, -1.0), g), 2.25, id="gaussian"),
+        pytest.param(lambda g: cat_wdf_closed_form(CatSpec(1.0, 4.0), g), 2.25, id="cat"),
+        pytest.param(lambda g: filtered_gaussian_wdf_closed_form(1.5, 1.0, g), 1.25, id="filtered-gaussian"),
+        pytest.param(lambda g: filtered_cat_wdf_closed_form(CatSpec(1.0, 4.0), 1.0, 2.0, g), 3.25,
+                     id="filtered-cat"),
+    ],
+)
+def test_closed_form_peak_memory(build, bound):
+    """Coordinates broadcast against each other: no N x N copy of q or p is held."""
+    grid = desk_grid(1024)
+    result, peak = traced_peak(lambda: build(grid))
+    assert peak <= bound * result.values.nbytes
