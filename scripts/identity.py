@@ -60,6 +60,8 @@ def command_table(n: int) -> list[tuple[str, list[str]]]:
         ("b", ["blob", "wc/wdf.csv"]),
     ]
     table += [(which, ["figure", which, grid]) for which in ("fig2", "fig3", "fig4")]
+    # a slit narrower than the state it scans (q_m != q_i)
+    table.append(("fig4n", ["figure", "fig4", "--d", "3", "--qi", "0.8", "--qm", "0.5", grid]))
     for every in (0, 1, 7, 30, 50):  # 50 steps of the quartic well
         argv = ["evolve", "s/state.csv", "--potential", "well.json", "--t", "0.05", "--dt", "1e-3"]
         table.append((f"e{every}", argv + ["--dump-every", str(every)]))

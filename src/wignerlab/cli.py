@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvariantViolation
-from .grid import Grid, _centre_p, _pair_correlation, make_grid, squared_norm, to_position
+from .grid import Grid, make_grid, squared_norm, to_position
 from .wigner import (
     WignerFunction,
     overlap_probability,
@@ -229,21 +229,20 @@ def _cmd_figure(args) -> tuple:
 def figure4_scan(d: float, q_i: float, q_m: float, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """p = 0 slice of the slit output while the slit center scans the state.
 
-    Returns a matrix ``scan[D_index, q_index]`` over slit centers covering
-    [-1.5 d, 1.5 d] on the coordinate lattice, plus the center values.  Each
-    row is the p = 0 column of the ``coordinate`` law of :func:`filter_wdf`.
+    Returns a matrix ``scan[D_index, q_index]`` over slit centers D covering [-1.5 d, 1.5 d] on the coordinate
+    lattice, plus the center values.  Row D is the p = 0 column of the ``coordinate`` law of :func:`filter_wdf`
+    for the real Gaussian slit ``s`` sampled here.  As ``s(q - m dq) s(q + m dq) = s(q)^2 exp(-(m dq / q_m)^2)``,
+    each row is the slit intensity ``s(q)^2`` times one profile: the state's p = 0 column, offset m so damped.
     """
     cat = cat_wavefunction(CatSpec(width=q_i, separation=d), grid)
     spectrum = np.fft.rfft(wdf_from_wavefunction(cat).values, axis=1)
     centers = grid.q[(grid.q >= -1.5 * d) & (grid.q <= 1.5 * d)]
-    n = grid.n_points
+    m = np.arange(grid.n_points // 2 + 1)
     # irfft at column n/2 (p = 0): offsets 0 and n/2 once, the others twice, signed (-1)^m
-    weights = _centre_p(np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0])
-    rows = []
-    for center in centers:
-        slit = (np.pi * q_m**2) ** (-0.25) * np.exp(-((grid.q - center) ** 2) / (2 * q_m**2))
-        rows.append(np.real(spectrum * np.conj(_pair_correlation(slit))) @ weights / n)
-    return np.array(rows), centers
+    weights = np.r_[1.0, np.full(m[-1] - 1, 2.0), 1.0] * (-1.0) ** m * np.exp(-((m * grid.delta_q / q_m) ** 2))
+    profile = spectrum.real @ weights / grid.n_points  # s is real, so only the real part of the spectrum counts
+    intensity = np.exp(-(((grid.q - centers[:, None]) / q_m) ** 2)) / (np.sqrt(np.pi) * q_m)
+    return intensity * profile, centers
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -63,6 +63,14 @@ def _check_fit(grid: Grid, center: float, width: float, momentum_offset: float =
             )
 
 
+def _check_slit(q_m: float) -> None:
+    """Refuse a slit width unless its square, which the filtered forms divide by, is a positive finite float64."""
+    with np.errstate(over="ignore", under="ignore"):
+        square = np.float64(q_m) ** 2
+    if not (q_m > 0 and np.isfinite(square) and square > 0):
+        raise ValueError(f"slit width {q_m} must be positive with a square that is a positive finite float64")
+
+
 def gaussian_wavefunction(spec: GaussianSpec, grid: Grid) -> WaveFunction:
     """Samples of ``(pi w^2)^(-1/4) exp(-(q-c)^2 / 2w^2) exp(i p0 q / hbar)``."""
     _check_fit(grid, spec.center, spec.width, spec.momentum_offset)
@@ -137,8 +145,10 @@ def filtered_gaussian_wdf_closed_form(q_i: float, q_m: float, grid: Grid) -> Wig
     fraction of the slit, so it can be compared directly against the raw
     numeric filtering pipeline.
     """
-    if not (q_i > 0 and q_m > 0):
-        raise ValueError("widths must be positive")
+    if not q_i > 0:
+        raise ValueError(f"input width must be positive, got {q_i}")
+    _check_fit(grid, 0.0, q_i)
+    _check_slit(q_m)
     q, p = grid.q[:, None], grid.p
     sum_sq = q_i**2 + q_m**2
     values = (
@@ -161,8 +171,7 @@ def filtered_cat_wdf_closed_form(
     matching the total mass of the numerically filtered state, which equals
     the transmitted fraction of the slit.
     """
-    if not q_m > 0:
-        raise ValueError("slit width must be positive")
+    _check_slit(q_m)
     q, p = grid.q[:, None], grid.p
     d = spec.separation
     w2 = spec.width**2

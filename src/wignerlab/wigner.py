@@ -75,22 +75,27 @@ class DensityMatrix:
 
 
 def pure_density(psi: WaveFunction) -> DensityMatrix:
-    """Projector |psi><psi| for a normalized position-representation state."""
-    if psi.representation != POSITION:
-        raise ValueError("pure_density expects a position-representation state")
-    return DensityMatrix(psi.grid, _adopt(np.outer(psi.values, np.conj(psi.values))))
+    """Projector |psi><psi| for a normalized position-representation state: the mixture of one."""
+    return mixed_density([psi], [1.0])
 
 
 def mixed_density(states: Sequence[WaveFunction], weights: Sequence[float]) -> DensityMatrix:
-    """Statistical mixture sum_i w_i |psi_i><psi_i| with sum w_i = 1."""
+    """Statistical mixture sum_i w_i |psi_i><psi_i| with sum w_i = 1 of position-representation states on one grid."""
     if len(states) != len(weights) or not states:
         raise ValueError("need one weight per state")
     if not all(np.isfinite(w) and w >= 0 for w in weights):
         raise InvariantViolation(f"mixture weights must be finite and nonnegative, got {[float(w) for w in weights]}")
-    entries = sum(
-        w * np.outer(s.values, np.conj(s.values)) for s, w in zip(states, weights)
-    )
-    return DensityMatrix(states[0].grid, _adopt(entries))
+    grid = states[0].grid
+    for i, s in enumerate(states):
+        if s.representation != POSITION:
+            raise ValueError(f"state {i} of the mixture is in {s.representation} representation, not position")
+        if s.grid != grid:
+            raise GridMismatchError(f"state {i} of the mixture lives on another grid than state 0")
+    entries = np.outer(states[0].values, np.conj(states[0].values))
+    entries *= weights[0]
+    for s, w in zip(states[1:], weights[1:]):
+        entries += w * np.outer(s.values, np.conj(s.values))
+    return DensityMatrix(grid, _adopt(entries))
 
 
 def _transform_correlation(half: np.ndarray, grid: Grid) -> np.ndarray:

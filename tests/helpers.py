@@ -303,3 +303,21 @@ def evolve_in_process(state_csv, potential_json, t, dt, dump_every, out_dir):
     wio.write_manifest(out_dir, "evolve", w.grid, [Path(state_csv), Path(potential_json)], written)
     payload = {"steps": n_steps, "dt": dt, "mass": w.mass(), "min_value": float(w.values.min()), "frames": frame}
     return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def per_slit_figure4_scan(d, q_i, q_m, grid):
+    """The slit scan of ``figure fig4`` as one pair correlation per slit center, contracted at p = 0."""
+    from wignerlab import CatSpec, cat_wavefunction
+    from wignerlab.grid import _centre_p, _pair_correlation
+
+    cat = cat_wavefunction(CatSpec(width=q_i, separation=d), grid)
+    spectrum = np.fft.rfft(wdf_from_wavefunction(cat).values, axis=1)
+    centers = grid.q[(grid.q >= -1.5 * d) & (grid.q <= 1.5 * d)]
+    n = grid.n_points
+    # irfft at column n/2 (p = 0): offsets 0 and n/2 once, the others twice, signed (-1)^m
+    weights = _centre_p(np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0])
+    rows = []
+    for center in centers:
+        slit = (np.pi * q_m**2) ** (-0.25) * np.exp(-((grid.q - center) ** 2) / (2 * q_m**2))
+        rows.append(np.real(spectrum * np.conj(_pair_correlation(slit))) @ weights / n)
+    return np.array(rows), centers

@@ -13,6 +13,7 @@ from wignerlab import (
     make_grid,
     mixed_density,
     normalize,
+    purity,
     smoothed_minimum,
     subplanck_scale,
     wdf_from_density,
@@ -54,6 +55,21 @@ class TestEffectiveArea:
         w = _gauss_wdf(grid)
         with pytest.raises(InvariantViolation):
             effective_area(WignerFunction(grid, 2.0 * w.values))
+
+    @pytest.mark.parametrize("excess, refused", [(3e-6, True), (3e-7, False)])
+    def test_self_overlap_gate_from_both_sides(self, grid, excess, refused):
+        # (1 + delta) W_a - delta W_b of orthogonal a, b: unit mass, self-overlap 1 + 2 delta + 2 delta^2
+        ground = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
+        excited = normalize(WaveFunction(grid, grid.q * ground.values))
+        delta = (np.sqrt(1.0 + 2.0 * excess) - 1.0) / 2.0
+        w_a, w_b = wdf_from_wavefunction(ground), wdf_from_wavefunction(excited)
+        w = WignerFunction(grid, (1.0 + delta) * w_a.values - delta * w_b.values)
+        assert purity(w) == pytest.approx(1.0 + excess, abs=1e-10)
+        if refused:
+            with pytest.raises(InvariantViolation, match=r"^self-overlap 1\.000003 exceeds one"):
+                effective_area(w)
+        else:
+            assert effective_area(w) == pytest.approx(grid.h / (2.0 * (1.0 + excess)), rel=1e-9)
 
     def test_sharp_line_rejected_as_unphysical(self, grid):
         # a distribution pinned to one coordinate column has no admissible area

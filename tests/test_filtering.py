@@ -85,6 +85,19 @@ class TestFilterWavefunction:
         with pytest.raises(InvariantViolation):
             filter_wavefunction(psi, FilterSpec(kind=COORDINATE, device=device))
 
+    @pytest.mark.parametrize("transmission, refused", [(3e-21, True), (3e-20, False)])
+    def test_zero_transmission_gate_from_both_sides(self, grid, transmission, refused):
+        # unit-width packets at -D/2 and +D/2 overlap in exp(-D^2/2) / sqrt(2 pi)
+        separation = np.sqrt(-2.0 * np.log(transmission * np.sqrt(2.0 * np.pi)))
+        psi = gaussian_wavefunction(GaussianSpec(width=1.0, center=-separation / 2), grid)
+        slit = gaussian_wavefunction(GaussianSpec(width=1.0, center=separation / 2), grid)
+        spec = FilterSpec(kind=COORDINATE, device=slit)
+        if refused:
+            with pytest.raises(InvariantViolation, match="^filter transmits nothing of this state$"):
+                filter_wavefunction(psi, spec)
+        else:
+            assert filter_wavefunction(psi, spec)[1] == pytest.approx(transmission, rel=1e-9)
+
     def test_grid_mismatch(self, grid):
         psi = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
         other = gaussian_wavefunction(GaussianSpec(width=1.0), make_grid(-10, 10, 256))

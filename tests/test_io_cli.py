@@ -12,14 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wignerlab import GaussianSpec, WignerFunction, gaussian_wavefunction, wdf_from_wavefunction
+from wignerlab import GaussianSpec, WignerFunction, gaussian_wavefunction, make_grid, wdf_from_wavefunction
 from wignerlab import cli, evolution
 from wignerlab import io as wio
 from wignerlab.cli import main
 from wignerlab.errors import InvariantViolation
 from wignerlab.filtering import GENERAL_COORDINATE
 
-from helpers import desk_grid, evolve_in_process, oracle_load_matrix, oracle_save_matrix, traced_peak
+from helpers import (
+    desk_grid, evolve_in_process, oracle_load_matrix, oracle_save_matrix, per_slit_figure4_scan, traced_peak,
+)
 
 
 #: One run of each subcommand that builds an N x N matrix, on the files of ``budget_inputs``.
@@ -333,6 +335,23 @@ class TestCli:
         centers = np.array(meta["D_values"])
         ridge = centers[np.argmax(scan.max(axis=1) * (centers > 0))]
         assert ridge == pytest.approx(4.0, abs=2 * 24 / 128)
+
+    @pytest.mark.parametrize(
+        "d, q_i, q_m, lattice",
+        [
+            pytest.param(4.0, 1.0, 1.0, (-12, 12, 256, 1.0), id="desk"),
+            pytest.param(4.0, 1.0, 1.0, (-12, 12, 1024, 1.0), id="desk-1024"),
+            pytest.param(3.0, 0.8, 0.5, (-12, 12, 256, 0.5), id="hbar-half-narrow-slit"),
+            pytest.param(3.0, 1.0, 1.7, (-10, 14, 200, 2.0), id="odd-offset-hbar-2"),  # q = 0 is no lattice point
+        ],
+    )
+    def test_fig4_scan_matches_the_per_slit_scan(self, d, q_i, q_m, lattice):
+        # the outer product of slit intensity and one profile, against one pair correlation per slit center
+        grid = make_grid(*lattice[:3], hbar=lattice[3])
+        scan, centers = cli.figure4_scan(d, q_i, q_m, grid)
+        reference, reference_centers = per_slit_figure4_scan(d, q_i, q_m, grid)
+        np.testing.assert_array_equal(centers, reference_centers)
+        assert np.max(np.abs(scan - reference)) <= 1e-14 * np.max(np.abs(reference))
 
     def test_exit_codes(self, tmp_path, capsys):
         assert main(["wdf", str(tmp_path / "missing.csv"), "--out", str(tmp_path)]) == 2
@@ -988,6 +1007,18 @@ def test_only_io_forks_and_joins():
             if isinstance(node, (ast.Attribute, ast.Name, ast.alias)) and name in names:
                 found.add((source.name, name))
     assert sorted(found) == [("io.py", "fork"), ("io.py", "waitpid")]
+
+
+def test_cli_imports_no_private_name_of_grid():
+    # lattice kernels live in grid and the modules that use them; the CLI keeps no copy of one
+    found = [
+        alias.name
+        for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module in ("grid", "wignerlab.grid")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
 
 
 def test_only_main_writes_the_manifest_and_prints_the_record():

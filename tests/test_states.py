@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -178,6 +179,22 @@ class TestFilteredCat:
         assert w.mass() == pytest.approx(transmitted, rel=1e-12)
 
 
+@pytest.mark.parametrize("q_m", [1e-200, 1e300, float("inf")])
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda q_m, g: filtered_gaussian_wdf_closed_form(1.0, q_m, g), id="filtered-gaussian"),
+        pytest.param(lambda q_m, g: filtered_cat_wdf_closed_form(CatSpec(1.0, 2.0), q_m, 0.0, g), id="filtered-cat"),
+    ],
+)
+def test_slit_width_without_a_finite_square_is_refused(grid, build, q_m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy warns
+        refusal = f"slit width {q_m} must be positive with a square that is a positive finite float64"
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            build(q_m, grid)
+
+
 #: Packets whose amplitude at the nearer end of one axis is ``exp(-r**2 / 2)`` of their peak: that end
 #: lies ``r`` extents from the centre (the extent is ``width`` on q and ``hbar/width`` on p).
 FIT_CASES = {
@@ -209,6 +226,18 @@ class TestFitGate:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the 1e-8 edge diagnostic of WaveFunction
             GENERATORS[type(spec)][form](spec, grid)
+
+    @pytest.mark.parametrize("edge, refused", [(3e-6, True), (3e-7, False)])
+    @pytest.mark.parametrize("axis", ["q", "p"])
+    def test_filtered_gaussian_input_state(self, grid, axis, edge, refused):
+        # the centred input state's nearer end lies r extents out: at q[-1] on q, at p[-1] on p
+        r = np.sqrt(-2 * np.log(edge))
+        q_i = grid.q[-1] / r if axis == "q" else r * grid.hbar / grid.p[-1]
+        if refused:
+            with pytest.raises(ValueError, match=rf"centred at {axis} = 0\.0 .* edge amplitude 3\.00e-06\)$"):
+                filtered_gaussian_wdf_closed_form(q_i, 1.0, grid)
+        else:
+            filtered_gaussian_wdf_closed_form(q_i, 1.0, grid)
 
     @pytest.mark.parametrize("width", [1e-200, 1e300, float("inf")])
     def test_vanishing_or_unbounded_width_is_refused(self, grid, width):

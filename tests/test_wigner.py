@@ -225,6 +225,32 @@ class TestFromDensity:
         with pytest.raises(InvariantViolation, match=rf"^mixture weights must be .*, got \[1\.5, {weight}\]$"):
             mixed_density(states, [1.5, weight])
 
+    @pytest.mark.parametrize(
+        "build, index",
+        [
+            pytest.param(lambda a, m: pure_density(m), 0, id="pure"),
+            pytest.param(lambda a, m: mixed_density([m], [1.0]), 0, id="mixed"),
+            pytest.param(lambda a, m: mixed_density([a, m], [0.5, 0.5]), 1, id="mixed-second"),
+        ],
+    )
+    def test_refuses_momentum_representation(self, build, index, monkeypatch):
+        psi = gaussian_wavefunction(GaussianSpec(width=1.0), make_grid(-12, 12, 128))
+        momentum = fourier_transform(psi)
+        monkeypatch.setattr(np, "outer", None)  # refused before any matrix is built
+        refusal = f"^state {index} of the mixture is in momentum representation, not position$"
+        with pytest.raises(ValueError, match=refusal):
+            build(psi, momentum)
+
+    @pytest.mark.parametrize("shift", [1.0, 0.5 * 24 / 256], ids=["shifted", "half-cell"])
+    def test_refuses_states_on_another_grid(self, shift, monkeypatch):
+        # same spacing, shifted lattice: amplitudes at the same index sit at different positions
+        a = gaussian_wavefunction(GaussianSpec(width=1.0), make_grid(-12, 12, 256))
+        b = gaussian_wavefunction(GaussianSpec(width=1.0), make_grid(-12 + shift, 12 + shift, 256))
+        monkeypatch.setattr(np, "outer", None)
+        for states, other in (([a, b], 1), ([b, a, a], 1), ([a, a, b], 2)):
+            with pytest.raises(GridMismatchError, match=f"^state {other} of the mixture lives on another grid than"):
+                mixed_density(states, [1.0 / len(states)] * len(states))
+
     def test_physical_states_positive_semidefinite(self):
         g = desk_grid()
         left = gaussian_wavefunction(GaussianSpec(width=1.0, center=-2.0), g)
@@ -357,6 +383,21 @@ class TestGatesFromBothSides:
                 wdf_from_wavefunction(scaled)
         else:
             wdf_from_wavefunction(scaled)
+
+    @pytest.mark.parametrize("miss, refused", [(3e-6, True), (3e-7, False)])
+    def test_purity_gate(self, miss, refused):
+        # orthogonal states at weights (1 - e, e) mix to purity 1 - 2e + 2e^2 = 1 - miss
+        g = desk_grid()
+        ground = gaussian_wavefunction(GaussianSpec(width=1.0), g)
+        excited = normalize(WaveFunction(g, g.q * ground.values))
+        e = (1.0 - np.sqrt(1.0 - 2.0 * miss)) / 2.0
+        w = wdf_from_density(mixed_density([ground, excited], [1.0 - e, e]))
+        assert purity(w) == pytest.approx(1.0 - miss, abs=1e-10)
+        if refused:
+            with pytest.raises(InvariantViolation, match=r"^purity 0\.999997 below pure-state threshold"):
+                recover_wavefunction(w)
+        else:
+            assert aligned_max_error(recover_wavefunction(w), ground) < 1e-3
 
 
 class TestOverlap:
