@@ -65,7 +65,7 @@ class EvolutionConfig:
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if self.n_steps < 0:
-            raise ValueError("n_steps must be nonnegative")
+            raise ValueError(f"n_steps must be nonnegative, got {self.n_steps}")
 
 
 def _moyal_symbols(grid: Grid, v: PotentialSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -55,9 +55,9 @@ class Grid:
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.delta_q > 0:
-            raise ValueError("delta_q must be positive")
+            raise ValueError(f"delta_q must be positive, got {self.delta_q}")
         if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
+            raise ValueError(f"hbar must be positive, got {self.hbar}")
 
     @property
     def h(self) -> float:
@@ -66,10 +66,6 @@ class Grid:
     @property
     def delta_p(self) -> float:
         return np.pi * self.hbar / (self.n_points * self.delta_q)
-
-    @property
-    def q_max(self) -> float:
-        return self.q_min + self.n_points * self.delta_q
 
     @cached_property
     def q(self) -> np.ndarray:

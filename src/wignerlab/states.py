@@ -29,7 +29,7 @@ class GaussianSpec:
 
     def __post_init__(self):
         if not self.width > 0:
-            raise ValueError("width must be positive")
+            raise ValueError(f"width must be positive, got {self.width}")
 
 
 @dataclass(frozen=True)
@@ -41,34 +41,42 @@ class CatSpec:
 
     def __post_init__(self):
         if not self.width > 0:
-            raise ValueError("width must be positive")
+            raise ValueError(f"width must be positive, got {self.width}")
         if self.separation < 0:
-            raise ValueError("separation must be nonnegative")
+            raise ValueError(f"separation must be nonnegative, got {self.separation}")
+
+
+def _check_axis(grid: Grid, axis: str, c: float, width: float, what: str = "packet") -> None:
+    """Refuse a Gaussian centred at ``c`` beyond the lattice ends of ``axis``, or with more than ``_FIT_ERROR_LEVEL``
+    of its peak at an end; its extent is ``width`` on q and ``hbar/width`` on p."""
+    ends = (grid.q if axis == "q" else grid.p)[[0, -1]]
+    extent = np.float64(width) if axis == "q" else grid.hbar / np.float64(width)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # an extent of 0 or inf fails
+        edge = np.exp(-((ends - c) ** 2) / (2 * extent**2)).max()
+    if not (ends[0] <= c <= ends[1] and edge <= _FIT_ERROR_LEVEL):
+        raise ValueError(
+            f"{what} of width {width} centred at {axis} = {c} does not fit the {axis} range "
+            f"[{ends[0]:.6g}, {ends[1]:.6g}] of the lattice (relative edge amplitude {edge:.2e})"
+        )
 
 
 def _check_fit(grid: Grid, center: float, width: float, momentum_offset: float = 0.0) -> None:
-    """Refuse a Gaussian packet centred beyond the lattice ends, or with more than ``_FIT_ERROR_LEVEL``
-    of its peak at an end, on q (centre ``center``, extent ``width``) or p (``momentum_offset``, ``hbar/width``)."""
-    for axis, points, c, extent in (
-        ("q", grid.q, center, np.float64(width)),
-        ("p", grid.p, momentum_offset, grid.hbar / np.float64(width)),
-    ):
-        ends = points[[0, -1]]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # an extent of 0 or inf fails
-            edge = np.exp(-((ends - c) ** 2) / (2 * extent**2)).max()
-        if not (ends[0] <= c <= ends[1] and edge <= _FIT_ERROR_LEVEL):
-            raise ValueError(
-                f"packet of width {width} centred at {axis} = {c} does not fit the {axis} range "
-                f"[{ends[0]:.6g}, {ends[1]:.6g}] of the lattice (relative edge amplitude {edge:.2e})"
-            )
+    """Refuse a Gaussian packet that does not fit the lattice on q or on p."""
+    _check_axis(grid, "q", center, width)
+    _check_axis(grid, "p", momentum_offset, width)
 
 
-def _check_slit(q_m: float) -> None:
-    """Refuse a slit width unless its square, which the filtered forms divide by, is a positive finite float64."""
+def _check_slit(q_m: float, offset: float, grid: Grid) -> None:
+    """Refuse a slit unless the square of its width, which the filtered forms divide by, is a positive finite
+    float64, its momentum extent ``hbar/q_m`` fits the p range, as an inline Gaussian device's must, and its
+    offset is finite."""
     with np.errstate(over="ignore", under="ignore"):
         square = np.float64(q_m) ** 2
     if not (q_m > 0 and np.isfinite(square) and square > 0):
         raise ValueError(f"slit width {q_m} must be positive with a square that is a positive finite float64")
+    _check_axis(grid, "p", 0.0, q_m, "slit")
+    if not np.isfinite(offset):
+        raise ValueError(f"slit offset {offset} must be finite")
 
 
 def gaussian_wavefunction(spec: GaussianSpec, grid: Grid) -> WaveFunction:
@@ -114,6 +122,20 @@ def cat_wavefunction(spec: CatSpec, grid: Grid) -> WaveFunction:
     return WaveFunction(grid, values, POSITION)
 
 
+def _cat_family(spec: CatSpec, grid: Grid, slit=1.0, compression=1.0, damping=1.0, scale=1.0) -> WignerFunction:
+    """``scale * slit(q) [humps(q) + 2 damping exp(-q^2/w^2) cos(2 c d p/hbar)] exp(-c w^2 p^2/hbar^2)
+    / (h [1 + exp(-d^2/w^2)])``, ``c = compression``: the two-term product ``a(q) e(p) + b(q) f(p)``,
+    built as one (n, 2) @ (2, n) matrix product, so no N x N temporary is made."""
+    for hump in (spec.separation, -spec.separation):
+        _check_fit(grid, hump, spec.width)
+    q, p, d, w2 = grid.q, grid.p, spec.separation, spec.width**2
+    envelope = scale * np.exp(-(p**2) * w2 * compression / grid.hbar**2) / (grid.h * (1.0 + np.exp(-(d**2) / w2)))
+    humps = slit * (np.exp(-((q - d) ** 2) / w2) + np.exp(-((q + d) ** 2) / w2))
+    cross = slit * 2.0 * damping * np.exp(-(q**2) / w2)
+    fringes = envelope * np.cos(2.0 * d * compression * p / grid.hbar)
+    return WignerFunction(grid, _adopt(np.stack([humps, cross], axis=1) @ np.stack([envelope, fringes])))
+
+
 def cat_wdf_closed_form(spec: CatSpec, grid: Grid) -> WignerFunction:
     """Exact two-hump distribution with its oscillatory cross term.
 
@@ -122,75 +144,32 @@ def cat_wdf_closed_form(spec: CatSpec, grid: Grid) -> WignerFunction:
     a shared momentum envelope.  The cross term peaks at the phase-space
     origin with value 2/h regardless of the separation.
     """
-    for hump in (spec.separation, -spec.separation):
-        _check_fit(grid, hump, spec.width)
-    q, p = grid.q[:, None], grid.p
-    w2 = spec.width**2
-    d = spec.separation
-    envelope = np.exp(-(p**2) * w2 / grid.hbar**2) / (
-        grid.h * (1.0 + np.exp(-(d**2) / w2))
-    )
-    bracket = (
-        np.exp(-((q - d) ** 2) / w2)
-        + np.exp(-((q + d) ** 2) / w2)
-        + 2.0 * np.exp(-(q**2) / w2) * np.cos(2.0 * d * p / grid.hbar)
-    )
-    return WignerFunction(grid, _adopt(envelope * bracket))
+    return _cat_family(spec, grid)
 
 
 def filtered_gaussian_wdf_closed_form(q_i: float, q_m: float, grid: Grid) -> WignerFunction:
-    """Exact output distribution of a centered Gaussian slit on a Gaussian packet.
+    """Exact output distribution of a centered Gaussian slit on a Gaussian packet: the filtered cat at d = 0.
 
     The result is not renormalized: its total mass equals the transmitted
-    fraction of the slit, so it can be compared directly against the raw
-    numeric filtering pipeline.
+    fraction ``1/sqrt(pi (q_i^2 + q_m^2))`` of the slit, so it can be
+    compared directly against the raw numeric filtering pipeline.
     """
-    if not q_i > 0:
-        raise ValueError(f"input width must be positive, got {q_i}")
-    _check_fit(grid, 0.0, q_i)
-    _check_slit(q_m)
-    q, p = grid.q[:, None], grid.p
-    sum_sq = q_i**2 + q_m**2
-    values = (
-        2.0
-        / (grid.h * np.sqrt(np.pi * sum_sq))
-        * np.exp(-(q**2) / q_i**2 - (q**2) / q_m**2)
-        * np.exp(-(p**2) / grid.hbar**2 * (q_i**2 * q_m**2 / sum_sq))
-    )
-    return WignerFunction(grid, _adopt(values))
+    return filtered_cat_wdf_closed_form(CatSpec(q_i, 0.0), q_m, 0.0, grid)
 
 
-def filtered_cat_wdf_closed_form(
-    spec: CatSpec, q_m: float, offset: float, grid: Grid
-) -> WignerFunction:
+def filtered_cat_wdf_closed_form(spec: CatSpec, q_m: float, offset: float, grid: Grid) -> WignerFunction:
     """Exact output distribution of a Gaussian slit at ``q = offset`` on a two-hump state.
 
-    The slit damps the cross term by ``exp(-d^2/(q_i^2+q_m^2))`` and
-    compresses its oscillation frequency by ``q_m^2/(q_i^2+q_m^2)``.  The
-    overall constant is not available in closed form here; it is fixed by
-    matching the total mass of the numerically filtered state, which equals
-    the transmitted fraction of the slit.
+    The slit multiplies the distribution by ``exp(-(q-offset)^2/q_m^2)`` and
+    convolves it along p with the slit's own momentum Gaussian: that damps
+    the cross term by ``exp(-d^2/(q_i^2+q_m^2))``, compresses its oscillation
+    frequency and the momentum envelope's exponent by ``q_m^2/(q_i^2+q_m^2)``,
+    and sets the constant to ``1 / (h [1 + exp(-d^2/q_i^2)] sqrt(pi (q_i^2+q_m^2)))``.
+    The result is not renormalized: its mass is the transmitted fraction.
     """
-    _check_slit(q_m)
-    q, p = grid.q[:, None], grid.p
-    d = spec.separation
-    w2 = spec.width**2
-    sum_sq = w2 + q_m**2
-    shape = (
-        np.exp(-((q - offset) ** 2) / q_m**2)
-        * np.exp(-(p**2) / grid.hbar**2 * (w2 * q_m**2 / sum_sq))
-        * (
-            np.exp(-((q - d) ** 2) / w2)
-            + np.exp(-((q + d) ** 2) / w2)
-            + 2.0
-            * np.exp(-(q**2) / w2)
-            * np.exp(-(d**2) / sum_sq)
-            * np.cos(2.0 * d * p / grid.hbar * (q_m**2 / sum_sq))
-        )
+    _check_slit(q_m, offset, grid)
+    sum_sq = spec.width**2 + q_m**2
+    return _cat_family(
+        spec, grid, slit=np.exp(-((grid.q - offset) ** 2) / q_m**2), compression=q_m**2 / sum_sq,
+        damping=np.exp(-(spec.separation**2) / sum_sq), scale=1.0 / np.sqrt(np.pi * sum_sq),
     )
-    # transmitted fraction of the raw filtered state fixes the constant
-    cat = cat_wavefunction(spec, grid)
-    slit = (np.pi * q_m**2) ** (-0.25) * np.exp(-((grid.q - offset) ** 2) / (2 * q_m**2))
-    transmitted = float(np.sum(np.abs(cat.values * slit) ** 2) * grid.delta_q)
-    shape_mass = float(np.sum(shape) * grid.delta_q * grid.delta_p)
-    return WignerFunction(grid, _adopt(shape * (transmitted / shape_mass)))

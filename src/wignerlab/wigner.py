@@ -82,7 +82,7 @@ def pure_density(psi: WaveFunction) -> DensityMatrix:
 def mixed_density(states: Sequence[WaveFunction], weights: Sequence[float]) -> DensityMatrix:
     """Statistical mixture sum_i w_i |psi_i><psi_i| with sum w_i = 1 of position-representation states on one grid."""
     if len(states) != len(weights) or not states:
-        raise ValueError("need one weight per state")
+        raise ValueError(f"need one weight per state, got {len(weights)} for {len(states)}")
     if not all(np.isfinite(w) and w >= 0 for w in weights):
         raise InvariantViolation(f"mixture weights must be finite and nonnegative, got {[float(w) for w in weights]}")
     grid = states[0].grid

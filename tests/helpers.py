@@ -321,3 +321,63 @@ def per_slit_figure4_scan(d, q_i, q_m, grid):
         slit = (np.pi * q_m**2) ** (-0.25) * np.exp(-((grid.q - center) ** 2) / (2 * q_m**2))
         rows.append(np.real(spectrum * np.conj(_pair_correlation(slit))) @ weights / n)
     return np.array(rows), centers
+
+
+# The Gaussian-slit closed forms as three separate formulas, before they became one two-term product; the
+# filtered cat's constant is matched to the lattice transmission of the sampled cat and slit.
+
+
+def termwise_cat_wdf(spec, grid):
+    """Values of the two-hump distribution: humps and cross term under one momentum envelope."""
+    q, p = grid.q[:, None], grid.p
+    w2 = spec.width**2
+    d = spec.separation
+    envelope = np.exp(-(p**2) * w2 / grid.hbar**2) / (
+        grid.h * (1.0 + np.exp(-(d**2) / w2))
+    )
+    bracket = (
+        np.exp(-((q - d) ** 2) / w2)
+        + np.exp(-((q + d) ** 2) / w2)
+        + 2.0 * np.exp(-(q**2) / w2) * np.cos(2.0 * d * p / grid.hbar)
+    )
+    return envelope * bracket
+
+
+def termwise_filtered_gaussian_wdf(q_i, q_m, grid):
+    """Values of the centred Gaussian slit's output on a centred Gaussian packet, of mass the transmission."""
+    q, p = grid.q[:, None], grid.p
+    sum_sq = q_i**2 + q_m**2
+    return (
+        2.0
+        / (grid.h * np.sqrt(np.pi * sum_sq))
+        * np.exp(-(q**2) / q_i**2 - (q**2) / q_m**2)
+        * np.exp(-(p**2) / grid.hbar**2 * (q_i**2 * q_m**2 / sum_sq))
+    )
+
+
+def lattice_matched_filtered_cat_wdf(spec, q_m, offset, grid):
+    """Values of a Gaussian slit's output on a two-hump state, scaled to the lattice transmission."""
+    from wignerlab import cat_wavefunction
+
+    q, p = grid.q[:, None], grid.p
+    d = spec.separation
+    w2 = spec.width**2
+    sum_sq = w2 + q_m**2
+    shape = (
+        np.exp(-((q - offset) ** 2) / q_m**2)
+        * np.exp(-(p**2) / grid.hbar**2 * (w2 * q_m**2 / sum_sq))
+        * (
+            np.exp(-((q - d) ** 2) / w2)
+            + np.exp(-((q + d) ** 2) / w2)
+            + 2.0
+            * np.exp(-(q**2) / w2)
+            * np.exp(-(d**2) / sum_sq)
+            * np.cos(2.0 * d * p / grid.hbar * (q_m**2 / sum_sq))
+        )
+    )
+    # transmitted fraction of the raw filtered state fixes the constant
+    cat = cat_wavefunction(spec, grid)
+    slit = (np.pi * q_m**2) ** (-0.25) * np.exp(-((grid.q - offset) ** 2) / (2 * q_m**2))
+    transmitted = float(np.sum(np.abs(cat.values * slit) ** 2) * grid.delta_q)
+    shape_mass = float(np.sum(shape) * grid.delta_q * grid.delta_p)
+    return shape * (transmitted / shape_mass)

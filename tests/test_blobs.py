@@ -153,6 +153,19 @@ class TestSubplanckScale:
         scales = [subplanck_scale(_cat_wdf(grid, separation=d)) for d in (3.0, 4.0, 5.0)]
         assert scales[0] > scales[1] > scales[2]
 
+    @pytest.mark.parametrize("power, counted", [(3e-6, True), (3e-7, False)])
+    def test_spectral_power_floor_from_both_sides(self, grid, power, counted):
+        # a q-fringe on rfft bin n/4, far beyond the packet's own spectrum, at ``power`` of the peak q-power
+        w = _gauss_wdf(grid)
+        n = grid.n_points
+        fringe = np.cos(2 * np.pi * (n // 4) * np.arange(n) / n)[:, None] * w.values[grid.origin_index()]
+        power_q = lambda values: np.sum(np.abs(np.fft.rfft(values, axis=0)) ** 2, axis=1)
+        fringe *= np.sqrt(power * power_q(w.values).max() / power_q(fringe)[n // 4])
+        fringed = w.values + fringe
+        assert power_q(fringed)[n // 4] / power_q(fringed).max() == pytest.approx(power, rel=1e-9)
+        changed = subplanck_scale(WignerFunction(grid, fringed)) != subplanck_scale(w)
+        assert changed == counted
+
 
 def test_blob_report_fields(grid):
     report = blob_report(_cat_wdf(grid))

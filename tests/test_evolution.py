@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -332,6 +333,64 @@ class TestPropagate:
         out = propagate(cat, FREE, EvolutionConfig(dt=1e-3, n_steps=200))
         assert before < -0.1
         assert out.values.min() < -0.1
+
+
+class TestAbortGatesFromBothSides:
+    """The edge abort, the amplitude cap and the 25-step check schedule, each pinned a factor of 3 to either side."""
+
+    @pytest.mark.parametrize("edge, refused", [(3e-12, True), (3e-13, False)])
+    def test_marginal_edge(self, grid, edge, refused):
+        # a packet centred on a lattice point whose q-marginal at the last point is ``edge`` of its peak
+        center = grid.q[150]
+        width = (grid.q[-1] - center) / np.sqrt(-np.log(edge))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the 1e-8 amplitude diagnostic of WaveFunction
+            psi = normalize(WaveFunction(grid, np.exp(-((grid.q - center) ** 2) / (2 * width**2))))
+        w = wdf_from_wavefunction(psi)
+        marginal = w.values.sum(axis=1)
+        assert marginal[-1] / marginal.max() == pytest.approx(edge, rel=1e-12)
+        run = lambda: propagate(w, FREE, EvolutionConfig(dt=1e-9, n_steps=1))  # too short to move the edge
+        if refused:
+            with pytest.raises(InvariantViolation, match=r"^edge value 3\.00e-12 of the q-marginal at step 1: "):
+                run()
+        else:
+            run()
+
+    @pytest.mark.parametrize("factor, refused", [(3.0, True), (1 / 3, False)])
+    def test_amplitude_cap(self, grid, monkeypatch, factor, refused):
+        w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), grid))
+        spike = factor * 10.0 * max(2.0 / grid.h, np.max(np.abs(w.values)))
+        apply, calls = evolution._apply, []
+
+        def spiking_apply(values, symbol, axis):
+            result = apply(values, symbol, axis)
+            calls.append(axis)
+            if len(calls) == 5:  # the closing kick of the only step: a mass-neutral +- pair far from the packet
+                result[10, 10:12] += (spike, -spike)
+            return result
+
+        monkeypatch.setattr(evolution, "_apply", spiking_apply)
+        run = lambda: propagate(w, FREE, EvolutionConfig(dt=1e-3, n_steps=1))
+        if refused:
+            with pytest.raises(InvariantViolation, match=f"^{re.escape(f'evolution went unstable at step 1 (peak {spike:.2e})')}$"):
+                run()
+        else:
+            assert np.max(run().values) == pytest.approx(spike, rel=1e-9)
+
+    @pytest.mark.parametrize("n_steps", [50, 80])
+    def test_checks_come_every_25_steps(self, grid, monkeypatch, n_steps):
+        # a single step's frame spans all n_steps, so only the 25-step schedule checks before its end
+        w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), grid))
+        apply, calls = evolution._apply, []
+
+        def leaking_apply(values, symbol, axis):
+            calls.append(axis)
+            result = apply(values, symbol, axis)
+            return result * (1.0 + 1e-3) if len(calls) == 4 * 10 + 1 else result  # opening kick of step 11
+
+        monkeypatch.setattr(evolution, "_apply", leaking_apply)
+        with pytest.raises(InvariantViolation, match=r"^mass drift 1\.00e-03 at step 25 exceeds 1e-4"):
+            propagate(w, HARMONIC, EvolutionConfig(dt=1e-3, n_steps=n_steps))
 
 
 class TestSplitStep:

@@ -454,7 +454,7 @@ class TestCli:
             pytest.param(["state", "--gaussian", "q0=1", "--grid=-12:1e309:256"], "delta_q must be finite, got inf",
                          id="state-q-max-overflow"),
             pytest.param(["figure", "fig2", "--hbar", "inf"], "hbar must be finite, got inf", id="figure-hbar-inf"),
-            pytest.param(["figure", "fig2", "--qm", "0"], "width must be positive", id="figure-slit-width-zero"),
+            pytest.param(["figure", "fig2", "--qm", "0"], "width must be positive, got 0.0", id="figure-slit-width-zero"),
             pytest.param(["state", "--cat", "d=2", "qi=0.05"], P_BAND_MISFIT.format(width=0.05, edge="7.08e-01"),
                          id="cat-beyond-p-band"),
             pytest.param(["figure", "fig3", "--d", "2", "--qi", "0.05"],

@@ -21,9 +21,16 @@ from wignerlab import (
     squared_norm,
     wdf_from_wavefunction,
 )
+from wignerlab import states
 from wignerlab.filtering import COORDINATE
 
-from helpers import desk_grid, traced_peak
+from helpers import (
+    desk_grid,
+    lattice_matched_filtered_cat_wdf,
+    termwise_cat_wdf,
+    termwise_filtered_gaussian_wdf,
+    traced_peak,
+)
 
 
 class TestGaussian:
@@ -179,6 +186,88 @@ class TestFilteredCat:
         assert w.mass() == pytest.approx(transmitted, rel=1e-12)
 
 
+#: The three cat-family closed forms and their separate termwise formulas, the filtered cat's constant matched
+#: to the lattice transmission: a wide slit, a centred slit and an off-centre slit narrower than the state.
+CAT_FAMILY_CASES = {
+    "cat": (lambda g: cat_wdf_closed_form(CatSpec(1.0, 3.0), g), lambda g: termwise_cat_wdf(CatSpec(1.0, 3.0), g)),
+    "filtered-gaussian": (lambda g: filtered_gaussian_wdf_closed_form(1.5, 1.0, g),
+                          lambda g: termwise_filtered_gaussian_wdf(1.5, 1.0, g)),
+    "filtered-gaussian-wide-slit": (lambda g: filtered_gaussian_wdf_closed_form(1.5, 1e4, g),
+                                    lambda g: termwise_filtered_gaussian_wdf(1.5, 1e4, g)),
+    "filtered-cat-wide-slit": (lambda g: filtered_cat_wdf_closed_form(CatSpec(1.0, 3.0), 1e4, 0.0, g),
+                               lambda g: lattice_matched_filtered_cat_wdf(CatSpec(1.0, 3.0), 1e4, 0.0, g)),
+    "filtered-cat-centred": (lambda g: filtered_cat_wdf_closed_form(CatSpec(1.0, 3.0), 1.0, 0.0, g),
+                             lambda g: lattice_matched_filtered_cat_wdf(CatSpec(1.0, 3.0), 1.0, 0.0, g)),
+    "filtered-cat-narrow-off-centre": (lambda g: filtered_cat_wdf_closed_form(CatSpec(1.0, 3.0), 0.6, 1.7, g),
+                                       lambda g: lattice_matched_filtered_cat_wdf(CatSpec(1.0, 3.0), 0.6, 1.7, g)),
+}
+
+
+@pytest.mark.parametrize("case", CAT_FAMILY_CASES)
+@pytest.mark.parametrize(
+    "lattice",
+    [(-12.0, 12.0, 256, 1.0), (-12.0, 12.0, 1024, 1.0), (-10.0, 14.0, 200, 0.7)],  # q = 0 is off the last lattice
+    ids=["desk-256", "desk-1024", "odd-offset-hbar-0.7"],
+)
+def test_cat_family_matches_the_termwise_formulas(case, lattice):
+    g = make_grid(*lattice[:3], hbar=lattice[3])
+    closed_form, termwise = CAT_FAMILY_CASES[case]
+    values, reference = closed_form(g).values, termwise(g)
+    assert np.max(np.abs(values - reference)) <= 1e-14 * np.max(np.abs(reference))
+    assert values.sum() == pytest.approx(reference.sum(), rel=1e-14)
+
+
+def test_filtered_forms_are_one_analytic_formula(grid, monkeypatch):
+    """The filtered Gaussian is the filtered cat at d = 0, and no generator or lattice sum fixes a constant."""
+    for generator in ("cat_wavefunction", "gaussian_wavefunction"):
+        monkeypatch.setattr(states, generator, None)
+    monkeypatch.setattr(np, "sum", None)
+    calls, family = [], states._cat_family
+    monkeypatch.setattr(states, "_cat_family", lambda *args, **kwargs: calls.append(args) or family(*args, **kwargs))
+    filtered_gaussian_wdf_closed_form(1.5, 1.0, grid)
+    filtered_cat_wdf_closed_form(CatSpec(1.0, 4.0), 1.0, 2.0, grid)
+    cat_wdf_closed_form(CatSpec(1.0, 4.0), grid)
+    assert [spec for spec, _ in calls] == [CatSpec(1.5, 0.0), CatSpec(1.0, 4.0), CatSpec(1.0, 4.0)]
+
+
+class TestSlitRule:
+    """A slit width whose momentum extent hbar/q_m overflows the p range, or a non-finite offset, is refused."""
+
+    FORMS = {
+        "filtered-gaussian": lambda q_m, offset, g: filtered_gaussian_wdf_closed_form(1.0, q_m, g),
+        "filtered-cat": lambda q_m, offset, g: filtered_cat_wdf_closed_form(CatSpec(1.0, 2.0), q_m, offset, g),
+    }
+
+    @pytest.mark.parametrize("q_m, edge", [(1e-154, "1.00e+00"), (0.2, "3.98e-03")])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_width_beyond_the_p_range_is_refused(self, grid, form, q_m, edge):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before numpy warns
+            refusal = (f"slit of width {q_m} centred at p = 0.0 does not fit the p range [-16.7552, 16.6243] "
+                       f"of the lattice (relative edge amplitude {edge})")
+            with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+                self.FORMS[form](q_m, 0.0, grid)
+
+    @pytest.mark.parametrize("q_m", [0.35, 1.0, 1e4])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_width_within_the_p_range_is_accepted(self, grid, form, q_m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.FORMS[form](q_m, 0.0, grid).mass() > 0
+
+    def test_slit_off_the_lattice_transmits_nothing(self, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = filtered_cat_wdf_closed_form(CatSpec(1.0, 2.0), 1.0, 40.0, grid)
+        assert np.all(np.isfinite(w.values))
+        assert abs(w.mass()) < 1e-300
+
+    @pytest.mark.parametrize("offset", [float("inf"), float("nan")])
+    def test_non_finite_offset_is_named(self, grid, offset):
+        with pytest.raises(ValueError, match=f"^slit offset {offset} must be finite$"):
+            filtered_cat_wdf_closed_form(CatSpec(1.0, 2.0), 1.0, offset, grid)
+
+
 @pytest.mark.parametrize("q_m", [1e-200, 1e300, float("inf")])
 @pytest.mark.parametrize(
     "build",
@@ -251,9 +340,9 @@ class TestFitGate:
     "build, bound",
     [
         pytest.param(lambda g: gaussian_wdf_closed_form(GaussianSpec(0.9, 1.5, -1.0), g), 2.25, id="gaussian"),
-        pytest.param(lambda g: cat_wdf_closed_form(CatSpec(1.0, 4.0), g), 2.25, id="cat"),
+        pytest.param(lambda g: cat_wdf_closed_form(CatSpec(1.0, 4.0), g), 1.25, id="cat"),
         pytest.param(lambda g: filtered_gaussian_wdf_closed_form(1.5, 1.0, g), 1.25, id="filtered-gaussian"),
-        pytest.param(lambda g: filtered_cat_wdf_closed_form(CatSpec(1.0, 4.0), 1.0, 2.0, g), 3.25,
+        pytest.param(lambda g: filtered_cat_wdf_closed_form(CatSpec(1.0, 4.0), 1.0, 2.0, g), 1.25,
                      id="filtered-cat"),
     ],
 )
