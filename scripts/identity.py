@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -37,8 +38,13 @@ _LAUNCH = (
     "sys.exit(main(sys.argv[2:]))\n"
 )
 
+_DEVICE = {"gaussian": {"width": 0.8, "center": 1.0}}
 _INPUTS = {
     "slit.json": {"kind": "coordinate", "device": {"gaussian": {"width": 1.0, "center": 0.5}}},
+    "momentum.json": {"kind": "momentum", "device": _DEVICE},
+    # on -12:12 the offsets sit on both lattices: pi/8 is 3 cells of p, 0.75 is 8 cells of q at N=256, 32 at N=1024
+    "general_coordinate.json": {"kind": "general_coordinate", "p_offset": math.pi / 8, "device": _DEVICE},
+    "general_momentum.json": {"kind": "general_momentum", "q_offset": 0.75, "device": _DEVICE},
     "well.json": {"coefficients": [0, 0, 0.5, 0, 0.01]},
 }
 
@@ -54,6 +60,9 @@ def command_table(n: int) -> list[tuple[str, list[str]]]:
         ("wc", ["wdf", "c/state.csv"]),
         ("wd", ["wdf", "d/state.csv"]),
         ("f", ["filter", "s/state.csv", "--filter", "slit.json", "--wdf"]),
+        ("fm", ["filter", "s/state.csv", "--filter", "momentum.json", "--wdf"]),
+        ("fgc", ["filter", "s/state.csv", "--filter", "general_coordinate.json", "--wdf"]),
+        ("fgm", ["filter", "s/state.csv", "--filter", "general_momentum.json", "--wdf"]),
         ("det", ["detect", "w/wdf.csv", "wd/wdf.csv"]),
         ("", ["overlap", "w/wdf.csv", "wc/wdf.csv"]),
         ("", ["overlap", "w/wdf.csv", "f/filtered_wdf.csv"]),  # mass below 1: exits 1

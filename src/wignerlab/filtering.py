@@ -1,12 +1,11 @@
 """The measurement calculus: filters, detection and the interaction classifier.
 
-A filter acts on the state in its own representation: the plain kinds
-multiply by the device transmission, the general (convolution-type) kinds
-multiply by a plane wave of the offset, then convolve with the device.
-In phase space all four follow one law: shift along one axis (by zero for
+Each filter kind is one phase-space law: shift along one axis (by zero for
 the plain kinds), then convolve with the device distribution along the
-other.  Detection convolves along both axes at once and always yields a
-nonnegative map.
+other.  The amplitude route is its position twin: the p-axis kinds shift
+the state by the q offset and multiply by the device, the q-axis kinds kick
+it by the p offset and convolve it with the device.  Detection convolves
+along both axes at once and always yields a nonnegative map.
 
 Devices are used exactly as given, without forcing unit norm: the
 transmitted fraction is physical information and is reported separately.
@@ -33,8 +32,9 @@ from .grid import (
     _half_dft,
     _linear_convolution,
     _pair_correlation,
+    _shifted,
     normalize,
-    to_momentum,
+    squared_norm,
     to_position,
 )
 from .wigner import WignerFunction, marginal_p, marginal_q, overlap_probability, wigner_values_of_amplitudes
@@ -64,7 +64,7 @@ class FilterSpec:
     """A filtering device: its transmission function plus optional offsets.
 
     ``device`` holds the transmission samples (position or momentum
-    representation; converted internally as needed) and need not be
+    representation; used in position) and need not be
     normalized.  ``p_offset`` is the momentum kick of the general
     coordinate-convolution filter, ``q_offset`` the displacement of the
     general momentum-convolution filter.  Offsets must be integer lattice
@@ -120,44 +120,40 @@ class InteractionReport:
     classification: str
 
 
-def _centring(g: Grid, axis: int) -> tuple[int, float]:
-    """First kept index and cell of a convolution along lattice axis 0 (q) or 1 (p).
-
-    The kept window starts at the origin: q = 0 at ``origin_index()``, p = 0 at ``n // 2``.
-    """
-    return (g.origin_index(), g.delta_q) if axis == 0 else (g.n_points // 2, g.delta_p)
+def _law(g: Grid, f: FilterSpec) -> tuple[int, int]:
+    """The convolution axis of ``f``'s law, 0 (q) or 1 (p), and its shift in cells along the other; checks the grid."""
+    if g != f.device.grid:
+        raise GridMismatchError("state and device live on different grids")
+    if f.kind in (COORDINATE, GENERAL_MOMENTUM):
+        return 1, g.steps_of(f.q_offset, g.delta_q)
+    return 0, g.steps_of(f.p_offset, g.delta_p)
 
 
 def filter_wavefunction(psi_in: WaveFunction, f: FilterSpec) -> tuple[WaveFunction, float]:
     """Apply a filter to a state; return the renormalized output and its transmission.
 
-    The general kinds multiply by ``exp(i x0 x / hbar)`` before convolving,
-    with ``x0 = p_offset`` in position and ``-q_offset`` in momentum.  The
-    transmitted fraction is the squared quadrature norm of the raw
-    (unnormalized) output.  Raises when the device blocks the state entirely.
+    coordinate:          psi_out(q) = psi(q) m(q)
+    momentum:            psi_out(q) = h^(-1/2) integral psi(q') m(q-q') dq'
+    general_coordinate:  psi_out(q) = h^(-1/2) integral psi(q') exp(i p0 q'/hbar) m(q-q') dq'
+    general_momentum:    psi_out(q) = psi(q-q0) m(q)
+
+    ``m`` is the device in position at its given norm: each kind is the
+    position twin of its :func:`filter_wdf` law, and no momentum state is
+    built.  The transmitted fraction is the squared quadrature norm of the
+    raw (unnormalized) output.  Raises when the device blocks the state.
     """
     if psi_in.representation != POSITION:
         raise ValueError("filter_wavefunction expects a position-representation state")
-    if psi_in.grid != f.device.grid:
-        raise GridMismatchError("state and device live on different grids")
     g = psi_in.grid
-    g.steps_of(f.p_offset, g.delta_p)  # offsets must sit on the lattice
-    g.steps_of(f.q_offset, g.delta_q)
-
-    axis = 0 if f.kind in (COORDINATE, GENERAL_COORDINATE) else 1
-    to_own = (to_position, to_momentum)[axis]
-    psi = to_own(psi_in)
-    device = to_own(f.device).values
-    if f.kind in (COORDINATE, MOMENTUM_KIND):
-        values = psi.values * device
+    axis, steps = _law(g, f)
+    device = to_position(f.device).values
+    if axis == 1:
+        values = _shifted(psi_in.values, steps, 0) * device
     else:
-        offset = (f.p_offset, -f.q_offset)[axis]
-        kicked = psi.values * np.exp(1j * offset * psi.coordinates / g.hbar)
-        start, cell = _centring(g, axis)
-        values = (cell / np.sqrt(g.h)) * _linear_convolution(kicked, device, 0, start)
-    raw = to_position(WaveFunction(g, values, psi.representation))
-
-    transmitted = float(np.sum(np.abs(raw.values) ** 2) * raw.quadrature_delta)
+        kicked = psi_in.values * np.exp(1j * f.p_offset * g.q / g.hbar)
+        values = (g.delta_q / np.sqrt(g.h)) * _linear_convolution(kicked, device, 0, g.origin_index())
+    raw = WaveFunction(g, values)
+    transmitted = squared_norm(raw)
     if transmitted <= ZERO_TRANSMISSION:
         raise InvariantViolation("filter transmits nothing of this state")
     return normalize(raw), transmitted
@@ -179,18 +175,8 @@ def filter_wdf(w_in: WignerFunction, f: FilterSpec) -> WignerFunction:
     state; along q it is linear.  The output mass is the transmitted fraction.
     """
     g = w_in.grid
-    if g != f.device.grid:
-        raise GridMismatchError("state and device live on different grids")
-    n = g.n_points
-    axis = 1 if f.kind in (COORDINATE, GENERAL_MOMENTUM) else 0
-    offset, spacing = ((f.q_offset, g.delta_q), (f.p_offset, g.delta_p))[1 - axis]
-    # index i reads i - steps, zero off the lattice; a shift of n or more cells leaves only zeros
-    steps = np.clip(g.steps_of(offset, spacing), -n, n)
-    values = w_in.values
-    if steps:
-        lo, hi = max(steps, 0), max(-steps, 0)
-        values = np.zeros_like(values)
-        np.moveaxis(values, 1 - axis, 0)[lo:n - hi] = np.moveaxis(w_in.values, 1 - axis, 0)[hi:n - lo]
+    axis, steps = _law(g, f)
+    values = _shifted(w_in.values, steps, 1 - axis)
     device = to_position(f.device).values
     if axis == 1:
         spectrum = np.fft.rfft(values, axis=1)
@@ -198,10 +184,9 @@ def filter_wdf(w_in: WignerFunction, f: FilterSpec) -> WignerFunction:
         c = _pair_correlation(device)
         spectrum *= np.conj(c, out=c)
         del c
-        return WignerFunction(g, _adopt(np.fft.irfft(spectrum, n, axis=1)))
-    start, cell = _centring(g, 0)
-    out = _linear_convolution(values, wigner_values_of_amplitudes(device, g), 0, start)
-    out *= cell
+        return WignerFunction(g, _adopt(np.fft.irfft(spectrum, g.n_points, axis=1)))
+    out = _linear_convolution(values, wigner_values_of_amplitudes(device, g), 0, g.origin_index())
+    out *= g.delta_q
     return WignerFunction(g, _adopt(out))
 
 
@@ -215,12 +200,11 @@ def detect(w_in: WignerFunction, w_m: WignerFunction) -> DetectionMap:
     g = w_in.grid
     if g != w_m.grid:
         raise GridMismatchError("state and device live on different grids")
-    q_start, q_cell = _centring(g, 0)
     spectrum = np.fft.rfft(w_in.values, axis=1)
     # in place, so two spectra are alive at once rather than three
-    _linear_convolution(spectrum, np.fft.rfft(w_m.values, axis=1), 0, q_start, out=spectrum)
+    _linear_convolution(spectrum, np.fft.rfft(w_m.values, axis=1), 0, g.origin_index(), out=spectrum)
     values = np.fft.irfft(_centre_p(spectrum), g.n_points, axis=1)
-    values *= q_cell
+    values *= g.delta_q
     values *= g.delta_p
     return DetectionMap(g, _adopt(values))
 

@@ -231,6 +231,17 @@ def _centre_p(half: np.ndarray) -> np.ndarray:
     return half
 
 
+def _shifted(values: np.ndarray, steps: int, axis: int) -> np.ndarray:
+    """``values`` moved ``steps`` cells along ``axis`` (index i reads i - steps, zero off the lattice); itself for 0."""
+    if not steps:
+        return values
+    n = values.shape[axis]
+    lo, hi = min(max(steps, 0), n), min(max(-steps, 0), n)
+    out = np.zeros_like(values)
+    np.moveaxis(out, axis, 0)[lo:n - hi] = np.moveaxis(values, axis, 0)[hi:n - lo]
+    return out
+
+
 #: Lines that a blocked kernel transforms at once: a block of the axis it does not transform.
 _BLOCK = 64
 
@@ -291,7 +302,3 @@ def inverse_fourier_transform(psi: WaveFunction) -> WaveFunction:
 
 def to_position(psi: WaveFunction) -> WaveFunction:
     return psi if psi.representation == POSITION else inverse_fourier_transform(psi)
-
-
-def to_momentum(psi: WaveFunction) -> WaveFunction:
-    return psi if psi.representation == MOMENTUM else fourier_transform(psi)

@@ -10,7 +10,7 @@ import numpy as np
 
 from wignerlab import EvolutionConfig, GaussianSpec, WaveFunction, make_grid, normalize, propagate
 from wignerlab import io as wio
-from wignerlab.grid import to_momentum, to_position
+from wignerlab.grid import fourier_transform, to_position
 from wignerlab.wigner import wdf_from_wavefunction, wigner_values_of_amplitudes
 
 DESK_GRID = dict(q_min=-12.0, q_max=12.0, n_points=256)
@@ -164,10 +164,15 @@ def one_shot_q_axis_filter_wdf(w_in, f):
 
 
 def one_shot_general_filter(psi_in, f):
-    """Normalized output values and transmission of a general filter, convolving in one transform."""
+    """Normalized output values and transmission of a general filter, convolving in one transform.
+
+    ``general_momentum`` takes the momentum-side route that the library's shift-then-multiply replaced: kick
+    the momentum amplitudes by ``-q_offset``, then convolve on the half-band p lattice.  That needs the output
+    to fit the p band, which the phase-space law does not, so it is a reference only where the output fits.
+    """
     g = psi_in.grid
     axis = 0 if f.kind == "general_coordinate" else 1
-    to_own = (to_position, to_momentum)[axis]
+    to_own = (to_position, fourier_transform)[axis]  # state and device are in position
     psi = to_own(psi_in)
     kicked = psi.values * np.exp(1j * (f.p_offset, -f.q_offset)[axis] * psi.coordinates / g.hbar)
     start, cell = (g.origin_index(), g.delta_q) if axis == 0 else (g.n_points // 2, g.delta_p)
@@ -175,6 +180,16 @@ def one_shot_general_filter(psi_in, f):
     raw = to_position(WaveFunction(g, values, psi.representation))
     transmitted = float(np.sum(np.abs(raw.values) ** 2) * raw.quadrature_delta)
     return normalize(raw).values, transmitted
+
+
+def gathered_shift_filter(psi_in, f):
+    """Normalized output values and transmission of ``psi(q - q0) m(q)``, the shifted state gathered by index."""
+    g = psi_in.grid
+    n = g.n_points
+    steps = np.clip(g.steps_of(f.q_offset, g.delta_q), -n, n)
+    raw = zero_extended_take(psi_in.values, np.arange(n) - steps) * to_position(f.device).values
+    transmitted = float(np.sum(np.abs(raw) ** 2) * g.delta_q)
+    return normalize(WaveFunction(g, raw)).values, transmitted
 
 
 # The index-gather formulas that the strided window views replaced.  Every

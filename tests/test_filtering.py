@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,10 @@ from wignerlab import (
     filter_wavefunction,
     filter_wdf,
     filtered_gaussian_wdf_closed_form,
+    fourier_transform,
     gaussian_wavefunction,
     gaussian_wdf_closed_form,
+    inverse_fourier_transform,
     make_grid,
     marginal_q,
     overlap_probability,
@@ -30,6 +34,7 @@ from wignerlab.filtering import (
     GENERAL_MOMENTUM,
     MOMENTUM_KIND,
 )
+from wignerlab import grid as wgrid
 from wignerlab.wigner import wigner_values_of_amplitudes
 
 from helpers import (
@@ -38,12 +43,14 @@ from helpers import (
     desk_grid,
     gathered_detection,
     gathered_p_axis_filter_wdf,
+    gathered_shift_filter,
     one_shot_detect,
     one_shot_general_filter,
     one_shot_q_axis_filter_wdf,
     random_gaussian_device,
     random_superposition,
     traced_peak,
+    zero_extended_take,
 )
 
 ALL_KINDS = [COORDINATE, MOMENTUM_KIND, GENERAL_COORDINATE, GENERAL_MOMENTUM]
@@ -146,9 +153,38 @@ class TestFilterWavefunction:
         psi, device = convolution_safe_pair(g, np.random.default_rng(n + 2))
         spec = _spec_for(kind, device, g)
         filtered, transmitted = filter_wavefunction(psi, spec)
-        expected, expected_transmission = one_shot_general_filter(psi, spec)
+        reference = one_shot_general_filter if kind == GENERAL_COORDINATE else gathered_shift_filter
+        expected, expected_transmission = reference(psi, spec)
         assert np.array_equal(filtered.values, expected)
         assert transmitted == expected_transmission
+
+    def test_general_momentum_matches_the_momentum_side_route(self):
+        # a kick of -q_offset and a convolution on the p lattice, where the output fits the p band
+        g = desk_grid(1024)
+        psi, device = convolution_safe_pair(g, np.random.default_rng(1026))
+        spec = _spec_for(GENERAL_MOMENTUM, device, g)
+        filtered, transmitted = filter_wavefunction(psi, spec)
+        expected, expected_transmission = one_shot_general_filter(psi, spec)
+        assert np.max(np.abs(filtered.values - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert transmitted == pytest.approx(expected_transmission, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_momentum_device_equals_its_position_twin(self, kind, grid):
+        rng = np.random.default_rng(41)
+        psi = random_superposition(grid, rng)
+        device = fourier_transform(random_gaussian_device(grid, rng))
+        twin = inverse_fourier_transform(device)
+        via_p, via_q = (filter_wavefunction(psi, _spec_for(kind, d, grid)) for d in (device, twin))
+        assert np.array_equal(via_p[0].values, via_q[0].values)
+        assert via_p[1] == via_q[1]
+
+    def test_builds_no_momentum_state(self, grid, monkeypatch):
+        rng = np.random.default_rng(43)
+        psi, device = random_superposition(grid, rng), random_gaussian_device(grid, rng)
+        monkeypatch.setattr(wgrid, "fourier_transform", None)
+        monkeypatch.setattr(wgrid, "inverse_fourier_transform", None)
+        for kind in ALL_KINDS:
+            assert filter_wavefunction(psi, _spec_for(kind, device, grid))[1] > 0
 
 
 class TestPhaseSpaceCommutation:
@@ -167,13 +203,19 @@ class TestPhaseSpaceCommutation:
     @pytest.mark.parametrize("kind", [GENERAL_COORDINATE, GENERAL_MOMENTUM])
     @pytest.mark.parametrize("cells", [-384, -256, 256, 384])
     def test_shift_off_the_lattice_leaves_zeros(self, kind, cells, grid):
-        w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), grid))
+        psi = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
         device = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
         if kind == GENERAL_COORDINATE:
             spec = FilterSpec(kind=kind, device=device, p_offset=cells * grid.delta_p)
         else:
             spec = FilterSpec(kind=kind, device=device, q_offset=cells * grid.delta_q)
-        assert not filter_wdf(w, spec).values.any()
+        assert not filter_wdf(wdf_from_wavefunction(psi), spec).values.any()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvariantViolation, match="^filter transmits nothing of this state$"):
+                filter_wavefunction(psi, spec)
+        # the kicked state aliases on the q lattice, and its rounding-level output warns of its edge
+        assert len(caught) == (kind == GENERAL_COORDINATE)
 
     @pytest.mark.parametrize(
         "plain, general, offset",
@@ -225,6 +267,14 @@ class TestPhaseSpaceCommutation:
         w = WignerFunction(g, wigner_values_of_amplitudes(a, g))
         out = filter_wdf(w, FilterSpec(kind=COORDINATE, device=WaveFunction(g, d)))
         assert np.max(np.abs(out.values - wigner_values_of_amplitudes(a * d, g))) <= 1e-13
+        # a shift moves amplitudes off the lattice; both routes lose the same ones
+        for cells in (3, -5):
+            spec = FilterSpec(kind=GENERAL_MOMENTUM, device=WaveFunction(g, d), q_offset=cells * g.delta_q)
+            via_law = filter_wdf(w, spec).values
+            raw = zero_extended_take(a, np.arange(16) - cells) * d
+            assert np.max(np.abs(via_law - wigner_values_of_amplitudes(raw, g))) <= 1e-13
+            out, transmitted = filter_wavefunction(WaveFunction(g, a), spec)
+            assert np.max(np.abs(via_law - transmitted * wdf_from_wavefunction(out).values)) <= 1e-13
 
     def test_centered_slit_reproduces_closed_form(self, grid):
         psi = gaussian_wavefunction(GaussianSpec(width=1.5), grid)

@@ -282,6 +282,23 @@ class TestCli:
         for via_p, via_q in zip(outputs["p"][1:], outputs["q"][1:]):
             assert np.array_equal(via_p, via_q)
 
+    def test_general_momentum_filter_routes_agree_silently(self, tmp_path):
+        assert main(["state", "--gaussian", "q0=1", "center=0.5", "p0=0.5", "--grid=-12:12:128",
+                     "--out", str(tmp_path / "s")]) == 0
+        (tmp_path / "filter.json").write_text(
+            json.dumps({"kind": "general_momentum", "q_offset": 0.75,
+                        "device": {"gaussian": {"width": 0.8, "center": 1.0}}})
+        )
+        argv = ["filter", str(tmp_path / "s/state.csv"), "--filter", str(tmp_path / "filter.json"), "--wdf",
+                "--out", str(tmp_path / "f")]
+        result = subprocess.run([sys.executable, "-m", "wignerlab.cli", *argv], capture_output=True, text=True,
+                                timeout=120)
+        assert (result.returncode, result.stderr) == (0, "")
+        transmission = json.loads(result.stdout)["transmission"]
+        via_law = wio.load_wigner(tmp_path / "f/filtered_wdf.csv").values
+        via_state = transmission * wdf_from_wavefunction(wio.load_wavefunction(tmp_path / "f/filtered.csv")).values
+        assert np.max(np.abs(via_law - via_state)) <= 1e-12 * np.max(np.abs(via_law))
+
     def test_evolve_rotates_offset_packet(self, tmp_path, capsys):
         main(["state", "--gaussian", "q0=1", "center=2", "--out", str(tmp_path / "s")])
         (tmp_path / "harmonic.json").write_text(json.dumps({"coefficients": [0, 0, 0.5], "mass": 1.0}))

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wignerlab import (
+    FilterSpec,
     GaussianSpec,
     WaveFunction,
     detect,
+    filter_wavefunction,
+    filter_wdf,
     fourier_transform,
     gaussian_wavefunction,
     inner_product,
@@ -22,6 +25,7 @@ from wignerlab import (
     uncertainty_product,
     wdf_from_wavefunction,
 )
+from wignerlab.filtering import COORDINATE, FILTER_KINDS, GENERAL_COORDINATE, GENERAL_MOMENTUM
 
 from helpers import desk_grid
 
@@ -112,3 +116,29 @@ def test_detection_is_nonnegative(parts, device_width, device_center):
 def test_smoothing_never_deepens_the_minimum(parts, sigma, factor):
     w = wdf_from_wavefunction(build_state(parts))
     assert smoothed_minimum(w, sigma * factor, sigma * factor) >= smoothed_minimum(w, sigma, sigma) - 1e-12
+
+
+packet = st.tuples(st.floats(0.7, 1.2), st.floats(-2.0, 2.0), st.floats(-1.5, 1.5))
+device_packet = st.tuples(st.floats(0.7, 1.2), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@pytest.mark.filterwarnings("ignore:wavefunction edge amplitude")  # q-axis outputs reach about 2e-8 at an edge
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(32, 150), st.floats(0.5, 2.0), packet, device_packet, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+def test_filter_routes_agree_on_random_lattices(half_points, hbar, state, device, q_shift, p_kick):
+    g = desk_grid(2 * half_points, hbar=hbar)
+    try:
+        psi, m = (gaussian_wavefunction(GaussianSpec(*args), g) for args in (state, device))
+    except ValueError:  # a packet that does not fit this lattice
+        assume(False)
+    w_in = wdf_from_wavefunction(psi)
+    offsets = {GENERAL_COORDINATE: {"p_offset": round(p_kick / g.delta_p) * g.delta_p},
+               GENERAL_MOMENTUM: {"q_offset": round(q_shift / g.delta_q) * g.delta_q}}
+    for kind in FILTER_KINDS:
+        spec = FilterSpec(kind, m, **offsets.get(kind, {}))
+        out, transmitted = filter_wavefunction(psi, spec)
+        via_law = filter_wdf(w_in, spec).values
+        error = np.max(np.abs(via_law - transmitted * wdf_from_wavefunction(out).values))
+        # exact where the amplitude route shifts and multiplies; a q convolution needs a contained output
+        bound = 1e-12 * np.max(np.abs(via_law)) if kind in (COORDINATE, GENERAL_MOMENTUM) else 1e-8
+        assert error <= bound, kind

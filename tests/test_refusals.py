@@ -26,6 +26,7 @@ from wignerlab import (
     filter_wavefunction,
     filter_wdf,
     filtered_gaussian_wdf_closed_form,
+    fourier_transform,
     gaussian_wavefunction,
     mixed_density,
     split_step_schrodinger,
@@ -35,7 +36,6 @@ from wignerlab import (
 from wignerlab import io as wio
 from wignerlab.cli import main
 from wignerlab.filtering import COORDINATE
-from wignerlab.grid import to_momentum
 
 from helpers import desk_grid
 
@@ -72,7 +72,7 @@ LIBRARY = [
     ("mixture-weights", lambda tmp: mixed_density([PSI], [0.5, 0.5]), ValueError,
      "need one weight per state, got 2 for 1"),
     ("filter-kind", lambda tmp: FilterSpec("slit", PSI), ValueError, "unknown filter kind 'slit'"),
-    ("filter-momentum-state", lambda tmp: filter_wavefunction(to_momentum(PSI), FilterSpec(COORDINATE, PSI)),
+    ("filter-momentum-state", lambda tmp: filter_wavefunction(fourier_transform(PSI), FilterSpec(COORDINATE, PSI)),
      ValueError, "filter_wavefunction expects a position-representation state"),
     ("filter-wdf-grids", lambda tmp: filter_wdf(wdf_from_wavefunction(PSI), FilterSpec(COORDINATE, ELSEWHERE)),
      GridMismatchError, "state and device live on different grids"),
@@ -84,7 +84,7 @@ LIBRARY = [
      "potential coefficients must be finite"),
     ("step-count", lambda tmp: EvolutionConfig(1e-3, -1), ValueError, "n_steps must be nonnegative, got -1"),
     ("schrodinger-momentum-state",
-     lambda tmp: split_step_schrodinger(to_momentum(PSI), PotentialSpec((0.0,)), EvolutionConfig(1e-3, 1)),
+     lambda tmp: split_step_schrodinger(fourier_transform(PSI), PotentialSpec((0.0,)), EvolutionConfig(1e-3, 1)),
      ValueError, "split_step_schrodinger expects a position-representation state"),
     ("schrodinger-non-finite", _overflowing_schrodinger_run, InvariantViolation,
      "wavefunction became non-finite at step 1"),
