@@ -24,11 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .grid import POSITION, Grid, WaveFunction, _adopt, _pair_views
+from .grid import EDGE_LEVEL, P_BAND_LEVEL, POSITION, Grid, WaveFunction, _adopt, _edge_ratio, _pair_views
 from .wigner import WignerFunction
 
 _MASS_DRIFT_ABORT = 1e-4
-_EDGE_ABORT = 1e-12  # of a marginal's peak: the 1e-6 amplitude rule of split_step_schrodinger, squared
 
 
 @dataclass(frozen=True)
@@ -130,9 +129,9 @@ def propagate(w: WignerFunction, v: PotentialSpec, cfg: EvolutionConfig) -> Wign
     ``V'^2/m``, depends on q alone and cancels inside that kick.  Each step
     is unitary and conserves mass to rounding, so any ``dt`` is stable: the
     step count sets the accuracy.  Aborts on mass drift beyond 1e-4, on
-    non-finite values, on amplitude blow-up, and on a marginal edge value
-    above 1e-12 of its peak: drift and kick are periodic, so a state that
-    leaves the lattice would re-enter it from the other side.
+    non-finite values, on amplitude blow-up, and where the periodic drift and
+    kick would wrap the state: an end amplitude, read off ``rho(end, .)``,
+    above ``EDGE_LEVEL``, or a p-marginal edge value above ``P_BAND_LEVEL``.
     """
     return next(_frames(w, v, cfg.dt, cfg.n_steps, cfg.n_steps), w)  # no frame without a step
 
@@ -155,6 +154,8 @@ def _frames(w: WignerFunction, v: PotentialSpec, dt: float, n_steps: int, every:
     initial_mass = float(current.sum()) * grid.delta_q * grid.delta_p
     amplitude_cap = 10.0 * max(2.0 / grid.h, float(np.max(np.abs(current))))
     cell = grid.delta_q * grid.delta_p
+    m = np.arange(grid.n_points // 2 + 1)
+    ends = np.r_[m, grid.n_points - 1 - m], np.r_[m, m]  # [j, m] of the correlations rho(0, .) and rho(n-1, .)
     deferred = False
     for step in range(n_steps):
         current = _apply(current, kick_joined if deferred else kick_edge, 1)
@@ -176,14 +177,14 @@ def _frames(w: WignerFunction, v: PotentialSpec, dt: float, n_steps: int, every:
             raise InvariantViolation(
                 f"mass drift {drift:.2e} at step {step + 1} exceeds 1e-4; aborting"
             )
-        for axis, name in ((1, "q"), (0, "p")):
-            marginal = np.abs(current.sum(axis=axis))
-            edge, top = max(marginal[0], marginal[-1]), marginal.max()
-            if edge > _EDGE_ABORT * top:
-                raise InvariantViolation(
-                    f"edge value {edge / top:.2e} of the {name}-marginal at step {step + 1}: the state "
-                    "reached the lattice boundary and would wrap around; enlarge the grid or shorten the run"
-                )
+        q_edge = _edge_ratio(np.fft.rfft(current, axis=1), ends, (slice(None), 0))  # over the largest rho(q, q)
+        p_edge = _edge_ratio(current.sum(axis=0))
+        if q_edge > EDGE_LEVEL or p_edge > P_BAND_LEVEL:
+            where = f"amplitude {q_edge:.2e}" if q_edge > EDGE_LEVEL else f"value {p_edge:.2e} of the p-marginal"
+            raise InvariantViolation(
+                f"edge {where} at step {step + 1}: the state reached the lattice boundary and would wrap around; "
+                "enlarge the grid or shorten the run"
+            )
         if frame_end:
             yield WignerFunction(grid, _adopt(current))
 
@@ -193,8 +194,8 @@ def split_step_schrodinger(psi: WaveFunction, v: PotentialSpec, cfg: EvolutionCo
 
     Each half/full factor is an exact phase, so the stepping is
     unconditionally stable and norm-conserving; accuracy is second order in
-    the step size.  Aborts when the state develops edge amplitude above
-    1e-6 of its peak.
+    the step size.  Aborts at an amplitude at either end above ``EDGE_LEVEL``
+    of the peak, the containment rule that the generators apply.
     """
     if psi.representation != POSITION:
         raise ValueError("split_step_schrodinger expects a position-representation state")
@@ -213,11 +214,9 @@ def split_step_schrodinger(psi: WaveFunction, v: PotentialSpec, cfg: EvolutionCo
         values = np.fft.ifft(np.fft.fft(values) * drift)
         values *= half_kick
         if step % 16 == 15 or step == cfg.n_steps - 1:
-            peak = float(np.max(np.abs(values)))
-            if not np.isfinite(peak):
+            if not np.all(np.isfinite(values)):
                 raise InvariantViolation(f"wavefunction became non-finite at step {step + 1}")
-            edge = max(abs(values[0]), abs(values[-1])) / peak
-            if edge > 1e-6:
+            if (edge := _edge_ratio(values)) > EDGE_LEVEL:
                 raise InvariantViolation(
                     f"edge amplitude {edge:.2e} at step {step + 1}: state reached the "
                     "grid boundary, enlarge the grid or shorten the run"

@@ -33,8 +33,6 @@ from .grid import (
     _linear_convolution,
     _pair_correlation,
     _shifted,
-    normalize,
-    squared_norm,
     to_position,
 )
 from .wigner import WignerFunction, marginal_p, marginal_q, overlap_probability, wigner_values_of_amplitudes
@@ -126,6 +124,8 @@ def _law(g: Grid, f: FilterSpec) -> tuple[int, int]:
         raise GridMismatchError("state and device live on different grids")
     if f.kind in (COORDINATE, GENERAL_MOMENTUM):
         return 1, g.steps_of(f.q_offset, g.delta_q)
+    if not g.p[0] <= f.p_offset <= g.p[-1]:
+        raise ValueError(f"p_offset {f.p_offset} lies outside the p range [{g.p[0]:.6g}, {g.p[-1]:.6g}] of the lattice")
     return 0, g.steps_of(f.p_offset, g.delta_p)
 
 
@@ -152,11 +152,12 @@ def filter_wavefunction(psi_in: WaveFunction, f: FilterSpec) -> tuple[WaveFuncti
     else:
         kicked = psi_in.values * np.exp(1j * f.p_offset * g.q / g.hbar)
         values = (g.delta_q / np.sqrt(g.h)) * _linear_convolution(kicked, device, 0, g.origin_index())
-    raw = WaveFunction(g, values)
-    transmitted = squared_norm(raw)
+    transmitted = float(np.sum(np.abs(values) ** 2) * g.delta_q)  # normalized before its one WaveFunction is built
     if transmitted <= ZERO_TRANSMISSION:
         raise InvariantViolation("filter transmits nothing of this state")
-    return normalize(raw), transmitted
+    if not np.isfinite(transmitted):
+        raise InvariantViolation(f"cannot normalize a filter output with squared norm {transmitted}")
+    return WaveFunction(g, _adopt(values / np.sqrt(transmitted))), transmitted
 
 
 def filter_wdf(w_in: WignerFunction, f: FilterSpec) -> WignerFunction:

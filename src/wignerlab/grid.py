@@ -22,13 +22,14 @@ from .errors import GridMismatchError, InvariantViolation
 POSITION = "position"
 MOMENTUM = "momentum"
 
-#: Relative edge amplitude above which a diagnostic warning is emitted.
+#: The containment rule: a state fits while its amplitude at a lattice end is at most EDGE_LEVEL of its peak, and its
+#: distribution's p-marginal (a band twice as wide) at most P_BAND_LEVEL; WaveFunction warns above EDGE_WARN_LEVEL.
+EDGE_LEVEL = 1e-6
+P_BAND_LEVEL = 1e-7
 EDGE_WARN_LEVEL = 1e-8
 
-_EDGE_WARNING = (
-    "wavefunction edge amplitude exceeds 1e-8 of the peak; "
-    "periodization artifacts possible, consider a wider grid"
-)
+_EDGE_WARNING = ("wavefunction edge amplitude exceeds 1e-8 of the peak; "
+                 "periodization artifacts possible, consider a wider grid")
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,12 @@ def _frozen_array(values, dtype, shape: tuple[int, ...], what: str) -> np.ndarra
     return array
 
 
+def _edge_ratio(values: np.ndarray, ends=([0, -1],), peaks=...) -> float:
+    """The edge levels' measure: the largest magnitude of ``values`` at ``ends`` (by default, both ends of a 1-D
+    array) over the largest at ``peaks`` (by default, anywhere)."""
+    return float(np.max(np.abs(values[ends])) / np.max(np.abs(values[peaks])))
+
+
 @dataclass(frozen=True)
 class WaveFunction:
     """Complex amplitudes sampled on a :class:`Grid`, in one representation."""
@@ -150,12 +157,8 @@ class WaveFunction:
         n = self.grid.n_points
         values = _frozen_array(self.values, np.complex128, (n,), "amplitudes in wavefunction")
         object.__setattr__(self, "values", values)
-        peak = float(np.max(np.abs(values)))
-        if peak > 0:
-            edge = max(abs(values[0]), abs(values[-1])) / peak
-            if edge > EDGE_WARN_LEVEL:
-                # stacklevel skips the dataclass-generated __init__ frame
-                warnings.warn(_EDGE_WARNING, stacklevel=3)
+        if values.any() and _edge_ratio(values) > EDGE_WARN_LEVEL:
+            warnings.warn(_EDGE_WARNING, stacklevel=3)  # skips the dataclass-generated __init__ frame
 
     @property
     def quadrature_delta(self) -> float:

@@ -12,11 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import POSITION, Grid, WaveFunction, _adopt
+from .grid import EDGE_LEVEL, POSITION, Grid, WaveFunction, _adopt
 from .wigner import WignerFunction
-
-#: Relative edge amplitude beyond which a state is rejected as not fitting.
-_FIT_ERROR_LEVEL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -47,13 +44,13 @@ class CatSpec:
 
 
 def _check_axis(grid: Grid, axis: str, c: float, width: float, what: str = "packet") -> None:
-    """Refuse a Gaussian centred at ``c`` beyond the lattice ends of ``axis``, or with more than ``_FIT_ERROR_LEVEL``
+    """Refuse a Gaussian centred at ``c`` beyond the lattice ends of ``axis``, or with more than ``EDGE_LEVEL``
     of its peak at an end; its extent is ``width`` on q and ``hbar/width`` on p."""
     ends = (grid.q if axis == "q" else grid.p)[[0, -1]]
     extent = np.float64(width) if axis == "q" else grid.hbar / np.float64(width)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # an extent of 0 or inf fails
         edge = np.exp(-((ends - c) ** 2) / (2 * extent**2)).max()
-    if not (ends[0] <= c <= ends[1] and edge <= _FIT_ERROR_LEVEL):
+    if not (ends[0] <= c <= ends[1] and edge <= EDGE_LEVEL):
         raise ValueError(
             f"{what} of width {width} centred at {axis} = {c} does not fit the {axis} range "
             f"[{ends[0]:.6g}, {ends[1]:.6g}] of the lattice (relative edge amplitude {edge:.2e})"

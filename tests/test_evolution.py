@@ -12,6 +12,7 @@ from wignerlab import (
     InvariantViolation,
     PotentialSpec,
     WaveFunction,
+    WignerFunction,
     cat_wavefunction,
     gaussian_wavefunction,
     gaussian_wdf_closed_form,
@@ -54,6 +55,21 @@ def classical_symbol(grid, coefficients):
     )
     force[:, -1] = 0.0
     return force
+
+
+def edge_packet(grid, edge):
+    """A packet centred on lattice point 151 whose amplitude at the last point is ``edge`` of its peak.
+
+    Row 151 pairs with the last row at offset m = 52, so the end correlation rho(n-1, 151) over the
+    largest diagonal rho(151, 151) is ``edge`` too.
+    """
+    center = grid.q[151]
+    width = (grid.q[-1] - center) / np.sqrt(-2.0 * np.log(edge))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the 1e-8 amplitude diagnostic of WaveFunction
+        psi = normalize(WaveFunction(grid, np.exp(-((grid.q - center) ** 2) / (2 * width**2))))
+    assert abs(psi.values[-1] / psi.values[151]) == pytest.approx(edge, rel=1e-12)
+    return psi
 
 
 def classical_rhs(w, v):
@@ -241,20 +257,20 @@ class TestPropagate:
         assert np.array_equal(propagate(w, HARMONIC, cfg).values, exact.values)
 
     @pytest.mark.parametrize(
-        "center, momentum, potential, marginal",
+        "center, momentum, potential, where",
         [
-            pytest.param(6.0, 3.0, FREE, "q-marginal", id="q"),
-            pytest.param(0.0, 6.0, PotentialSpec(coefficients=(0.0, -30.0)), "p-marginal", id="p"),
+            pytest.param(6.0, 3.0, FREE, r"amplitude \S+", id="q"),
+            pytest.param(0.0, 6.0, PotentialSpec(coefficients=(0.0, -30.0)), "value .* of the p-marginal", id="p"),
         ],
     )
-    def test_state_leaving_the_lattice_aborts(self, grid, center, momentum, potential, marginal):
+    def test_state_leaving_the_lattice_aborts(self, grid, center, momentum, potential, where):
         # drift and kick are periodic, so unchecked the state re-enters from the
         # other side: the free packet would end at <q> = -6.9 instead of 15
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # deliberately grazing the boundary
             psi = gaussian_wavefunction(GaussianSpec(width=1.0, center=center, momentum_offset=momentum), grid)
         w = wdf_from_wavefunction(psi)
-        with pytest.raises(InvariantViolation, match=f"edge value .* {marginal}"):
+        with pytest.raises(InvariantViolation, match=f"^edge {where} at step "):
             propagate(w, potential, EvolutionConfig(dt=1e-3, n_steps=3000))
 
     def test_two_kicks_and_two_drifts_per_step(self, grid, monkeypatch):
@@ -338,44 +354,70 @@ class TestPropagate:
 class TestAbortGatesFromBothSides:
     """The edge abort, the amplitude cap and the 25-step check schedule, each pinned a factor of 3 to either side."""
 
-    @pytest.mark.parametrize("edge, refused", [(3e-12, True), (3e-13, False)])
-    def test_marginal_edge(self, grid, edge, refused):
-        # a packet centred on a lattice point whose q-marginal at the last point is ``edge`` of its peak
-        center = grid.q[150]
-        width = (grid.q[-1] - center) / np.sqrt(-np.log(edge))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the 1e-8 amplitude diagnostic of WaveFunction
-            psi = normalize(WaveFunction(grid, np.exp(-((grid.q - center) ** 2) / (2 * width**2))))
-        w = wdf_from_wavefunction(psi)
-        marginal = w.values.sum(axis=1)
-        assert marginal[-1] / marginal.max() == pytest.approx(edge, rel=1e-12)
+    @pytest.mark.parametrize(
+        "axis, edge, refused", [("q", 3e-6, True), ("q", 3e-7, False), ("p", 3e-7, True), ("p", 3e-8, False)]
+    )
+    def test_marginal_edge(self, grid, axis, edge, refused):
+        if axis == "q":  # the amplitude rule, read off the distribution
+            w, message = wdf_from_wavefunction(edge_packet(grid, edge)), "amplitude {}"
+        else:  # a mixed Gaussian centred at p = grid.p[200] whose p-marginal at the last point is ``edge`` of its peak
+            width = (grid.p[-1] - grid.p[200]) / np.sqrt(-np.log(edge))
+            values = np.exp(-(grid.q[:, None] ** 2) - ((grid.p - grid.p[200]) / width) ** 2)
+            w = WignerFunction(grid, values / (values.sum() * grid.delta_q * grid.delta_p))
+            message = "value {} of the p-marginal"
+            marginal = w.values.sum(axis=0)
+            assert marginal[-1] / marginal.max() == pytest.approx(edge, rel=1e-12)
         run = lambda: propagate(w, FREE, EvolutionConfig(dt=1e-9, n_steps=1))  # too short to move the edge
         if refused:
-            with pytest.raises(InvariantViolation, match=r"^edge value 3\.00e-12 of the q-marginal at step 1: "):
+            message = re.escape(message.format(f"{edge:.2e}"))
+            with pytest.raises(InvariantViolation, match=f"^edge {message} at step 1: "):
                 run()
         else:
             run()
+
+    @staticmethod
+    def spiked_run(grid, monkeypatch, w, spike):
+        """A one-step free run of ``w`` whose closing kick adds a mass-neutral +- pair of rows of height ``spike``.
+
+        Rows 150 and 151 meet the end anti-diagonals only at offsets 105 and 104, where a profile this smooth in p
+        has no content, so only the amplitude cap reads the pair.
+        """
+        apply, calls = evolution._apply, []
+        profile = spike * np.exp(-2.0 * (grid.p - grid.p[204]) ** 2)
+
+        def spiking_apply(values, symbol, axis):
+            result = apply(values, symbol, axis)
+            calls.append(axis)
+            if len(calls) == 5:  # the closing kick of the only step
+                result[150:152] += (profile, -profile)
+            return result
+
+        monkeypatch.setattr(evolution, "_apply", spiking_apply)
+        return lambda: propagate(w, FREE, EvolutionConfig(dt=1e-3, n_steps=1))
 
     @pytest.mark.parametrize("factor, refused", [(3.0, True), (1 / 3, False)])
     def test_amplitude_cap(self, grid, monkeypatch, factor, refused):
         w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), grid))
         spike = factor * 10.0 * max(2.0 / grid.h, np.max(np.abs(w.values)))
-        apply, calls = evolution._apply, []
-
-        def spiking_apply(values, symbol, axis):
-            result = apply(values, symbol, axis)
-            calls.append(axis)
-            if len(calls) == 5:  # the closing kick of the only step: a mass-neutral +- pair far from the packet
-                result[10, 10:12] += (spike, -spike)
-            return result
-
-        monkeypatch.setattr(evolution, "_apply", spiking_apply)
-        run = lambda: propagate(w, FREE, EvolutionConfig(dt=1e-3, n_steps=1))
+        run = self.spiked_run(grid, monkeypatch, w, spike)
         if refused:
             with pytest.raises(InvariantViolation, match=f"^{re.escape(f'evolution went unstable at step 1 (peak {spike:.2e})')}$"):
                 run()
         else:
             assert np.max(run().values) == pytest.approx(spike, rel=1e-9)
+
+    @pytest.mark.parametrize("factor, refused", [(3.0, True), (1 / 3, False)])
+    def test_amplitude_cap_floor(self, grid, monkeypatch, factor, refused):
+        # a mixed Gaussian whose peak is a tenth of 2/h: the cap is ten times the floor 2/h, not ten times the peak
+        values = np.exp(-(grid.q[:, None] ** 2) / 8.0 - grid.p**2 / 12.5)
+        w = WignerFunction(grid, values / (2.0 * np.pi * 5.0))
+        assert np.max(w.values) == pytest.approx(0.1 * 2.0 / grid.h, rel=1e-12)
+        run = self.spiked_run(grid, monkeypatch, w, factor * 10.0 * 2.0 / grid.h)
+        if refused:
+            with pytest.raises(InvariantViolation, match="^evolution went unstable at step 1 "):
+                run()
+        else:
+            assert np.max(run().values) > 3.0 * 2.0 / grid.h
 
     @pytest.mark.parametrize("n_steps", [50, 80])
     def test_checks_come_every_25_steps(self, grid, monkeypatch, n_steps):
@@ -418,6 +460,15 @@ class TestSplitStep:
         out = split_step_schrodinger(psi, QUARTIC, EvolutionConfig(dt=1e-3, n_steps=1000))
         assert squared_norm(out) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("edge, refused", [(3e-6, True), (3e-7, False)])
+    def test_edge_abort_from_both_sides(self, grid, edge, refused):
+        run = lambda: split_step_schrodinger(edge_packet(grid, edge), FREE, EvolutionConfig(dt=1e-9, n_steps=1))
+        if refused:
+            with pytest.raises(InvariantViolation, match=r"^edge amplitude 3\.00e-06 at step 1: "):
+                run()
+        else:
+            run()
+
     def test_edge_breach_aborts(self, grid):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # deliberately grazing the boundary
@@ -437,3 +488,62 @@ def test_moyal_matches_split_step_for_anharmonic_well(grid):
     via_moyal = propagate(w, well, cfg)
     via_oracle = wdf_from_wavefunction(split_step_schrodinger(psi, well, cfg))
     assert np.max(np.abs(via_moyal.values - via_oracle.values)) < 1e-5
+
+
+GENTLE_QUARTIC = PotentialSpec(coefficients=(0.0, 0.0, 0.5, 0.0, 0.005), mass=1.0)
+
+
+def quiet_packet(grid, center, momentum=0.0):
+    """A width-1 packet the fit rule admits, built without the 1e-8 edge diagnostic of WaveFunction."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return gaussian_wavefunction(GaussianSpec(width=1.0, center=center, momentum_offset=momentum), grid)
+
+
+@pytest.mark.parametrize("center", [4.5, -4.5, 5.0, -5.0, 5.5, -5.5, 6.0, -6.0, 6.5, -6.5, 6.64])
+@pytest.mark.parametrize("well", [HARMONIC, GENTLE_QUARTIC], ids=["harmonic", "quartic"])
+def test_admitted_packets_run(grid, well, center):
+    # the fit rule admits centres up to 6.65 on this lattice, and each such packet steps to t = 3 within 1e-6
+    psi = quiet_packet(grid, center)
+    out = propagate(wdf_from_wavefunction(psi), well, EvolutionConfig(dt=1e-3, n_steps=3000))
+    if well is HARMONIC:  # the exact rotation
+        spec = GaussianSpec(width=1.0, center=center * np.cos(3.0), momentum_offset=-center * np.sin(3.0))
+        target = gaussian_wdf_closed_form(spec, grid).values
+    else:
+        oracle = split_step_schrodinger(psi, well, EvolutionConfig(dt=2.5e-4, n_steps=12000))
+        target = wdf_from_wavefunction(oracle).values
+    assert np.max(np.abs(out.values - target)) < 1e-6 * np.max(target)
+
+
+@pytest.mark.parametrize("center, momentum", [(6.0, 5.0), (5.0, -6.0), (0.0, 10.0)])
+def test_free_leaks_abort_with_the_oracle(grid, center, momentum):
+    psi = quiet_packet(grid, center, momentum)
+    cfg = EvolutionConfig(dt=1e-3, n_steps=2000)
+    steps = []
+    w = wdf_from_wavefunction(psi)
+    for run in (lambda: split_step_schrodinger(psi, FREE, cfg), lambda: propagate(w, FREE, cfg)):
+        with pytest.raises(InvariantViolation, match="^edge amplitude ") as caught:
+            run()
+        steps.append(int(re.search(r" at step (\d+): ", str(caught.value)).group(1)))
+    oracle, moyal = steps
+    # the oracle checks every 16 steps, the propagator every 25: no later than one check after the oracle's abort
+    assert oracle - 25 <= moyal <= 25 * math.ceil(oracle / 25) + 25
+
+
+@pytest.mark.filterwarnings("ignore:wavefunction edge amplitude")
+@pytest.mark.parametrize(
+    "coefficients, center, last",
+    [((0.0, -40.0), -4.0, 300), ((0.0, 0.0, -0.5, 0.0, 0.02), 6.6, 250)],
+    ids=["linear", "double-well"],
+)
+def test_p_band_leaks_abort_before_they_err(grid, coefficients, center, last):
+    # every frame a run returns matches the oracle at dt/4 within 1e-6 of the peak; the next check aborts on p
+    well = PotentialSpec(coefficients=coefficients)
+    psi = quiet_packet(grid, center)
+    frames = evolution._frames(wdf_from_wavefunction(psi), well, 1e-3, 1000, 25)
+    for _ in range(last // 25):
+        psi = split_step_schrodinger(psi, well, EvolutionConfig(dt=2.5e-4, n_steps=100))
+        target = wdf_from_wavefunction(psi).values
+        assert np.max(np.abs(next(frames).values - target)) < 1e-6 * np.max(target)
+    with pytest.raises(InvariantViolation, match=f"^edge value .* of the p-marginal at step {last + 25}: "):
+        next(frames)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -105,6 +106,16 @@ class TestFilterWavefunction:
         else:
             assert filter_wavefunction(psi, spec)[1] == pytest.approx(transmission, rel=1e-9)
 
+    def test_edge_heavy_output_warns_once(self, grid):
+        psi = gaussian_wavefunction(GaussianSpec(width=1.0, center=5.0), grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            device = WaveFunction(grid, np.exp(-((grid.q - 11.0) ** 2) / 2))  # the output's edge is 2.4e-7 of its peak
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            filter_wavefunction(psi, FilterSpec(kind=COORDINATE, device=device))
+        assert [str(w.message) for w in caught] == [wgrid._EDGE_WARNING]
+
     def test_grid_mismatch(self, grid):
         psi = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
         other = gaussian_wavefunction(GaussianSpec(width=1.0), make_grid(-10, 10, 256))
@@ -200,22 +211,34 @@ class TestPhaseSpaceCommutation:
             via_state = transmitted * wdf_from_wavefunction(out).values
             assert np.max(np.abs(via_law.values - via_state)) < 1e-8
 
-    @pytest.mark.parametrize("kind", [GENERAL_COORDINATE, GENERAL_MOMENTUM])
     @pytest.mark.parametrize("cells", [-384, -256, 256, 384])
-    def test_shift_off_the_lattice_leaves_zeros(self, kind, cells, grid):
+    def test_shift_off_the_lattice_leaves_zeros(self, cells, grid):
         psi = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
         device = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
-        if kind == GENERAL_COORDINATE:
-            spec = FilterSpec(kind=kind, device=device, p_offset=cells * grid.delta_p)
-        else:
-            spec = FilterSpec(kind=kind, device=device, q_offset=cells * grid.delta_q)
+        spec = FilterSpec(kind=GENERAL_MOMENTUM, device=device, q_offset=cells * grid.delta_q)
         assert not filter_wdf(wdf_from_wavefunction(psi), spec).values.any()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(InvariantViolation, match="^filter transmits nothing of this state$"):
                 filter_wavefunction(psi, spec)
-        # the kicked state aliases on the q lattice, and its rounding-level output warns of its edge
-        assert len(caught) == (kind == GENERAL_COORDINATE)
+
+    @pytest.mark.parametrize("cells, refused", [(-512, True), (-384, True), (-129, True), (-128, False),
+                                                (127, False), (128, True), (384, True), (512, True)])
+    def test_p_offset_beyond_the_p_range_is_refused(self, cells, refused, grid):
+        # the amplitude route's kick is periodic in the offset (512 cells would transmit 0.186), the law's shift is not
+        psi = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
+        spec = FilterSpec(kind=GENERAL_COORDINATE, device=psi, p_offset=cells * grid.delta_p)
+        law = lambda: filter_wdf(wdf_from_wavefunction(psi), spec)
+        amplitude = lambda: filter_wavefunction(psi, spec)
+        if refused:
+            message = f"^p_offset {re.escape(str(spec.p_offset))} lies outside the p range "
+            for route in (law, amplitude):
+                with pytest.raises(ValueError, match=message):
+                    route()
+        else:  # the ends of the p range: admitted, and nothing of this state reaches them
+            assert law().mass() < 1e-15
+            with pytest.raises(InvariantViolation, match="^filter transmits nothing of this state$"):
+                amplitude()
 
     @pytest.mark.parametrize(
         "plain, general, offset",

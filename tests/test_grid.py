@@ -53,6 +53,18 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(-12.03, 12, 256).origin_index()
 
+    @pytest.mark.parametrize("ratio", [1000.0, -1000.0])
+    @pytest.mark.parametrize("error, refused", [(3e-9, True), (3e-10, False)])
+    def test_steps_of_tolerance_from_both_sides(self, ratio, error, refused):
+        # an offset error * |ratio| cells off the lattice: the tolerance is 1e-9 of the ratio
+        g = desk_grid()
+        offset = (ratio + error * abs(ratio)) * g.delta_p
+        if refused:
+            with pytest.raises(ValueError, match="is not an integer multiple of the lattice spacing"):
+                g.steps_of(offset, g.delta_p)
+        else:
+            assert g.steps_of(offset, g.delta_p) == ratio
+
 
 def _gaussian(grid, width=1.0, center=0.0, boost=0.0):
     values = (np.pi * width**2) ** (-0.25) * np.exp(

@@ -330,6 +330,16 @@ class TestCli:
         assert payload["steps"] == 50
         assert payload["mass"] == pytest.approx(1.0, abs=1e-7)
 
+    @pytest.mark.filterwarnings("ignore:wavefunction edge amplitude")  # above 1e-8 from centre 5.84 on
+    @pytest.mark.parametrize("center", ["5.5", "6", "6.6"])
+    def test_evolve_runs_every_packet_state_admits(self, tmp_path, capsys, center):
+        # the fit rule admits centres up to 6.65 on -12:12:256, and evolve steps each such packet
+        state = ["state", "--gaussian", "q0=1", f"center={center}", "--grid=-12:12:256", "--out", str(tmp_path / "s")]
+        assert main(state) == 0
+        (tmp_path / "harmonic.json").write_text(json.dumps({"coefficients": [0, 0, 0.5]}))
+        assert main(["evolve", str(tmp_path / "s/state.csv"), "--potential", str(tmp_path / "harmonic.json"),
+                     "--t", "0.5", "--dt", "1e-3", "--out", str(tmp_path / "e")]) == 0
+
     def test_figure_commands(self, tmp_path, capsys):
         assert main(["figure", "fig3", "--out", str(tmp_path / "f3")]) == 0
         w = wio.load_wigner(tmp_path / "f3/fig3_cat_wdf.csv")
