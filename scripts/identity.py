@@ -67,6 +67,7 @@ def command_table(n: int) -> list[tuple[str, list[str]]]:
         ("fm", ["filter", "s/state.csv", "--filter", "momentum.json", "--wdf"]),
         ("fgc", ["filter", "s/state.csv", "--filter", "general_coordinate.json", "--wdf"]),
         ("fgm", ["filter", "s/state.csv", "--filter", "general_momentum.json", "--wdf"]),
+        ("wf", ["wdf", "f/filtered_wdf.csv"]),  # a filter output: mass below 1, the state it carries read whole
         ("det", ["detect", "w/wdf.csv", "wd/wdf.csv"]),
         ("", ["overlap", "w/wdf.csv", "wc/wdf.csv"]),
         ("", ["overlap", "w/wdf.csv", "f/filtered_wdf.csv"]),  # mass below 1: exits 1

@@ -4,17 +4,19 @@
     python scripts/mutants.py
 
 Each mutant in the fixed table below loosens one documented gate of the
-library or the CLI (most by 10-1000x) by replacing one piece of text in one
-file of ``src/wignerlab``.  It is applied to a fresh temporary copy of the
-working tree's ``src/``, and only the test modules mapped to it run against
-that copy, with ``-x``.  A mutant is killed when those tests fail and
-survives when they pass.  The mapped modules first run once against an
-unmutated copy, so a failure there is not counted as a kill.
+library (most by 10-1000x), or drops one reader's mass check, by replacing
+one piece of text in one file of ``src/wignerlab``.  It is applied to a
+fresh temporary copy of the working tree's ``src/``, and only the test
+modules mapped to it run against that copy, with ``-x``: first without the
+slow admitted-packet evolutions, which then run only for a mutant the rest
+does not kill.  A mutant is killed when those tests fail and survives when
+they pass.  The mapped modules first run once, whole, against an unmutated
+copy, so a failure there is not counted as a kill.
 
 Prints one line per mutant and the kill count; exits 0 whatever the count.
-Stdlib only (pytest runs the tests).  The whole table takes about twenty
-minutes on two cores, most of it in the survivors' full runs of
-``test_evolution.py``.
+Stdlib only (pytest runs the tests).  The whole table takes about seven minutes
+on two cores, most of it in the whole unmutated run and in the admitted-packet
+evolutions of the one survivor that maps ``test_evolution.py``.
 """
 
 import os
@@ -27,10 +29,13 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 
+#: The ``-k`` expression of the slow tests, run last for each mutant.
+SLOW = "admitted_packets"
+
 #: ``(name, file in src/wignerlab, old text, new text, test modules)``; the old text occurs once in the file.
 MUTANTS = [
     ("mass drift abort 1e-4 -> 1e-3", "evolution.py",
-     "_MASS_DRIFT_ABORT = 1e-4", "_MASS_DRIFT_ABORT = 1e-3", ["test_evolution.py", "test_io_cli.py"]),
+     "_MASS_DRIFT_ABORT = 1e-4", "_MASS_DRIFT_ABORT = 1e-3", ["test_evolution.py"]),
     ("split-step edge abort 1e-6 -> 1e-3", "evolution.py",
      "_edge_ratio(values)) > EDGE_LEVEL:", "_edge_ratio(values)) > 1e3 * EDGE_LEVEL:", ["test_evolution.py"]),
     ("amplitude cap 10x -> 100x", "evolution.py",
@@ -53,14 +58,35 @@ MUTANTS = [
      "if deviation > 1e-12:", "if deviation > 1e-9:", ["test_wigner.py"]),
     ("trace gate 1e-10 -> 1e-7", "wigner.py",
      "if abs(trace - 1.0) > 1e-10:", "if abs(trace - 1.0) > 1e-7:", ["test_wigner.py"]),
-    ("purity threshold 1 - 1e-6 -> 1 - 1e-3", "wigner.py",
-     "PURITY_THRESHOLD = 1.0 - 1e-6", "PURITY_THRESHOLD = 1.0 - 1e-3", ["test_wigner.py"]),
-    ("wavefunction norm gate 1e-6 -> 1e-3", "wigner.py",
-     "if abs(norm - 1.0) > 1e-6:", "if abs(norm - 1.0) > 1e-3:", ["test_wigner.py"]),
+    ("mass tolerance 1e-6 -> 1e-5", "wigner.py",
+     "MASS_TOLERANCE = 1e-6", "MASS_TOLERANCE = 1e-5", ["test_wigner.py", "test_blobs.py"]),
+    ("filter_wdf drops its mass check", "filtering.py",
+     '    _checked_mass(w_in, "state")\n    g = w_in.grid\n    axis', "    g = w_in.grid\n    axis",
+     ["test_wigner.py"]),
+    ("detect drops the state's mass check", "filtering.py",
+     '    _checked_mass(w_in, "state")\n    _checked_mass(w_m', "    _checked_mass(w_m", ["test_wigner.py"]),
+    ("detect drops the device's mass check", "filtering.py",
+     '    _checked_mass(w_m, "device")\n', "", ["test_wigner.py"]),
+    ("the propagator drops its mass check", "evolution.py",
+     '_checked_mass(w, "state")', "w.mass()", ["test_wigner.py"]),
+    ("uncertainty_product drops its mass check", "wigner.py",
+     'mass = _checked_mass(w, "distribution")\n    g = w.grid\n    var_q',
+     "mass = w.mass()\n    g = w.grid\n    var_q", ["test_wigner.py"]),
+    ("purity drops its mass check", "wigner.py",
+     'mass = _checked_mass(w, "distribution")\n    g = w.grid\n    return',
+     "mass = w.mass()\n    g = w.grid\n    return", ["test_wigner.py"]),
+    ("overlap_probability drops the first mass check", "wigner.py",
+     '    _checked_mass(w1, "first distribution", normalized=True)\n', "", ["test_wigner.py"]),
+    ("overlap_probability drops the second mass check", "wigner.py",
+     '    _checked_mass(w2, "second distribution", normalized=True)\n', "", ["test_wigner.py"]),
+    ("recover_wavefunction drops its mass check", "wigner.py",
+     '    _checked_mass(w, "distribution", normalized=True)\n    pur', "    pur", ["test_wigner.py"]),
+    ("effective_area drops its mass check", "blobs.py",
+     '    _checked_mass(w, "distribution", normalized=True)\n', "", ["test_wigner.py", "test_blobs.py"]),
+    ("negative-variance refusal 0 -> -1", "wigner.py",
+     "if var_q < 0 or var_p < 0:", "if var_q < -1 or var_p < -1:", ["test_wigner.py"]),
     ("recovery reference 1e-6 -> 1e-9", "wigner.py",
      "MIN_REFERENCE = 1e-6", "MIN_REFERENCE = 1e-9", ["test_wigner.py"]),
-    ("self-overlap gate 1 + 1e-6 -> 1 + 1e-3", "blobs.py",
-     "if pur > 1.0 + 1e-6:", "if pur > 1.0 + 1e-3:", ["test_blobs.py"]),
     ("spectral power floor 1e-6 -> 1e-7", "blobs.py",
      "SPECTRAL_POWER_FLOOR = 1e-6", "SPECTRAL_POWER_FLOOR = 1e-7", ["test_blobs.py"]),
     ("edge warning level 1e-8 -> 1e-6", "grid.py",
@@ -71,10 +97,6 @@ MUTANTS = [
      "P_BAND_LEVEL = 1e-7", "P_BAND_LEVEL = 1e-6", ["test_evolution.py", "test_io_cli.py"]),
     ("lattice-offset tolerance 1e-9 -> 1e-3 of the ratio", "grid.py",
      "1e-9 * max(1.0, abs(ratio))", "1e-3 * max(1.0, abs(ratio))", ["test_grid.py", "test_filtering.py"]),
-    ("CLI load gate 1 + 1e-6 -> 1 + 1e-3", "cli.py",
-     "if w.mass() > 1.0 + 1e-6:", "if w.mass() > 1.0 + 1e-3:", ["test_io_cli.py"]),
-    ("CLI overlap gate 1e-6 -> 1e-3", "cli.py",
-     "if abs(w.mass() - 1.0) > 1e-6:", "if abs(w.mass() - 1.0) > 1e-3:", ["test_io_cli.py"]),
 ]
 
 #: Mutants that no test is expected to kill, and why.
@@ -86,11 +108,15 @@ EXPECTED_SURVIVORS = {
 }
 
 
-def run_tests(src: Path, modules: list[str]) -> bool:
-    """Whether the test modules pass against the package in ``src``."""
+def run_tests(src: Path, modules: list[str], select: str | None = None) -> bool:
+    """Whether the test modules pass against the package in ``src``, only the tests ``-k select`` picks if given.
+
+    A selection that picks no test (pytest's exit code 5) passes.
+    """
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *(f"tests/{m}" for m in modules)]
-    return subprocess.run(argv, cwd=REPO, env=env, capture_output=True).returncode == 0
+    code = subprocess.run(argv + (["-k", select] if select else []), cwd=REPO, env=env, capture_output=True).returncode
+    return code in (0, 5)
 
 
 def main() -> int:
@@ -112,7 +138,8 @@ def main() -> int:
                 return 2
             path.write_text(text.replace(old, new))
             start = time.perf_counter()
-            survived = run_tests(copy, mapped)
+            # the admitted-packet evolutions take minutes, so they run only for a mutant the rest does not kill
+            survived = run_tests(copy, mapped, f"not {SLOW}") and run_tests(copy, mapped, SLOW)
             killed += not survived
             status = "survived" if survived else "killed"
             if name in EXPECTED_SURVIVORS:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .grid import _linear_convolution
-from .wigner import WignerFunction, purity
+from .wigner import MASS_TOLERANCE, WignerFunction, _checked_mass, purity
 
 #: Relative spectral power below which a frequency does not count as structure.
 SPECTRAL_POWER_FLOOR = 1e-6
@@ -45,14 +45,12 @@ class BlobReport:
 def effective_area(w: WignerFunction) -> float:
     """Inverse-participation phase-space area, h/2 for any pure state.
 
-    Requires unit total mass; rejects data whose self-overlap exceeds one,
-    which no physical state can produce.
+    Requires a mass within ``MASS_TOLERANCE`` of 1; rejects data whose
+    self-overlap exceeds one by more than that, which no physical state can.
     """
-    mass = w.mass()
-    if abs(mass - 1.0) > 1e-6:
-        raise InvariantViolation(f"total mass {mass} deviates from 1; normalize first")
+    _checked_mass(w, "distribution", normalized=True)
     pur = purity(w)
-    if pur > 1.0 + 1e-6:
+    if pur > 1.0 + MASS_TOLERANCE:
         raise InvariantViolation(
             f"self-overlap {pur:.6f} exceeds one: sharper than any admissible state"
         )
@@ -60,7 +58,7 @@ def effective_area(w: WignerFunction) -> float:
 
 
 def smoothed_minimum(w: WignerFunction, sigma_q: float, sigma_p: float) -> float:
-    """Global minimum of the distribution after Gaussian smoothing.
+    """Global minimum of a distribution, or of any matrix, after Gaussian smoothing.
 
     The kernel is a normalized Gaussian of the given widths evaluated on
     the offset lattice; at sigma_q*sigma_p = hbar/2 it coincides with a
@@ -87,7 +85,7 @@ def _max_significant_frequency(power: np.ndarray, freqs: np.ndarray) -> float:
 
 
 def subplanck_scale(w: WignerFunction) -> float:
-    """Area of the finest oscillation cell of the distribution.
+    """Area of the finest oscillation cell of a distribution, or of any matrix: its scale does not count.
 
     Measured from the highest frequency carrying relative spectral power
     above ``SPECTRAL_POWER_FLOOR`` in each direction, and normalized so a

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .grid import EDGE_LEVEL, P_BAND_LEVEL, POSITION, Grid, WaveFunction, _adopt, _edge_ratio, _pair_views
-from .wigner import WignerFunction
+from .wigner import WignerFunction, _checked_mass
 
 _MASS_DRIFT_ABORT = 1e-4
 
@@ -128,9 +128,10 @@ def propagate(w: WignerFunction, v: PotentialSpec, cfg: EvolutionConfig) -> Wign
     0`` for ``T = p^2/2m``, the remaining ``[V,[T,V]]``, proportional to
     ``V'^2/m``, depends on q alone and cancels inside that kick.  Each step
     is unitary and conserves mass to rounding, so any ``dt`` is stable: the
-    step count sets the accuracy.  Aborts on mass drift beyond 1e-4, on
-    non-finite values, on amplitude blow-up, and where the periodic drift and
-    kick would wrap the state: an end amplitude, read off ``rho(end, .)``,
+    step count sets the accuracy.  Refuses a state of mass above ``1 +
+    MASS_TOLERANCE``; aborts on mass drift beyond 1e-4, on non-finite values,
+    on amplitude blow-up, and where the periodic drift and kick would wrap
+    the state: an end amplitude, read off ``rho(end, .)``,
     above ``EDGE_LEVEL``, or a p-marginal edge value above ``P_BAND_LEVEL``.
     """
     return next(_frames(w, v, cfg.dt, cfg.n_steps, cfg.n_steps), w)  # no frame without a step
@@ -141,7 +142,7 @@ def _frames(w: WignerFunction, v: PotentialSpec, dt: float, n_steps: int, every:
 
     Step numbers count over the run; the 25-step checks restart at each frame, as in chunked ``propagate``.
     """
-    grid, current = w.grid, w.values
+    grid, current, initial_mass = w.grid, w.values, _checked_mass(w, "state")
     del w  # the caller's state is not kept for the whole run
     transport, force = _moyal_symbols(grid, v)
     potential = v.polynomial
@@ -151,7 +152,6 @@ def _frames(w: WignerFunction, v: PotentialSpec, dt: float, n_steps: int, every:
     kick_middle = np.exp(2.0 * dt / 3.0 * middle_force)
     kick_edge, kick_joined = (np.exp(c * dt * force) for c in (1.0 / 6.0, 1.0 / 3.0))
     del transport, force, middle_force  # only the four phases are needed from here on
-    initial_mass = float(current.sum()) * grid.delta_q * grid.delta_p
     amplitude_cap = 10.0 * max(2.0 / grid.h, float(np.max(np.abs(current))))
     cell = grid.delta_q * grid.delta_p
     m = np.arange(grid.n_points // 2 + 1)

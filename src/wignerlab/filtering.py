@@ -35,7 +35,9 @@ from .grid import (
     _shifted,
     to_position,
 )
-from .wigner import WignerFunction, marginal_p, marginal_q, overlap_probability, wigner_values_of_amplitudes
+from .wigner import (
+    WignerFunction, _checked_mass, marginal_p, marginal_q, overlap_probability, wigner_values_of_amplitudes,
+)
 
 COORDINATE = "coordinate"
 MOMENTUM_KIND = "momentum"
@@ -173,8 +175,10 @@ def filter_wdf(w_in: WignerFunction, f: FilterSpec) -> WignerFunction:
     norm.  Along p the law is a product: ``rfft`` over p gives the correlation
     of ``W_in``, times the conjugate device correlation (``W_m`` is never
     built), so the output is the raw filtered state's distribution for any
-    state; along q it is linear.  The output mass is the transmitted fraction.
+    state; along q it is linear.  The output mass is the transmitted fraction;
+    the input's may not exceed ``1 + MASS_TOLERANCE``.
     """
+    _checked_mass(w_in, "state")
     g = w_in.grid
     axis, steps = _law(g, f)
     values = _shifted(w_in.values, steps, 1 - axis)
@@ -197,10 +201,13 @@ def detect(w_in: WignerFunction, w_m: WignerFunction) -> DetectionMap:
     ``D(q,p) = integral W_in(q',p') W_m(q-q',p-p') dq' dp'`` is nonnegative
     for any pair of valid distributions; the device may equally be supplied
     as classical phase-space data.  The sum is periodic in p, linear in q.
+    Neither mass may exceed ``1 + MASS_TOLERANCE``.
     """
     g = w_in.grid
     if g != w_m.grid:
         raise GridMismatchError("state and device live on different grids")
+    _checked_mass(w_in, "state")
+    _checked_mass(w_m, "device")
     spectrum = np.fft.rfft(w_in.values, axis=1)
     # in place, so two spectra are alive at once rather than three
     _linear_convolution(spectrum, np.fft.rfft(w_m.values, axis=1), 0, g.origin_index(), out=spectrum)

@@ -26,8 +26,13 @@ from .grid import (
     _BLOCK, POSITION, Grid, WaveFunction, _adopt, _centre_p, _frozen_array, _pair_correlation, normalize, squared_norm,
 )
 
+#: The one mass rule: a distribution carries a positive total mass of at most 1 + MASS_TOLERANCE (a filter output
+#: carries its transmission, less), and where a normalized state is required its mass lies within MASS_TOLERANCE of 1.
+MASS_TOLERANCE = 1e-6
+_TOLERANCE_TEXT = f"{MASS_TOLERANCE:.0e}".replace("e-0", "e-")  # "1e-6", as the messages read
+
 #: States with h*integral(W^2) above this are considered pure.
-PURITY_THRESHOLD = 1.0 - 1e-6
+PURITY_THRESHOLD = 1.0 - MASS_TOLERANCE
 
 #: Smallest |psi(0)| that :func:`recover_wavefunction` accepts as its reference.
 MIN_REFERENCE = 1e-6
@@ -47,6 +52,17 @@ class WignerFunction:
 
     def mass(self) -> float:
         return float(np.sum(self.values) * self.grid.delta_q * self.grid.delta_p)
+
+
+def _checked_mass(w: WignerFunction, name: str, normalized: bool = False) -> float:
+    """The mass of ``w``, the ``name`` argument of its reader, under the one mass rule (``MASS_TOLERANCE``)."""
+    mass = w.mass()
+    if not mass > 0:  # uncertainty_product and purity divide by it
+        raise InvariantViolation(f"total mass {mass:.7g} of the {name} is not positive: it carries no state")
+    if (abs(mass - 1.0) if normalized else mass - 1.0) > MASS_TOLERANCE:
+        excess = "deviates from" if normalized else "exceeds"
+        raise InvariantViolation(f"total mass {mass:.7g} of the {name} {excess} 1 by more than {_TOLERANCE_TEXT}")
+    return mass
 
 
 @dataclass(frozen=True)
@@ -112,22 +128,20 @@ def _transform_correlation(half: np.ndarray, grid: Grid) -> np.ndarray:
 def wigner_values_of_amplitudes(amplitudes: np.ndarray, grid: Grid) -> np.ndarray:
     """Distribution matrix of raw position amplitudes, no normalization required.
 
-    Filter outputs carry their transmission in the overall scale, so this
-    low-level path deliberately skips the unit-norm gate of
-    :func:`wdf_from_wavefunction`.
+    A linear map of the correlation: it takes amplitudes of any norm, so it
+    skips the unit-norm gate of :func:`wdf_from_wavefunction`.  Filter
+    outputs carry their transmission in the overall scale.
     """
     return _transform_correlation(_pair_correlation(np.asarray(amplitudes, dtype=np.complex128)), grid)
 
 
 def wdf_from_wavefunction(psi: WaveFunction) -> WignerFunction:
-    """Wigner distribution of a normalized position-representation state."""
+    """Wigner distribution of a position-representation state whose squared norm is within ``MASS_TOLERANCE`` of 1."""
     if psi.representation != POSITION:
         raise ValueError("wdf_from_wavefunction expects a position-representation state")
     norm = squared_norm(psi)
-    if abs(norm - 1.0) > 1e-6:
-        raise InvariantViolation(
-            f"input squared norm {norm} deviates from 1 by more than 1e-6"
-        )
+    if abs(norm - 1.0) > MASS_TOLERANCE:
+        raise InvariantViolation(f"input squared norm {norm} deviates from 1 by more than {_TOLERANCE_TEXT}")
     return WignerFunction(psi.grid, _adopt(wigner_values_of_amplitudes(psi.values, psi.grid)))
 
 
@@ -148,12 +162,12 @@ def wdf_from_density(rho: DensityMatrix) -> WignerFunction:
 
 
 def marginal_q(w: WignerFunction) -> np.ndarray:
-    """Momentum-integrated distribution, the position density |psi(q)|^2."""
+    """Momentum-integrated distribution, the position density |psi(q)|^2; a linear map of any matrix."""
     return np.asarray(w.values.sum(axis=1) * w.grid.delta_p)
 
 
 def marginal_p(w: WignerFunction) -> np.ndarray:
-    """Position-integrated distribution, the momentum density |psi_bar(p)|^2."""
+    """Position-integrated distribution, the momentum density |psi_bar(p)|^2; a linear map of any matrix."""
     return np.asarray(w.values.sum(axis=0) * w.grid.delta_q)
 
 
@@ -162,7 +176,8 @@ def expectation(w: WignerFunction, symbol: Callable[[np.ndarray, np.ndarray], np
 
     The symbol is evaluated pointwise on the lattice.  This equals the
     quantum expectation of an operator exactly when the symbol is its
-    Weyl-ordered (symmetrized) scalar counterpart.
+    Weyl-ordered (symmetrized) scalar counterpart.  Linear in ``w``: any
+    matrix is taken, and the mass is not divided out.
     """
     g = w.grid
     qq, pp = np.meshgrid(g.q, g.p, indexing="ij")
@@ -176,10 +191,11 @@ def _variance(x: np.ndarray, density: np.ndarray, delta: float) -> float:
 
 
 def uncertainty_product(w: WignerFunction) -> float:
-    """Return ``delta_q * delta_p`` of the distribution; >= hbar/2 for physical states."""
+    """``delta_q * delta_p`` (>= hbar/2) of the state ``w`` carries: marginals over its mass (<= 1 + MASS_TOLERANCE)."""
+    mass = _checked_mass(w, "distribution")
     g = w.grid
-    var_q = _variance(g.q, marginal_q(w), g.delta_q)
-    var_p = _variance(g.p, marginal_p(w), g.delta_p)
+    var_q = _variance(g.q, marginal_q(w) / mass, g.delta_q)
+    var_p = _variance(g.p, marginal_p(w) / mass, g.delta_p)
     if var_q < 0 or var_p < 0:
         raise InvariantViolation(
             f"negative variance (var_q={var_q:.3e}, var_p={var_p:.3e}); "
@@ -189,19 +205,23 @@ def uncertainty_product(w: WignerFunction) -> float:
 
 
 def overlap_probability(w1: WignerFunction, w2: WignerFunction) -> float:
-    """Transition probability ``h * integral W1 W2 dq dp``.
+    """Transition probability ``h * integral W1 W2 dq dp`` of two states, each of mass within ``MASS_TOLERANCE`` of 1.
 
     Equals |<psi1|psi2>|^2 for pure states.
     """
     if w1.grid != w2.grid:
         raise GridMismatchError("distributions live on different grids")
+    _checked_mass(w1, "first distribution", normalized=True)
+    _checked_mass(w2, "second distribution", normalized=True)
     g = w1.grid
     return float(g.h * np.sum(w1.values * w2.values) * g.delta_q * g.delta_p)
 
 
 def purity(w: WignerFunction) -> float:
-    """Self-overlap ``h * integral W^2 dq dp``; one for pure states, below one for mixtures."""
-    return overlap_probability(w, w)
+    """Self-overlap ``h * integral W^2 dq dp`` over the squared mass (<= 1 + MASS_TOLERANCE); 1 for a pure state."""
+    mass = _checked_mass(w, "distribution")
+    g = w.grid
+    return float(g.h * np.sum(w.values * w.values) * g.delta_q * g.delta_p) / mass**2
 
 
 def _upsample_rows(values: np.ndarray) -> np.ndarray:
@@ -219,8 +239,10 @@ def recover_wavefunction(w: WignerFunction) -> WaveFunction:
     ``psi(q) psi*(0) = integral W(q/2, p) exp(ipq/hbar) dp``.  The half
     coordinate is reached by spectral upsampling of the q axis, which is
     exact for band-limited data.  The global phase is fixed by making
-    psi(0) real and positive.
+    psi(0) real and positive.  The mass must lie within ``MASS_TOLERANCE``
+    of 1, and the purity at least ``PURITY_THRESHOLD``.
     """
+    _checked_mass(w, "distribution", normalized=True)
     pur = purity(w)
     if pur < PURITY_THRESHOLD:
         raise InvariantViolation(f"purity {pur:.6f} below pure-state threshold; cannot invert")

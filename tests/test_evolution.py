@@ -352,7 +352,8 @@ class TestPropagate:
 
 
 class TestAbortGatesFromBothSides:
-    """The edge abort, the amplitude cap and the 25-step check schedule, each pinned a factor of 3 to either side."""
+    """The edge abort, the amplitude cap, the mass drift and the 25-step check schedule, each pinned a factor of 3 to
+    either side."""
 
     @pytest.mark.parametrize(
         "axis, edge, refused", [("q", 3e-6, True), ("q", 3e-7, False), ("p", 3e-7, True), ("p", 3e-8, False)]
@@ -433,6 +434,25 @@ class TestAbortGatesFromBothSides:
         monkeypatch.setattr(evolution, "_apply", leaking_apply)
         with pytest.raises(InvariantViolation, match=r"^mass drift 1\.00e-03 at step 25 exceeds 1e-4"):
             propagate(w, HARMONIC, EvolutionConfig(dt=1e-3, n_steps=n_steps))
+
+    @pytest.mark.parametrize("leak, refused", [(3e-4, True), (3e-5, False)])
+    def test_mass_drift(self, grid, monkeypatch, leak, refused):
+        # a one-off leak at the opening kick of step 11 of 50: the drift the check at step 25 reads
+        w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), grid))
+        apply, calls = evolution._apply, []
+
+        def leaking_apply(values, symbol, axis):
+            calls.append(axis)
+            result = apply(values, symbol, axis)
+            return result * (1.0 + leak) if len(calls) == 4 * 10 + 1 else result
+
+        monkeypatch.setattr(evolution, "_apply", leaking_apply)
+        run = lambda: propagate(w, HARMONIC, EvolutionConfig(dt=1e-3, n_steps=50))
+        if refused:
+            with pytest.raises(InvariantViolation, match=r"^mass drift 3\.00e-04 at step 25 exceeds 1e-4; aborting$"):
+                run()
+        else:
+            assert run().mass() == pytest.approx(1.0 + leak, rel=1e-9)
 
 
 class TestSplitStep:

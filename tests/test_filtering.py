@@ -287,6 +287,7 @@ class TestPhaseSpaceCommutation:
         g = make_grid(-1.3, 2.9, 16, hbar=0.7)
         rng = np.random.default_rng(29)
         a, d = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+        a /= np.sqrt(np.sum(np.abs(a) ** 2) * g.delta_q)  # a state filter_wdf admits: mass 1, not 8.19
         w = WignerFunction(g, wigner_values_of_amplitudes(a, g))
         out = filter_wdf(w, FilterSpec(kind=COORDINATE, device=WaveFunction(g, d)))
         assert np.max(np.abs(out.values - wigner_values_of_amplitudes(a * d, g))) <= 1e-13
@@ -443,9 +444,9 @@ class TestDetect:
         assert np.array_equal(detect(state, device).values, one_shot_detect(state, device))
 
     def test_classical_device_data(self, grid):
-        # device supplied as raw phase-space data, no wavefunction behind it
+        # device supplied as raw phase-space data, no wavefunction behind it; of mass 1/2, as detect takes at most 1
         qq, pp = np.meshgrid(grid.q, grid.p, indexing="ij")
-        device = WignerFunction(grid, (1 / grid.h) * np.exp(-(qq**2) / 4 - (pp**2) / 4))
+        device = WignerFunction(grid, (0.25 / grid.h) * np.exp(-(qq**2) / 4 - (pp**2) / 4))
         state = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), grid))
         result = detect(state, device)
         assert result.values.min() >= -1e-12

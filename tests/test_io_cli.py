@@ -12,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wignerlab import GaussianSpec, WignerFunction, gaussian_wavefunction, make_grid, wdf_from_wavefunction
+from wignerlab import (
+    GaussianSpec, WaveFunction, WignerFunction, gaussian_wavefunction, make_grid, wdf_from_wavefunction,
+)
 from wignerlab import cli, evolution
 from wignerlab import io as wio
 from wignerlab.cli import main
@@ -211,6 +213,53 @@ class TestCli:
         assert main(["wdf", str(tmp_path / "f/filtered_wdf.csv"), "--out", str(tmp_path / "w")]) == 0
         assert json.loads(capsys.readouterr().out)["mass"] < 0.5
 
+    def test_wdf_of_filter_output_reads_the_state_it_carries(self, tmp_path, capsys):
+        # a width-1.5 Gaussian through a width-1 slit: mass 0.313, but purity and uncertainty of the pure output
+        main(["state", "--gaussian", "q0=1.5", "--out", str(tmp_path / "s")])
+        (tmp_path / "filter.json").write_text(
+            json.dumps({"kind": "coordinate", "device": {"gaussian": {"width": 1.0}}})
+        )
+        main(["filter", str(tmp_path / "s/state.csv"), "--filter", str(tmp_path / "filter.json"),
+              "--wdf", "--out", str(tmp_path / "f")])
+        capsys.readouterr()
+        assert main(["wdf", str(tmp_path / "f/filtered_wdf.csv"), "--out", str(tmp_path / "w")]) == 0
+        metrics = json.loads(capsys.readouterr().out)
+        assert metrics["mass"] == pytest.approx(0.313, abs=1e-3)
+        assert metrics["uncertainty_product"] >= 0.5 - 1e-6
+        assert metrics["purity"] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("command", ["wdf", "detect", "evolve", "blob"])
+    def test_mass_refusal_writes_nothing(self, tmp_path, capsys, command):
+        tripled = str(self._matrix_of_mass(tmp_path, 3.0))
+        (tmp_path / "harmonic.json").write_text(json.dumps({"coefficients": [0, 0, 0.5]}))
+        argv = {
+            "wdf": ["wdf", tripled],
+            "detect": ["detect", str(tmp_path / "w/wdf.csv"), tripled],
+            "evolve": ["evolve", tripled, "--potential", str(tmp_path / "harmonic.json"), "--t", ".01", "--dt", ".001"],
+            "blob": ["blob", tripled],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("invariant violation: total mass 3 of the ")
+        out = tmp_path / "o"
+        assert out.exists() == (command == "evolve")  # evolve makes it before its first step, where the refusal is
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_filter_refused_before_writing_leaves_no_directory(self, tmp_path, capsys):
+        # a state file of squared norm 3: wdf_from_wavefunction refuses it before filtered.csv is written
+        main(["state", "--gaussian", "q0=1.5", "--out", str(tmp_path / "s")])
+        path = tmp_path / "s/state.csv"
+        psi = wio.load_wavefunction(path)
+        wio.save_wavefunction(WaveFunction(psi.grid, np.sqrt(3.0) * psi.values), path)
+        (tmp_path / "filter.json").write_text(
+            json.dumps({"kind": "coordinate", "device": {"gaussian": {"width": 1.0}}})
+        )
+        capsys.readouterr()
+        assert main(["filter", str(path), "--filter", str(tmp_path / "filter.json"), "--wdf",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("invariant violation: input squared norm 3")
+        assert not (tmp_path / "o").exists()
+
     def test_overlap_rejects_filter_output_below_unit_mass(self, tmp_path, capsys):
         main(["state", "--gaussian", "q0=1.5", "--out", str(tmp_path / "s")])
         (tmp_path / "filter.json").write_text(
@@ -223,7 +272,7 @@ class TestCli:
         assert main(["overlap", str(tmp_path / "s/state.csv"), str(filtered)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("invariant violation: total mass 0.")
-        assert err.endswith(f" of {filtered} deviates from 1 by more than 1e-6\n")
+        assert err.endswith(" of the second distribution deviates from 1 by more than 1e-6\n")
 
     def test_matrix_without_sidecar_exits_2_naming_it(self, tmp_path, capsys):
         main(["state", "--gaussian", "q0=1", "--grid=-8:8:64", "--out", str(tmp_path / "s")])

@@ -6,13 +6,20 @@ import pytest
 from wignerlab import (
     CatSpec,
     DensityMatrix,
+    EvolutionConfig,
+    FilterSpec,
     GaussianSpec,
     GridMismatchError,
     InvariantViolation,
+    PotentialSpec,
     WaveFunction,
     WignerFunction,
+    blob_report,
     cat_wavefunction,
+    detect,
+    effective_area,
     expectation,
+    filter_wdf,
     fourier_transform,
     gaussian_wavefunction,
     gaussian_wdf_closed_form,
@@ -23,6 +30,7 @@ from wignerlab import (
     mixed_density,
     normalize,
     overlap_probability,
+    propagate,
     pure_density,
     purity,
     recover_wavefunction,
@@ -30,6 +38,7 @@ from wignerlab import (
     wdf_from_density,
     wdf_from_wavefunction,
 )
+from wignerlab.filtering import COORDINATE
 from wignerlab.wigner import _upsample_rows, wigner_values_of_amplitudes
 
 from helpers import (
@@ -322,6 +331,24 @@ class TestUncertainty:
         var_p = (0.5 - 15.5 * e16) / (1.0 + e16)
         assert product == pytest.approx(np.sqrt(var_q * var_p), abs=1e-6)
 
+    @pytest.mark.parametrize("variance, refused", [(-1e-3, True), (1e-3, False)])
+    def test_negative_variance_refusal_from_both_sides(self, variance, refused):
+        # mass 1/2 on three q rows, symmetric about q = 0, so var_q is exactly ``variance``; p a Gaussian
+        g = desk_grid()
+        side = variance / (2.0 * g.delta_q**2)
+        rows = np.zeros(g.n_points)
+        rows[g.n_points // 2 - 1:g.n_points // 2 + 2] = (side, 1.0 - 2.0 * side, side)
+        profile = np.exp(-(g.p**2))
+        profile /= profile.sum() * g.delta_p
+        w = WignerFunction(g, 0.5 * rows[:, None] / g.delta_q * profile)
+        assert g.q[g.n_points // 2] == 0.0 and w.mass() == pytest.approx(0.5, abs=1e-15)
+        if refused:
+            with pytest.raises(InvariantViolation, match=r"^negative variance \(var_q=-1\.000e-03, "):
+                uncertainty_product(w)
+        else:
+            var_p = np.sum(g.p**2 * profile) * g.delta_p - (np.sum(g.p * profile) * g.delta_p) ** 2
+            assert uncertainty_product(w) == pytest.approx(np.sqrt(variance * var_p), rel=1e-9)
+
     def test_negative_variance_rejected(self):
         g = desk_grid()
         n = g.n_points
@@ -456,6 +483,85 @@ class TestPurity:
         odd = normalize(WaveFunction(g, plus - minus))
         w = wdf_from_density(mixed_density([even, odd], [0.5, 0.5]))
         assert purity(w) == pytest.approx(0.5, abs=1e-8)
+
+
+HARMONIC = PotentialSpec((0.0, 0.0, 0.5))
+SLIT = FilterSpec(COORDINATE, gaussian_wavefunction(GaussianSpec(width=1.0), desk_grid()))
+
+#: Every reader of the mass rule, each taking the distribution under test, and the argument it names.
+MASS_READERS = {
+    "overlap_probability-first": (lambda w, ref: overlap_probability(w, ref), "first distribution", True),
+    "overlap_probability-second": (lambda w, ref: overlap_probability(ref, w), "second distribution", True),
+    "recover_wavefunction": (lambda w, ref: recover_wavefunction(w), "distribution", True),
+    "effective_area": (lambda w, ref: effective_area(w), "distribution", True),
+    "blob_report": (lambda w, ref: blob_report(w), "distribution", True),
+    "purity": (lambda w, ref: purity(w), "distribution", False),
+    "uncertainty_product": (lambda w, ref: uncertainty_product(w), "distribution", False),
+    "detect-state": (lambda w, ref: detect(w, ref), "state", False),
+    "detect-device": (lambda w, ref: detect(ref, w), "device", False),
+    "filter_wdf": (lambda w, ref: filter_wdf(w, SLIT), "state", False),
+    "propagate": (lambda w, ref: propagate(w, HARMONIC, EvolutionConfig(dt=1e-3, n_steps=1)), "state", False),
+}
+NORMALIZED_READERS = [name for name, (*_, normalized) in MASS_READERS.items() if normalized]
+
+
+class TestMassRule:
+    """One rule, ``wigner.MASS_TOLERANCE``: mass above 1 + 1e-6, or at most 0, is refused everywhere, below 1 - 1e-6
+    where a normalized state is required; each reader pinned a factor of 3 to either side."""
+
+    @staticmethod
+    def scaled(mass):
+        """A width-1 Gaussian's distribution on the desk grid scaled to ``mass``, and the unscaled one."""
+        w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), desk_grid()))
+        return WignerFunction(w.grid, w.values * (mass / w.mass())), w
+
+    @pytest.mark.parametrize("reader", MASS_READERS)
+    def test_three_times_a_state_is_refused(self, reader):
+        read, name, normalized = MASS_READERS[reader]
+        excess = "deviates from" if normalized else "exceeds"
+        with pytest.raises(InvariantViolation, match=f"^total mass 3 of the {name} {excess} 1 by more than 1e-6$"):
+            read(*self.scaled(3.0))
+
+    @pytest.mark.parametrize("mass", [0.0, -1.0])
+    @pytest.mark.parametrize("reader", MASS_READERS)
+    def test_no_positive_mass_is_refused(self, reader, mass):
+        # uncertainty_product and purity divide by the mass: a distribution without one carries no state
+        read, name, _ = MASS_READERS[reader]
+        with pytest.raises(InvariantViolation, match=f"^total mass {mass:g} of the {name} is not positive: "):
+            read(*self.scaled(mass))
+
+    @pytest.mark.parametrize("excess, refused", [(3e-6, True), (3e-7, False)])
+    @pytest.mark.parametrize("reader", MASS_READERS)
+    def test_excess_from_both_sides(self, reader, excess, refused):
+        read, name, _ = MASS_READERS[reader]
+        if refused:
+            with pytest.raises(InvariantViolation, match=f"^total mass 1\\.000003 of the {name} "):
+                read(*self.scaled(1.0 + excess))
+        else:
+            read(*self.scaled(1.0 + excess))
+
+    @pytest.mark.parametrize("deficit, refused", [(3e-6, True), (3e-7, False)])
+    @pytest.mark.parametrize("reader", NORMALIZED_READERS)
+    def test_deficit_from_both_sides(self, reader, deficit, refused):
+        read, name, _ = MASS_READERS[reader]
+        if refused:
+            with pytest.raises(InvariantViolation, match=f"^total mass 0\\.999997 of the {name} deviates from 1 "):
+                read(*self.scaled(1.0 - deficit))
+        else:
+            read(*self.scaled(1.0 - deficit))
+
+    def test_filter_output_carries_its_state(self):
+        # a width-1.5 Gaussian through a width-1 slit transmits 0.313: the readers of a state's shape read it whole
+        _, ref = self.scaled(1.0)
+        w = filter_wdf(wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.5), desk_grid())), SLIT)
+        assert w.mass() == pytest.approx(0.313, abs=1e-3)
+        assert uncertainty_product(w) == pytest.approx(0.5, abs=1e-6)
+        assert purity(w) == pytest.approx(1.0, abs=1e-6)
+        for name in ("detect-state", "detect-device", "filter_wdf", "propagate"):
+            MASS_READERS[name][0](w, ref)
+        for name in NORMALIZED_READERS:
+            with pytest.raises(InvariantViolation, match=r"^total mass 0\.3129561 of the .* deviates from 1 "):
+                MASS_READERS[name][0](w, ref)
 
 
 class TestUpsampleRows:
