@@ -4,8 +4,9 @@
     python scripts/mutants.py
 
 Each mutant in the fixed table below loosens one documented gate of the
-library (most by 10-1000x), or drops one reader's mass check, by replacing
-one piece of text in one file of ``src/wignerlab``.  It is applied to a
+library (most by 10-1000x), drops one reader's mass check, or moves one
+index or scale of a lattice kernel, by replacing one piece of text in one
+file of ``src/wignerlab``.  It is applied to a
 fresh temporary copy of the working tree's ``src/``, and only the test
 modules mapped to it run against that copy, with ``-x``: first without the
 slow admitted-packet evolutions, which then run only for a mutant the rest
@@ -14,7 +15,7 @@ they pass.  The mapped modules first run once, whole, against an unmutated
 copy, so a failure there is not counted as a kill.
 
 Prints one line per mutant and the kill count; exits 0 whatever the count.
-Stdlib only (pytest runs the tests).  The whole table takes about seven minutes
+Stdlib only (pytest runs the tests).  The whole table takes about nine minutes
 on two cores, most of it in the whole unmutated run and in the admitted-packet
 evolutions of the one survivor that maps ``test_evolution.py``.
 """
@@ -83,6 +84,20 @@ MUTANTS = [
      '    _checked_mass(w, "distribution", normalized=True)\n    pur', "    pur", ["test_wigner.py"]),
     ("effective_area drops its mass check", "blobs.py",
      '    _checked_mass(w, "distribution", normalized=True)\n', "", ["test_wigner.py", "test_blobs.py"]),
+    ("wdf_from_wavefunction drops its mass check", "wigner.py",
+     '    _checked_mass(psi, "state", normalized=True)\n    return', "    return", ["test_wigner.py"]),
+    ("mixed_density drops its mass check", "wigner.py",
+     '        _checked_mass(s, f"state {i} of the mixture", normalized=True)\n', "", ["test_wigner.py"]),
+    ("filter_wavefunction drops its mass check", "filtering.py",
+     '    _checked_mass(psi_in, "state", normalized=True)\n    g = psi_in.grid\n    axis', "    g = psi_in.grid\n    axis",
+     ["test_wigner.py"]),
+    ("detect_from_wavefunctions drops the state's mass check", "filtering.py",
+     '    _checked_mass(psi_in, "state", normalized=True)\n    _checked_mass(psi_m', "    _checked_mass(psi_m",
+     ["test_wigner.py"]),
+    ("detect_from_wavefunctions drops the device's mass check", "filtering.py",
+     '    _checked_mass(psi_m, "device")\n', "", ["test_wigner.py"]),
+    ("split_step_schrodinger drops its mass check", "evolution.py",
+     '    _checked_mass(psi, "state", normalized=True)\n', "", ["test_wigner.py"]),
     ("negative-variance refusal 0 -> -1", "wigner.py",
      "if var_q < 0 or var_p < 0:", "if var_q < -1 or var_p < -1:", ["test_wigner.py"]),
     ("recovery reference 1e-6 -> 1e-9", "wigner.py",
@@ -97,6 +112,23 @@ MUTANTS = [
      "P_BAND_LEVEL = 1e-7", "P_BAND_LEVEL = 1e-6", ["test_evolution.py", "test_io_cli.py"]),
     ("lattice-offset tolerance 1e-9 -> 1e-3 of the ratio", "grid.py",
      "1e-9 * max(1.0, abs(ratio))", "1e-3 * max(1.0, abs(ratio))", ["test_grid.py", "test_filtering.py"]),
+    ("_pair_views reads the lower row one cell late", "grid.py",
+     "return windows[:n, ::-1], windows", "return windows[1:n + 1, ::-1], windows",
+     ["test_grid.py", "test_wigner.py"]),
+    ("_shifted moves the other way", "grid.py",
+     "np.moveaxis(out, axis, 0)[lo:n - hi] = np.moveaxis(values, axis, 0)[hi:n - lo]",
+     "np.moveaxis(out, axis, 0)[hi:n - lo] = np.moveaxis(values, axis, 0)[lo:n - hi]",
+     ["test_grid.py", "test_filtering.py"]),
+    ("_linear_convolution keeps its window one cell late", "grid.py",
+     "[start:start + n]", "[start + 1:start + 1 + n]", ["test_grid.py", "test_filtering.py"]),
+    ("_half_dft takes the conjugate quarter phases", "grid.py",
+     "np.fft.fft(values * _quarter_phases(n), 2 * n)", "np.fft.fft(values * np.conj(_quarter_phases(n)), 2 * n)",
+     ["test_grid.py", "test_filtering.py"]),
+    ("_transform_correlation scale 2 dq/h -> dq/h", "wigner.py",
+     "out *= 2.0 * grid.delta_q / grid.h", "out *= grid.delta_q / grid.h", ["test_wigner.py"]),
+    ("_load_matrix splits one row late", "io.py",
+     "rows = _strict_loadtxt(csv_path, n // 2, None)", "rows = _strict_loadtxt(csv_path, n // 2 + 1, None)",
+     ["test_io_cli.py"]),
 ]
 
 #: Mutants that no test is expected to kill, and why.

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvariantViolation
-from .grid import Grid, make_grid, squared_norm, to_position
+from .grid import Grid, make_grid, squared_norm
 from .wigner import (
     WignerFunction,
     overlap_probability,
@@ -77,7 +77,7 @@ def _pop(params: dict[str, float], key: str, default: float | None = None) -> fl
 def _load_state_as_wdf(path: str) -> WignerFunction:
     """Accept a wavefunction CSV or a distribution-matrix CSV; the library readers apply the mass rule."""
     if wio.is_wavefunction_file(path):
-        return wdf_from_wavefunction(to_position(wio.load_wavefunction(path)))
+        return wdf_from_wavefunction(wio.load_wavefunction(path))
     return wio.load_wigner(path)
 
 
@@ -122,7 +122,7 @@ def _cmd_wdf(args) -> tuple:
 
 
 def _cmd_filter(args) -> tuple:
-    psi = to_position(wio.load_wavefunction(args.input))
+    psi = wio.load_wavefunction(args.input)
     spec = wio.load_filter_spec(args.filter, psi.grid)
     filtered, transmitted = filter_wavefunction(psi, spec)
     w_out = filter_wdf(wdf_from_wavefunction(psi), spec) if args.wdf else None  # refused before any write

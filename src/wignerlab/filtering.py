@@ -23,7 +23,6 @@ import numpy as np
 from .errors import GridMismatchError, InvariantViolation
 from .grid import (
     _BLOCK,
-    POSITION,
     Grid,
     WaveFunction,
     _adopt,
@@ -139,20 +138,20 @@ def filter_wavefunction(psi_in: WaveFunction, f: FilterSpec) -> tuple[WaveFuncti
     general_coordinate:  psi_out(q) = h^(-1/2) integral psi(q') exp(i p0 q'/hbar) m(q-q') dq'
     general_momentum:    psi_out(q) = psi(q-q0) m(q)
 
-    ``m`` is the device in position at its given norm: each kind is the
-    position twin of its :func:`filter_wdf` law, and no momentum state is
-    built.  The transmitted fraction is the squared quadrature norm of the
-    raw (unnormalized) output.  Raises when the device blocks the state.
+    The state (squared norm within ``MASS_TOLERANCE`` of 1) and the device
+    ``m`` (at its given norm) are read in position: each kind is the position
+    twin of its :func:`filter_wdf` law.  The transmitted fraction is the
+    squared norm of the raw output.  Raises when the device blocks the state.
     """
-    if psi_in.representation != POSITION:
-        raise ValueError("filter_wavefunction expects a position-representation state")
+    _checked_mass(psi_in, "state", normalized=True)
     g = psi_in.grid
     axis, steps = _law(g, f)
+    state = to_position(psi_in).values
     device = to_position(f.device).values
     if axis == 1:
-        values = _shifted(psi_in.values, steps, 0) * device
+        values = _shifted(state, steps, 0) * device
     else:
-        kicked = psi_in.values * np.exp(1j * f.p_offset * g.q / g.hbar)
+        kicked = state * np.exp(1j * f.p_offset * g.q / g.hbar)
         values = (g.delta_q / np.sqrt(g.h)) * _linear_convolution(kicked, device, 0, g.origin_index())
     transmitted = float(np.sum(np.abs(values) ** 2) * g.delta_q)  # normalized before its one WaveFunction is built
     if transmitted <= ZERO_TRANSMISSION:
@@ -222,10 +221,13 @@ def detect_from_wavefunctions(psi_in: WaveFunction, psi_m: WaveFunction) -> Dete
 
     ``D(q,p) = h^-1 | integral psi_in(q') psi_m*(q-q') exp(-ipq'/hbar) dq' |^2``.
     Exact nonnegativity by construction; available whenever the device has
-    a wavefunction.
+    a wavefunction.  Both are read in position; the state's squared norm is
+    within ``MASS_TOLERANCE`` of 1, the device's at most ``1 + MASS_TOLERANCE``.
     """
     if psi_in.grid != psi_m.grid:
         raise GridMismatchError("state and device live on different grids")
+    _checked_mass(psi_in, "state", normalized=True)
+    _checked_mass(psi_m, "device")
     g = psi_in.grid
     n = g.n_points
     a = to_position(psi_in).values

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import GridMismatchError, InvariantViolation
 from .grid import (
-    _BLOCK, POSITION, Grid, WaveFunction, _adopt, _centre_p, _frozen_array, _pair_correlation, normalize, squared_norm,
+    _BLOCK, Grid, WaveFunction, _adopt, _centre_p, _frozen_array, _pair_correlation, normalize, squared_norm,
+    to_position,
 )
 
 #: The one mass rule: a distribution carries a positive total mass of at most 1 + MASS_TOLERANCE (a filter output
@@ -54,9 +55,9 @@ class WignerFunction:
         return float(np.sum(self.values) * self.grid.delta_q * self.grid.delta_p)
 
 
-def _checked_mass(w: WignerFunction, name: str, normalized: bool = False) -> float:
-    """The mass of ``w``, the ``name`` argument of its reader, under the one mass rule (``MASS_TOLERANCE``)."""
-    mass = w.mass()
+def _checked_mass(w: WignerFunction | WaveFunction, name: str, normalized: bool = False) -> float:
+    """The mass of ``w`` (a wavefunction's is its squared norm), the ``name`` argument of its reader, under the rule."""
+    mass = squared_norm(w) if isinstance(w, WaveFunction) else w.mass()
     if not mass > 0:  # uncertainty_product and purity divide by it
         raise InvariantViolation(f"total mass {mass:.7g} of the {name} is not positive: it carries no state")
     if (abs(mass - 1.0) if normalized else mass - 1.0) > MASS_TOLERANCE:
@@ -91,26 +92,26 @@ class DensityMatrix:
 
 
 def pure_density(psi: WaveFunction) -> DensityMatrix:
-    """Projector |psi><psi| for a normalized position-representation state: the mixture of one."""
+    """Projector |psi><psi| for a state of squared norm within ``MASS_TOLERANCE`` of 1: the mixture of one."""
     return mixed_density([psi], [1.0])
 
 
 def mixed_density(states: Sequence[WaveFunction], weights: Sequence[float]) -> DensityMatrix:
-    """Statistical mixture sum_i w_i |psi_i><psi_i| with sum w_i = 1 of position-representation states on one grid."""
+    """Mixture sum_i w_i |psi_i><psi_i|, sum w_i = 1, of normalized states on one grid, in either representation."""
     if len(states) != len(weights) or not states:
         raise ValueError(f"need one weight per state, got {len(weights)} for {len(states)}")
     if not all(np.isfinite(w) and w >= 0 for w in weights):
         raise InvariantViolation(f"mixture weights must be finite and nonnegative, got {[float(w) for w in weights]}")
     grid = states[0].grid
     for i, s in enumerate(states):
-        if s.representation != POSITION:
-            raise ValueError(f"state {i} of the mixture is in {s.representation} representation, not position")
         if s.grid != grid:
             raise GridMismatchError(f"state {i} of the mixture lives on another grid than state 0")
-    entries = np.outer(states[0].values, np.conj(states[0].values))
+        _checked_mass(s, f"state {i} of the mixture", normalized=True)
+    amplitudes = [to_position(s).values for s in states]
+    entries = np.outer(amplitudes[0], np.conj(amplitudes[0]))
     entries *= weights[0]
-    for s, w in zip(states[1:], weights[1:]):
-        entries += w * np.outer(s.values, np.conj(s.values))
+    for a, w in zip(amplitudes[1:], weights[1:]):
+        entries += w * np.outer(a, np.conj(a))
     return DensityMatrix(grid, _adopt(entries))
 
 
@@ -129,20 +130,16 @@ def wigner_values_of_amplitudes(amplitudes: np.ndarray, grid: Grid) -> np.ndarra
     """Distribution matrix of raw position amplitudes, no normalization required.
 
     A linear map of the correlation: it takes amplitudes of any norm, so it
-    skips the unit-norm gate of :func:`wdf_from_wavefunction`.  Filter
+    skips the mass rule of :func:`wdf_from_wavefunction`.  Filter
     outputs carry their transmission in the overall scale.
     """
     return _transform_correlation(_pair_correlation(np.asarray(amplitudes, dtype=np.complex128)), grid)
 
 
 def wdf_from_wavefunction(psi: WaveFunction) -> WignerFunction:
-    """Wigner distribution of a position-representation state whose squared norm is within ``MASS_TOLERANCE`` of 1."""
-    if psi.representation != POSITION:
-        raise ValueError("wdf_from_wavefunction expects a position-representation state")
-    norm = squared_norm(psi)
-    if abs(norm - 1.0) > MASS_TOLERANCE:
-        raise InvariantViolation(f"input squared norm {norm} deviates from 1 by more than {_TOLERANCE_TEXT}")
-    return WignerFunction(psi.grid, _adopt(wigner_values_of_amplitudes(psi.values, psi.grid)))
+    """Wigner distribution of a state in either representation, of squared norm within ``MASS_TOLERANCE`` of 1."""
+    _checked_mass(psi, "state", normalized=True)
+    return WignerFunction(psi.grid, _adopt(wigner_values_of_amplitudes(to_position(psi).values, psi.grid)))
 
 
 def wdf_from_density(rho: DensityMatrix) -> WignerFunction:
@@ -264,4 +261,4 @@ def recover_wavefunction(w: WignerFunction) -> WaveFunction:
             "|psi(0)| is too small to serve as the recovery reference point"
         )
     amplitudes = correlation / np.sqrt(reference)
-    return normalize(WaveFunction(g, amplitudes, POSITION))
+    return normalize(WaveFunction(g, amplitudes))

@@ -378,6 +378,9 @@ class TestDetect:
         j0 = g.origin_index()
         rng = np.random.default_rng(17)
         a, b = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        # a normalized state and a device of squared norm 1/2: the map is bilinear, so the bound is unchanged
+        a /= np.sqrt(np.sum(np.abs(a) ** 2) * g.delta_q)
+        b /= np.sqrt(2 * np.sum(np.abs(b) ** 2) * g.delta_q)
         expected = np.zeros((n, n))
         for k in range(n):
             for l in range(n):
@@ -433,6 +436,7 @@ class TestDetect:
         g = make_grid(-origin * dq, (n - origin) * dq, n)
         assert g.origin_index() == origin
         psi, device = convolution_safe_pair(g, np.random.default_rng(n + 3))
+        device = WaveFunction(g, device.values / 1.5)  # the helper scales it by up to 1.5; a device's mass is at most 1
         assert np.array_equal(detect_from_wavefunctions(psi, device).values, gathered_detection(psi, device))
 
     @pytest.mark.parametrize("n", [200, 1024])  # 101 spectrum columns leave a tail block at n=200

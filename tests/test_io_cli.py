@@ -245,8 +245,9 @@ class TestCli:
         assert out.exists() == (command == "evolve")  # evolve makes it before its first step, where the refusal is
         assert not out.exists() or not any(out.iterdir())
 
-    def test_filter_refused_before_writing_leaves_no_directory(self, tmp_path, capsys):
-        # a state file of squared norm 3: wdf_from_wavefunction refuses it before filtered.csv is written
+    @staticmethod
+    def _tripled_state(tmp_path):
+        """A width-1.5 Gaussian state file scaled to squared norm 3, and a width-1 slit; their paths."""
         main(["state", "--gaussian", "q0=1.5", "--out", str(tmp_path / "s")])
         path = tmp_path / "s/state.csv"
         psi = wio.load_wavefunction(path)
@@ -254,10 +255,28 @@ class TestCli:
         (tmp_path / "filter.json").write_text(
             json.dumps({"kind": "coordinate", "device": {"gaussian": {"width": 1.0}}})
         )
+        return str(path), str(tmp_path / "filter.json")
+
+    def test_filter_refused_before_writing_leaves_no_directory(self, tmp_path, capsys):
+        # a state file of squared norm 3: filter_wavefunction refuses it before filtered.csv is written
+        path, slit = self._tripled_state(tmp_path)
         capsys.readouterr()
-        assert main(["filter", str(path), "--filter", str(tmp_path / "filter.json"), "--wdf",
-                     "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err.startswith("invariant violation: input squared norm 3")
+        assert main(["filter", path, "--filter", slit, "--wdf", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("invariant violation: total mass 3 of the state")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["filter", "wdf", "detect", "overlap"])  # filter --wdf: the test above
+    def test_state_file_of_squared_norm_3_is_refused(self, tmp_path, capsys, command):
+        # filter without --wdf read the file as given and printed a transmission of 3 x 0.313
+        path, slit = self._tripled_state(tmp_path)
+        main(["state", "--gaussian", "q0=1", "--out", str(tmp_path / "n")])
+        other = str(tmp_path / "n/state.csv")
+        argv = {"filter": ["filter", path, "--filter", slit], "wdf": ["wdf", path],
+                "detect": ["detect", path, other], "overlap": ["overlap", path, other]}[command]
+        capsys.readouterr()
+        assert main(argv + ([] if command == "overlap" else ["--out", str(tmp_path / "o")])) == 1  # overlap writes none
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("invariant violation: total mass 3 of the state deviates from 1 by ")
         assert not (tmp_path / "o").exists()
 
     def test_overlap_rejects_filter_output_below_unit_mass(self, tmp_path, capsys):

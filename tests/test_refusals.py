@@ -43,6 +43,8 @@ GRID = desk_grid()
 OTHER = desk_grid(128)
 PSI = gaussian_wavefunction(GaussianSpec(width=1.0), GRID)
 ELSEWHERE = gaussian_wavefunction(GaussianSpec(width=1.0), OTHER)
+# A momentum-representation state is read under the mass rule like its position twin.
+MOMENTUM_MASS_4 = fourier_transform(WaveFunction(GRID, 2.0 * PSI.values))
 
 
 def _truncated_state(tmp_path):
@@ -72,8 +74,8 @@ LIBRARY = [
     ("mixture-weights", lambda tmp: mixed_density([PSI], [0.5, 0.5]), ValueError,
      "need one weight per state, got 2 for 1"),
     ("filter-kind", lambda tmp: FilterSpec("slit", PSI), ValueError, "unknown filter kind 'slit'"),
-    ("filter-momentum-state", lambda tmp: filter_wavefunction(fourier_transform(PSI), FilterSpec(COORDINATE, PSI)),
-     ValueError, "filter_wavefunction expects a position-representation state"),
+    ("filter-momentum-state", lambda tmp: filter_wavefunction(MOMENTUM_MASS_4, FilterSpec(COORDINATE, PSI)),
+     InvariantViolation, "total mass 4 of the state deviates from 1 by more than 1e-6"),
     ("filter-wdf-grids", lambda tmp: filter_wdf(wdf_from_wavefunction(PSI), FilterSpec(COORDINATE, ELSEWHERE)),
      GridMismatchError, "state and device live on different grids"),
     ("detect-grids", lambda tmp: detect(wdf_from_wavefunction(PSI), wdf_from_wavefunction(ELSEWHERE)),
@@ -84,8 +86,8 @@ LIBRARY = [
      "potential coefficients must be finite"),
     ("step-count", lambda tmp: EvolutionConfig(1e-3, -1), ValueError, "n_steps must be nonnegative, got -1"),
     ("schrodinger-momentum-state",
-     lambda tmp: split_step_schrodinger(fourier_transform(PSI), PotentialSpec((0.0,)), EvolutionConfig(1e-3, 1)),
-     ValueError, "split_step_schrodinger expects a position-representation state"),
+     lambda tmp: split_step_schrodinger(MOMENTUM_MASS_4, PotentialSpec((0.0,)), EvolutionConfig(1e-3, 1)),
+     InvariantViolation, "total mass 4 of the state deviates from 1 by more than 1e-6"),
     ("schrodinger-non-finite", _overflowing_schrodinger_run, InvariantViolation,
      "wavefunction became non-finite at step 1"),
     ("subplanck-flat", lambda tmp: subplanck_scale(WignerFunction(GRID, np.ones((256, 256)))), InvariantViolation,

@@ -17,8 +17,10 @@ from wignerlab import (
     blob_report,
     cat_wavefunction,
     detect,
+    detect_from_wavefunctions,
     effective_area,
     expectation,
+    filter_wavefunction,
     filter_wdf,
     fourier_transform,
     gaussian_wavefunction,
@@ -34,6 +36,8 @@ from wignerlab import (
     pure_density,
     purity,
     recover_wavefunction,
+    split_step_schrodinger,
+    squared_norm,
     uncertainty_product,
     wdf_from_density,
     wdf_from_wavefunction,
@@ -87,10 +91,10 @@ class TestFromWavefunction:
         with pytest.raises(InvariantViolation):
             wdf_from_wavefunction(WaveFunction(g, np.zeros(g.n_points)))
 
-    def test_rejects_momentum_representation(self, gauss_pair):
-        psi, _ = gauss_pair
-        with pytest.raises(ValueError):
-            wdf_from_wavefunction(fourier_transform(psi))
+    def test_momentum_representation_gives_the_position_twin(self, gauss_pair):
+        psi, w = gauss_pair
+        twin = wdf_from_wavefunction(fourier_transform(psi))
+        assert np.max(np.abs(twin.values - w.values)) <= 1e-13 * np.max(np.abs(w.values))
 
     def test_bounded_magnitude(self):
         g = desk_grid()
@@ -235,20 +239,19 @@ class TestFromDensity:
             mixed_density(states, [1.5, weight])
 
     @pytest.mark.parametrize(
-        "build, index",
+        "build",
         [
-            pytest.param(lambda a, m: pure_density(m), 0, id="pure"),
-            pytest.param(lambda a, m: mixed_density([m], [1.0]), 0, id="mixed"),
-            pytest.param(lambda a, m: mixed_density([a, m], [0.5, 0.5]), 1, id="mixed-second"),
+            pytest.param(lambda a, b: pure_density(b), id="pure"),
+            pytest.param(lambda a, b: mixed_density([b], [1.0]), id="mixed"),
+            pytest.param(lambda a, b: mixed_density([a, b], [0.5, 0.5]), id="mixed-second"),
         ],
     )
-    def test_refuses_momentum_representation(self, build, index, monkeypatch):
-        psi = gaussian_wavefunction(GaussianSpec(width=1.0), make_grid(-12, 12, 128))
-        momentum = fourier_transform(psi)
-        monkeypatch.setattr(np, "outer", None)  # refused before any matrix is built
-        refusal = f"^state {index} of the mixture is in momentum representation, not position$"
-        with pytest.raises(ValueError, match=refusal):
-            build(psi, momentum)
+    def test_momentum_representation_gives_the_position_twin(self, build):
+        g = make_grid(-12, 12, 128)
+        a, b = (gaussian_wavefunction(GaussianSpec(width=1.0, center=c), g) for c in (-1.0, 1.0))
+        position = build(a, b).entries
+        twin = build(a, fourier_transform(b)).entries
+        assert np.max(np.abs(twin - position)) <= 1e-13 * np.max(np.abs(position))
 
     @pytest.mark.parametrize("shift", [1.0, 0.5 * 24 / 256], ids=["shifted", "half-cell"])
     def test_refuses_states_on_another_grid(self, shift, monkeypatch):
@@ -406,7 +409,8 @@ class TestGatesFromBothSides:
         psi = normalize(gaussian_wavefunction(GaussianSpec(width=1.0), g))
         scaled = WaveFunction(g, psi.values * np.sqrt(1.0 + factor * 1e-6))
         if refused:
-            with pytest.raises(InvariantViolation, match="^input squared norm .* deviates from 1 by more than 1e-6$"):
+            refusal = f"^total mass {1.0 + factor * 1e-6:.7g} of the state deviates from 1 by more than 1e-6$"
+            with pytest.raises(InvariantViolation, match=refusal):
                 wdf_from_wavefunction(scaled)
         else:
             wdf_from_wavefunction(scaled)
@@ -562,6 +566,84 @@ class TestMassRule:
         for name in NORMALIZED_READERS:
             with pytest.raises(InvariantViolation, match=r"^total mass 0\.3129561 of the .* deviates from 1 "):
                 MASS_READERS[name][0](w, ref)
+
+
+#: Every wavefunction reader of the mass rule, each taking the state under test and a normalized reference, the
+#: argument it names, and whether it requires a normalized state.  A mixture weighs its state by the inverse
+#: squared norm (1 for the zero state), so the DensityMatrix trace gate (1e-10) passes wherever the mass rule does.
+STATE_READERS = {
+    "wdf_from_wavefunction": (lambda psi, ref: wdf_from_wavefunction(psi), "state", True),
+    "filter_wavefunction": (lambda psi, ref: filter_wavefunction(psi, SLIT), "state", True),
+    "detect_from_wavefunctions-state": (lambda psi, ref: detect_from_wavefunctions(psi, ref), "state", True),
+    "detect_from_wavefunctions-device": (lambda psi, ref: detect_from_wavefunctions(ref, psi), "device", False),
+    "mixed_density-first": (lambda psi, ref: mixed_density([psi], [1.0 / (squared_norm(psi) or 1.0)]),
+                            "state 0 of the mixture", True),
+    "mixed_density-second": (lambda psi, ref: mixed_density([ref, psi], [0.5, 0.5 / (squared_norm(psi) or 1.0)]),
+                             "state 1 of the mixture", True),
+    "split_step_schrodinger": (lambda psi, ref: split_step_schrodinger(psi, HARMONIC, EvolutionConfig(1e-3, 1)),
+                               "state", True),
+}
+NORMALIZED_STATE_READERS = [name for name, (*_, normalized) in STATE_READERS.items() if normalized]
+
+
+class TestStateRule:
+    """The same rule on the wavefunction side: a state's mass is its squared norm, in either representation."""
+
+    @staticmethod
+    def scaled(mass):
+        """A width-1 Gaussian on the desk grid scaled to squared norm ``mass``, and the unscaled one."""
+        psi = gaussian_wavefunction(GaussianSpec(width=1.0), desk_grid())
+        return WaveFunction(psi.grid, psi.values * np.sqrt(mass / squared_norm(psi))), psi
+
+    @pytest.mark.parametrize("represent", [lambda psi: psi, fourier_transform], ids=["position", "momentum"])
+    @pytest.mark.parametrize("reader", STATE_READERS)
+    def test_three_times_a_state_is_refused(self, reader, represent):
+        read, name, normalized = STATE_READERS[reader]
+        big, psi = self.scaled(3.0)
+        excess = "deviates from" if normalized else "exceeds"
+        with pytest.raises(InvariantViolation, match=f"^total mass 3 of the {name} {excess} 1 by more than 1e-6$"):
+            read(represent(big), psi)
+
+    @pytest.mark.parametrize("reader", STATE_READERS)
+    def test_the_zero_state_is_refused(self, reader):
+        read, name, _ = STATE_READERS[reader]
+        _, psi = self.scaled(1.0)
+        with pytest.raises(InvariantViolation, match=f"^total mass 0 of the {name} is not positive: it carries no "):
+            read(WaveFunction(psi.grid, np.zeros(psi.grid.n_points)), psi)
+
+    @pytest.mark.parametrize("excess, refused", [(3e-6, True), (3e-7, False)])
+    @pytest.mark.parametrize("reader", STATE_READERS)
+    def test_excess_from_both_sides(self, reader, excess, refused):
+        read, name, normalized = STATE_READERS[reader]
+        if refused:
+            how = "deviates from" if normalized else "exceeds"
+            refusal = f"^total mass 1\\.000003 of the {name} {how} 1 by more than 1e-6$"
+            with pytest.raises(InvariantViolation, match=refusal):
+                read(*self.scaled(1.0 + excess))
+        else:
+            read(*self.scaled(1.0 + excess))
+
+    @pytest.mark.parametrize("deficit, refused", [(3e-6, True), (3e-7, False)])
+    @pytest.mark.parametrize("reader", NORMALIZED_STATE_READERS)
+    def test_deficit_from_both_sides(self, reader, deficit, refused):
+        read, name, _ = STATE_READERS[reader]
+        if refused:
+            refusal = f"^total mass 0\\.999997 of the {name} deviates from 1 by more than 1e-6$"
+            with pytest.raises(InvariantViolation, match=refusal):
+                read(*self.scaled(1.0 - deficit))
+        else:
+            read(*self.scaled(1.0 - deficit))
+
+    def test_pure_density_reads_the_mixture_rule(self):
+        with pytest.raises(InvariantViolation, match="^total mass 3 of the state 0 of the mixture deviates from 1 "):
+            pure_density(self.scaled(3.0)[0])
+
+    def test_compensating_weights_are_refused(self):
+        # weights summing to 1/2 would give a scaled state's mixture unit trace
+        big, psi = self.scaled(3.0)
+        other = gaussian_wavefunction(GaussianSpec(width=1.0, center=1.0), psi.grid)
+        with pytest.raises(InvariantViolation, match="^total mass 3 of the state 0 of the mixture deviates from 1 "):
+            mixed_density([big, other], [0.25, 0.25])
 
 
 class TestUpsampleRows:
