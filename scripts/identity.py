@@ -5,13 +5,15 @@
 
 Each revision's ``src/`` is exported with ``git archive`` into a temporary
 directory.  One fixed table of ``wignerlab`` commands then runs against each
-export, every command in a fresh Python process, at N=256 and N=1024, once
+export, after a snippet that writes one state file beyond the lattice's band
+(``_KICKED``), every command in a fresh Python process, at N=256 and N=1024, once
 with ``os.fork`` present and once with it removed (so the serial path of the
 split CSV reader and writer runs too).  A command matches when its exit code,
 stdout, stderr and the sha256 of every file in its output directory agree.
 
 Prints one line per command and a summary line; exits 1 on any difference.
-Stdlib and git only.  To check uncommitted changes to tracked files, pass
+Stdlib and git only (the snippet, like the CLI, imports numpy from the export's
+environment).  To check uncommitted changes to tracked files, pass
 ``$(git stash create)`` as a revision.
 """
 
@@ -40,6 +42,16 @@ _LAUNCH = (
     "sys.exit(main(sys.argv[2:]))\n"
 )
 
+#: Writes ``kicked.csv``, a width-1 Gaussian on -12:12:N kicked to 1.2 times the lattice's last p, beyond the band a
+#: distribution on the lattice holds (the generators refuse it); run against each export, as the commands are.
+_KICKED = (
+    "import sys, numpy as np\n"
+    "from wignerlab import WaveFunction, io, make_grid\n"
+    "g = make_grid(-12, 12, int(sys.argv[1]))\n"
+    "values = np.exp(-g.q**2 / 2 + 1.2j * g.p[-1] * g.q / g.hbar) / np.pi**0.25\n"
+    "io.save_wavefunction(WaveFunction(g, values), 'kicked.csv')\n"
+)
+
 _DEVICE = {"gaussian": {"width": 0.8, "center": 1.0}}
 _INPUTS = {
     "slit.json": {"kind": "coordinate", "device": {"gaussian": {"width": 1.0, "center": 0.5}}},
@@ -63,6 +75,7 @@ def command_table(n: int) -> list[tuple[str, list[str]]]:
         ("w", ["wdf", "s/state.csv"]),
         ("wc", ["wdf", "c/state.csv"]),
         ("wd", ["wdf", "d/state.csv"]),
+        ("wk", ["wdf", "kicked.csv"]),  # beyond the band: exits 1 and leaves no directory
         ("f", ["filter", "s/state.csv", "--filter", "slit.json", "--wdf"]),
         ("fm", ["filter", "s/state.csv", "--filter", "momentum.json", "--wdf"]),
         ("fgc", ["filter", "s/state.csv", "--filter", "general_coordinate.json", "--wdf"]),
@@ -105,6 +118,7 @@ def run_table(src: Path, work: Path, n: int, fork: str) -> list[tuple]:
     for name, spec in _INPUTS.items():
         (work / name).write_text(json.dumps(spec))
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    subprocess.run([sys.executable, "-c", _KICKED, str(n)], cwd=work, env=env, check=True)
     results = []
     for out, argv in command_table(n):
         done = subprocess.run([sys.executable, "-c", _LAUNCH, fork, *argv], cwd=work, env=env, capture_output=True)

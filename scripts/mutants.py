@@ -4,18 +4,17 @@
     python scripts/mutants.py
 
 Each mutant in the fixed table below loosens one documented gate of the
-library (most by 10-1000x), drops one reader's mass check, or moves one
-index or scale of a lattice kernel, by replacing one piece of text in one
-file of ``src/wignerlab``.  It is applied to a
-fresh temporary copy of the working tree's ``src/``, and only the test
-modules mapped to it run against that copy, with ``-x``: first without the
-slow admitted-packet evolutions, which then run only for a mutant the rest
-does not kill.  A mutant is killed when those tests fail and survives when
-they pass.  The mapped modules first run once, whole, against an unmutated
-copy, so a failure there is not counted as a kill.
+library (most by 10-1000x), drops one check or one term, or moves one index
+or scale of a lattice kernel, by replacing one piece of text in one file of
+``src/wignerlab``.  It is applied to a fresh temporary copy of the working
+tree's ``src/``, and only the test modules mapped to it run against that copy,
+with ``-x``: first without the slow admitted-packet evolutions, which then run
+only for a mutant the rest does not kill.  A mutant is killed when those
+tests fail and survives when they pass.  The mapped modules first run once,
+whole, against an unmutated copy, so a failure there is not counted as a kill.
 
 Prints one line per mutant and the kill count; exits 0 whatever the count.
-Stdlib only (pytest runs the tests).  The whole table takes about nine minutes
+Stdlib only (pytest runs the tests).  The whole table takes about ten minutes
 on two cores, most of it in the whole unmutated run and in the admitted-packet
 evolutions of the one survivor that maps ``test_evolution.py``.
 """
@@ -61,43 +60,43 @@ MUTANTS = [
      "if abs(trace - 1.0) > 1e-10:", "if abs(trace - 1.0) > 1e-7:", ["test_wigner.py"]),
     ("mass tolerance 1e-6 -> 1e-5", "wigner.py",
      "MASS_TOLERANCE = 1e-6", "MASS_TOLERANCE = 1e-5", ["test_wigner.py", "test_blobs.py"]),
-    ("filter_wdf drops its mass check", "filtering.py",
-     '    _checked_mass(w_in, "state")\n    g = w_in.grid\n    axis', "    g = w_in.grid\n    axis",
+    ("filter_wdf drops its state check", "filtering.py",
+     '    _checked_state(w_in, "state")\n    g = w_in.grid\n    axis', "    g = w_in.grid\n    axis",
      ["test_wigner.py"]),
-    ("detect drops the state's mass check", "filtering.py",
-     '    _checked_mass(w_in, "state")\n    _checked_mass(w_m', "    _checked_mass(w_m", ["test_wigner.py"]),
-    ("detect drops the device's mass check", "filtering.py",
-     '    _checked_mass(w_m, "device")\n', "", ["test_wigner.py"]),
-    ("the propagator drops its mass check", "evolution.py",
-     '_checked_mass(w, "state")', "w.mass()", ["test_wigner.py"]),
-    ("uncertainty_product drops its mass check", "wigner.py",
-     'mass = _checked_mass(w, "distribution")\n    g = w.grid\n    var_q',
+    ("detect drops the state's check", "filtering.py",
+     '    _checked_state(w_in, "state")\n    _checked_state(w_m', "    _checked_state(w_m", ["test_wigner.py"]),
+    ("detect drops the device's check", "filtering.py",
+     '    _checked_state(w_m, "device")\n', "", ["test_wigner.py"]),
+    ("the propagator drops its state check", "evolution.py",
+     '_checked_state(w, "state")', "w.mass()", ["test_wigner.py"]),
+    ("uncertainty_product drops its state check", "wigner.py",
+     'mass = _checked_state(w, "distribution")\n    g = w.grid\n    var_q',
      "mass = w.mass()\n    g = w.grid\n    var_q", ["test_wigner.py"]),
-    ("purity drops its mass check", "wigner.py",
-     'mass = _checked_mass(w, "distribution")\n    g = w.grid\n    return',
+    ("purity drops its state check", "wigner.py",
+     'mass = _checked_state(w, "distribution")\n    g = w.grid\n    return',
      "mass = w.mass()\n    g = w.grid\n    return", ["test_wigner.py"]),
-    ("overlap_probability drops the first mass check", "wigner.py",
-     '    _checked_mass(w1, "first distribution", normalized=True)\n', "", ["test_wigner.py"]),
-    ("overlap_probability drops the second mass check", "wigner.py",
-     '    _checked_mass(w2, "second distribution", normalized=True)\n', "", ["test_wigner.py"]),
-    ("recover_wavefunction drops its mass check", "wigner.py",
-     '    _checked_mass(w, "distribution", normalized=True)\n    pur', "    pur", ["test_wigner.py"]),
-    ("effective_area drops its mass check", "blobs.py",
-     '    _checked_mass(w, "distribution", normalized=True)\n', "", ["test_wigner.py", "test_blobs.py"]),
-    ("wdf_from_wavefunction drops its mass check", "wigner.py",
-     '    _checked_mass(psi, "state", normalized=True)\n    return', "    return", ["test_wigner.py"]),
-    ("mixed_density drops its mass check", "wigner.py",
-     '        _checked_mass(s, f"state {i} of the mixture", normalized=True)\n', "", ["test_wigner.py"]),
-    ("filter_wavefunction drops its mass check", "filtering.py",
-     '    _checked_mass(psi_in, "state", normalized=True)\n    g = psi_in.grid\n    axis', "    g = psi_in.grid\n    axis",
+    ("overlap_probability drops the first state check", "wigner.py",
+     '    _checked_state(w1, "first distribution", normalized=True)\n', "", ["test_wigner.py"]),
+    ("overlap_probability drops the second state check", "wigner.py",
+     '    _checked_state(w2, "second distribution", normalized=True)\n', "", ["test_wigner.py"]),
+    ("recover_wavefunction drops its state check", "wigner.py",
+     '    _checked_state(w, "distribution", normalized=True)\n    pur', "    pur", ["test_wigner.py"]),
+    ("effective_area drops its state check", "blobs.py",
+     '    _checked_state(w, "distribution", normalized=True)\n', "", ["test_wigner.py", "test_blobs.py"]),
+    ("wdf_from_wavefunction drops its state check", "wigner.py",
+     '    _checked_state(psi, "state", normalized=True)\n    return', "    return", ["test_wigner.py"]),
+    ("mixed_density drops its state check", "wigner.py",
+     '        _checked_state(s, f"state {i} of the mixture", normalized=True)\n', "", ["test_wigner.py"]),
+    ("filter_wavefunction drops its state check", "filtering.py",
+     '    _checked_state(psi_in, "state", normalized=True)\n    g = psi_in.grid\n    axis', "    g = psi_in.grid\n    axis",
      ["test_wigner.py"]),
-    ("detect_from_wavefunctions drops the state's mass check", "filtering.py",
-     '    _checked_mass(psi_in, "state", normalized=True)\n    _checked_mass(psi_m', "    _checked_mass(psi_m",
+    ("detect_from_wavefunctions drops the state's check", "filtering.py",
+     '    _checked_state(psi_in, "state", normalized=True)\n    _checked_state(psi_m', "    _checked_state(psi_m",
      ["test_wigner.py"]),
-    ("detect_from_wavefunctions drops the device's mass check", "filtering.py",
-     '    _checked_mass(psi_m, "device")\n', "", ["test_wigner.py"]),
-    ("split_step_schrodinger drops its mass check", "evolution.py",
-     '    _checked_mass(psi, "state", normalized=True)\n', "", ["test_wigner.py"]),
+    ("detect_from_wavefunctions drops the device's check", "filtering.py",
+     '    _checked_state(psi_m, "device")\n', "", ["test_wigner.py"]),
+    ("split_step_schrodinger drops its state check", "evolution.py",
+     '    _checked_state(psi, "state", normalized=True)\n', "", ["test_wigner.py"]),
     ("negative-variance refusal 0 -> -1", "wigner.py",
      "if var_q < 0 or var_p < 0:", "if var_q < -1 or var_p < -1:", ["test_wigner.py"]),
     ("recovery reference 1e-6 -> 1e-9", "wigner.py",
@@ -109,7 +108,15 @@ MUTANTS = [
     ("amplitude level 1e-6 -> 1e-5", "grid.py",
      "EDGE_LEVEL = 1e-6", "EDGE_LEVEL = 1e-5", ["test_states.py", "test_evolution.py"]),
     ("p-band level 1e-7 -> 1e-6", "grid.py",
-     "P_BAND_LEVEL = 1e-7", "P_BAND_LEVEL = 1e-6", ["test_evolution.py", "test_io_cli.py"]),
+     "P_BAND_LEVEL = 1e-7", "P_BAND_LEVEL = 1e-6", ["test_evolution.py", "test_io_cli.py", "test_wigner.py"]),
+    ("the state check drops its band test for wavefunctions", "wigner.py",
+     "else w.values)) > P_BAND_LEVEL:", "else w.values)) > P_BAND_LEVEL and not isinstance(w, WaveFunction):",
+     ["test_wigner.py"]),
+    ("the state check drops its band test for distributions", "wigner.py",
+     "else w.values)) > P_BAND_LEVEL:", "else w.values)) > P_BAND_LEVEL and isinstance(w, WaveFunction):",
+     ["test_wigner.py"]),
+    ("the band measure reads the band ends only, not the samples' second band", "wigner.py",
+     "np.r_[0, n - 1:len(density)]", "[0, n - 1]", ["test_wigner.py"]),
     ("lattice-offset tolerance 1e-9 -> 1e-3 of the ratio", "grid.py",
      "1e-9 * max(1.0, abs(ratio))", "1e-3 * max(1.0, abs(ratio))", ["test_grid.py", "test_filtering.py"]),
     ("_pair_views reads the lower row one cell late", "grid.py",
@@ -129,6 +136,38 @@ MUTANTS = [
     ("_load_matrix splits one row late", "io.py",
      "rows = _strict_loadtxt(csv_path, n // 2, None)", "rows = _strict_loadtxt(csv_path, n // 2 + 1, None)",
      ["test_io_cli.py"]),
+    # regression rows: each was killed when first run, and is kept so that it stays killed
+    ("the force-gradient term dropped", "evolution.py",
+     "gradient = potential - dt**2 / (48.0 * v.mass) * potential.deriv() ** 2", "gradient = potential",
+     ["test_evolution.py"]),
+    ("the force-gradient term 48 -> 24", "evolution.py", "(48.0 * v.mass)", "(24.0 * v.mass)", ["test_evolution.py"]),
+    ("the joined kick 1/3 -> 1/6", "evolution.py",
+     "(1.0 / 6.0, 1.0 / 3.0)", "(1.0 / 6.0, 1.0 / 6.0)", ["test_evolution.py"]),
+    ("the force symbol keeps its Nyquist column", "evolution.py", "    force[:, -1] = 0.0\n", "", ["test_evolution.py"]),
+    ("the upsampler keeps its Nyquist row whole", "wigner.py",
+     "    spectrum[n // 2] *= 0.5  # the Nyquist row is split between its two images\n", "", ["test_wigner.py"]),
+    ("the Hermitian gate compares without the conjugate", "wigner.py",
+     "entries[:, rows].T.conj()", "entries[:, rows].T", ["test_wigner.py"]),
+    ("the mixture drops its nonnegative-weight check", "wigner.py",
+     "np.isfinite(w) and w >= 0 for w", "np.isfinite(w) for w", ["test_wigner.py"]),
+    ("the smoothing kernel unnormalized", "blobs.py", "kernel / kernel.sum()", "kernel", ["test_blobs.py"]),
+    ("the fit rule drops its centre-in-range test", "states.py",
+     "ends[0] <= c <= ends[1] and edge <= EDGE_LEVEL", "edge <= EDGE_LEVEL", ["test_states.py"]),
+    ("origin_index tolerance 1e-9 -> 0.4 of a cell", "grid.py",
+     "> 1e-9 * self.delta_q", "> 0.4 * self.delta_q", ["test_grid.py"]),
+    ("the edge warning reads the first end only", "grid.py",
+     "_edge_ratio(values) > EDGE_WARN_LEVEL", "_edge_ratio(values, ([0],)) > EDGE_WARN_LEVEL",
+     ["test_grid.py", "test_filtering.py"]),
+    ("the detection-map floor reads the first row only", "filtering.py",
+     "low = float(values.min())", "low = float(values[0].min())", ["test_filtering.py"]),
+    ("the split loader drops its column check", "io.py",
+     '        if rows.shape[1] != n:  # a one-column tail would broadcast; more rows than n fail to fit\n'
+     '            raise ValueError("not the tail of an n x n matrix")\n', "", ["test_io_cli.py"]),
+    ("the sidecar drops its integrality check", "io.py",
+     '    if meta["n_points"] != int(meta["n_points"]):\n'
+     '        raise ValueError(f"{sidecar}: n_points must be an integer, got {meta[\'n_points\']!r}")\n', "",
+     ["test_io_cli.py"]),
+    ("MEMORY_BUDGET 11 -> 2", "cli.py", "MEMORY_BUDGET = 11", "MEMORY_BUDGET = 2", ["test_io_cli.py"]),
 ]
 
 #: Mutants that no test is expected to kill, and why.

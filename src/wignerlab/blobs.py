@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .grid import _linear_convolution
-from .wigner import MASS_TOLERANCE, WignerFunction, _checked_mass, purity
+from .wigner import MASS_TOLERANCE, WignerFunction, _checked_state, purity
 
 #: Relative spectral power below which a frequency does not count as structure.
 SPECTRAL_POWER_FLOOR = 1e-6
@@ -45,10 +45,10 @@ class BlobReport:
 def effective_area(w: WignerFunction) -> float:
     """Inverse-participation phase-space area, h/2 for any pure state.
 
-    Requires a mass within ``MASS_TOLERANCE`` of 1; rejects data whose
+    Requires a mass within ``MASS_TOLERANCE`` of 1, in band; rejects data whose
     self-overlap exceeds one by more than that, which no physical state can.
     """
-    _checked_mass(w, "distribution", normalized=True)
+    _checked_state(w, "distribution", normalized=True)
     pur = purity(w)
     if pur > 1.0 + MASS_TOLERANCE:
         raise InvariantViolation(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .grid import EDGE_LEVEL, P_BAND_LEVEL, POSITION, Grid, WaveFunction, _adopt, _edge_ratio, _pair_views, to_position
-from .wigner import WignerFunction, _checked_mass
+from .wigner import WignerFunction, _band_edge, _checked_state
 
 _MASS_DRIFT_ABORT = 1e-4
 
@@ -129,9 +129,9 @@ def propagate(w: WignerFunction, v: PotentialSpec, cfg: EvolutionConfig) -> Wign
     ``V'^2/m``, depends on q alone and cancels inside that kick.  Each step
     is unitary and conserves mass to rounding, so any ``dt`` is stable: the
     step count sets the accuracy.  Refuses a state of mass above ``1 +
-    MASS_TOLERANCE``; aborts on mass drift beyond 1e-4, on non-finite values,
-    on amplitude blow-up, and where the periodic drift and kick would wrap
-    the state: an end amplitude, read off ``rho(end, .)``,
+    MASS_TOLERANCE`` or out of band; aborts on mass drift beyond 1e-4, on
+    non-finite values, on amplitude blow-up, and where the periodic drift and
+    kick would wrap the state: an end amplitude, read off ``rho(end, .)``,
     above ``EDGE_LEVEL``, or a p-marginal edge value above ``P_BAND_LEVEL``.
     """
     return next(_frames(w, v, cfg.dt, cfg.n_steps, cfg.n_steps), w)  # no frame without a step
@@ -142,7 +142,7 @@ def _frames(w: WignerFunction, v: PotentialSpec, dt: float, n_steps: int, every:
 
     Step numbers count over the run; the 25-step checks restart at each frame, as in chunked ``propagate``.
     """
-    grid, current, initial_mass = w.grid, w.values, _checked_mass(w, "state")
+    grid, current, initial_mass = w.grid, w.values, _checked_state(w, "state")
     del w  # the caller's state is not kept for the whole run
     transport, force = _moyal_symbols(grid, v)
     potential = v.polynomial
@@ -178,7 +178,7 @@ def _frames(w: WignerFunction, v: PotentialSpec, dt: float, n_steps: int, every:
                 f"mass drift {drift:.2e} at step {step + 1} exceeds 1e-4; aborting"
             )
         q_edge = _edge_ratio(np.fft.rfft(current, axis=1), ends, (slice(None), 0))  # over the largest rho(q, q)
-        p_edge = _edge_ratio(current.sum(axis=0))
+        p_edge = _band_edge(current)
         if q_edge > EDGE_LEVEL or p_edge > P_BAND_LEVEL:
             where = f"amplitude {q_edge:.2e}" if q_edge > EDGE_LEVEL else f"value {p_edge:.2e} of the p-marginal"
             raise InvariantViolation(
@@ -196,9 +196,9 @@ def split_step_schrodinger(psi: WaveFunction, v: PotentialSpec, cfg: EvolutionCo
     unconditionally stable and norm-conserving; accuracy is second order in
     the step size.  Aborts at an amplitude at either end above ``EDGE_LEVEL``
     of the peak, the containment rule that the generators apply.  Reads the
-    state in position; its squared norm lies within ``MASS_TOLERANCE`` of 1.
+    state in position; its squared norm lies within ``MASS_TOLERANCE`` of 1, and it is in band.
     """
-    _checked_mass(psi, "state", normalized=True)
+    _checked_state(psi, "state", normalized=True)
     g = psi.grid
     n = g.n_points
     v_values = v.polynomial(g.q)

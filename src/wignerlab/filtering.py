@@ -35,7 +35,7 @@ from .grid import (
     to_position,
 )
 from .wigner import (
-    WignerFunction, _checked_mass, marginal_p, marginal_q, overlap_probability, wigner_values_of_amplitudes,
+    WignerFunction, _checked_state, marginal_p, marginal_q, overlap_probability, wigner_values_of_amplitudes,
 )
 
 COORDINATE = "coordinate"
@@ -138,12 +138,12 @@ def filter_wavefunction(psi_in: WaveFunction, f: FilterSpec) -> tuple[WaveFuncti
     general_coordinate:  psi_out(q) = h^(-1/2) integral psi(q') exp(i p0 q'/hbar) m(q-q') dq'
     general_momentum:    psi_out(q) = psi(q-q0) m(q)
 
-    The state (squared norm within ``MASS_TOLERANCE`` of 1) and the device
-    ``m`` (at its given norm) are read in position: each kind is the position
-    twin of its :func:`filter_wdf` law.  The transmitted fraction is the
-    squared norm of the raw output.  Raises when the device blocks the state.
+    The state (squared norm within ``MASS_TOLERANCE`` of 1, in band) and the
+    device ``m`` (at its given norm) are read in position: each kind is the
+    position twin of its :func:`filter_wdf` law.  The transmitted fraction is
+    the squared norm of the raw output.  Raises when the device blocks the state.
     """
-    _checked_mass(psi_in, "state", normalized=True)
+    _checked_state(psi_in, "state", normalized=True)
     g = psi_in.grid
     axis, steps = _law(g, f)
     state = to_position(psi_in).values
@@ -175,9 +175,9 @@ def filter_wdf(w_in: WignerFunction, f: FilterSpec) -> WignerFunction:
     of ``W_in``, times the conjugate device correlation (``W_m`` is never
     built), so the output is the raw filtered state's distribution for any
     state; along q it is linear.  The output mass is the transmitted fraction;
-    the input's may not exceed ``1 + MASS_TOLERANCE``.
+    the input's may not exceed ``1 + MASS_TOLERANCE``, and it is in band.
     """
-    _checked_mass(w_in, "state")
+    _checked_state(w_in, "state")
     g = w_in.grid
     axis, steps = _law(g, f)
     values = _shifted(w_in.values, steps, 1 - axis)
@@ -200,13 +200,13 @@ def detect(w_in: WignerFunction, w_m: WignerFunction) -> DetectionMap:
     ``D(q,p) = integral W_in(q',p') W_m(q-q',p-p') dq' dp'`` is nonnegative
     for any pair of valid distributions; the device may equally be supplied
     as classical phase-space data.  The sum is periodic in p, linear in q.
-    Neither mass may exceed ``1 + MASS_TOLERANCE``.
+    Neither mass may exceed ``1 + MASS_TOLERANCE``; both are in band.
     """
     g = w_in.grid
     if g != w_m.grid:
         raise GridMismatchError("state and device live on different grids")
-    _checked_mass(w_in, "state")
-    _checked_mass(w_m, "device")
+    _checked_state(w_in, "state")
+    _checked_state(w_m, "device")
     spectrum = np.fft.rfft(w_in.values, axis=1)
     # in place, so two spectra are alive at once rather than three
     _linear_convolution(spectrum, np.fft.rfft(w_m.values, axis=1), 0, g.origin_index(), out=spectrum)
@@ -222,12 +222,12 @@ def detect_from_wavefunctions(psi_in: WaveFunction, psi_m: WaveFunction) -> Dete
     ``D(q,p) = h^-1 | integral psi_in(q') psi_m*(q-q') exp(-ipq'/hbar) dq' |^2``.
     Exact nonnegativity by construction; available whenever the device has
     a wavefunction.  Both are read in position; the state's squared norm is
-    within ``MASS_TOLERANCE`` of 1, the device's at most ``1 + MASS_TOLERANCE``.
+    within ``MASS_TOLERANCE`` of 1, the device's at most ``1 + MASS_TOLERANCE``; both in band.
     """
     if psi_in.grid != psi_m.grid:
         raise GridMismatchError("state and device live on different grids")
-    _checked_mass(psi_in, "state", normalized=True)
-    _checked_mass(psi_m, "device")
+    _checked_state(psi_in, "state", normalized=True)
+    _checked_state(psi_m, "device")
     g = psi_in.grid
     n = g.n_points
     a = to_position(psi_in).values

@@ -23,7 +23,8 @@ POSITION = "position"
 MOMENTUM = "momentum"
 
 #: The containment rule: a state fits while its amplitude at a lattice end is at most EDGE_LEVEL of its peak, and its
-#: distribution's p-marginal (a band twice as wide) at most P_BAND_LEVEL; WaveFunction warns above EDGE_WARN_LEVEL.
+#: momentum density at or beyond a p end at most P_BAND_LEVEL (the band rule: wigner._band_edge, read by every state
+#: reader and by the propagator's checks); WaveFunction warns above EDGE_WARN_LEVEL.
 EDGE_LEVEL = 1e-6
 P_BAND_LEVEL = 1e-7
 EDGE_WARN_LEVEL = 1e-8

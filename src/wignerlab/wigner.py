@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import GridMismatchError, InvariantViolation
 from .grid import (
-    _BLOCK, Grid, WaveFunction, _adopt, _centre_p, _frozen_array, _pair_correlation, normalize, squared_norm,
-    to_position,
+    _BLOCK, P_BAND_LEVEL, Grid, WaveFunction, _adopt, _centre_p, _edge_ratio, _frozen_array, _pair_correlation,
+    _quarter_phases, squared_norm, to_position,
 )
 
 #: The one mass rule: a distribution carries a positive total mass of at most 1 + MASS_TOLERANCE (a filter output
@@ -55,14 +55,26 @@ class WignerFunction:
         return float(np.sum(self.values) * self.grid.delta_q * self.grid.delta_p)
 
 
-def _checked_mass(w: WignerFunction | WaveFunction, name: str, normalized: bool = False) -> float:
-    """The mass of ``w`` (a wavefunction's is its squared norm), the ``name`` argument of its reader, under the rule."""
+def _band_edge(values: np.ndarray) -> float:
+    """``P_BAND_LEVEL``'s measure: the momentum density at or beyond a p-lattice end over its peak, of a matrix's
+    p-marginal or of position amplitudes, whose spectrum spans two bands (the marginal folds it onto one)."""
+    n = values.shape[-1]
+    density = np.abs(np.fft.fft(values * _quarter_phases(n), 2 * n)) ** 2 if values.ndim == 1 else values.sum(axis=0)
+    return _edge_ratio(density, (np.r_[0, n - 1:len(density)],))  # from index n on: beyond the last p, wrapping
+
+
+def _checked_state(w: WignerFunction | WaveFunction, name: str, normalized: bool = False) -> float:
+    """Mass of ``w`` (a wavefunction's is its squared norm), the ``name`` argument of its reader, under the state rule:
+    the mass rule, and the band rule, ``_band_edge`` of ``w`` (a wavefunction in position) at most ``P_BAND_LEVEL``."""
     mass = squared_norm(w) if isinstance(w, WaveFunction) else w.mass()
     if not mass > 0:  # uncertainty_product and purity divide by it
         raise InvariantViolation(f"total mass {mass:.7g} of the {name} is not positive: it carries no state")
     if (abs(mass - 1.0) if normalized else mass - 1.0) > MASS_TOLERANCE:
         excess = "deviates from" if normalized else "exceeds"
         raise InvariantViolation(f"total mass {mass:.7g} of the {name} {excess} 1 by more than {_TOLERANCE_TEXT}")
+    if (edge := _band_edge(to_position(w).values if isinstance(w, WaveFunction) else w.values)) > P_BAND_LEVEL:
+        raise InvariantViolation(f"momentum density {edge:.2e} of the {name} at or beyond a p-lattice end exceeds "
+                                 f"{P_BAND_LEVEL:g} of its peak: its content beyond the band folds into it")
     return mass
 
 
@@ -92,12 +104,12 @@ class DensityMatrix:
 
 
 def pure_density(psi: WaveFunction) -> DensityMatrix:
-    """Projector |psi><psi| for a state of squared norm within ``MASS_TOLERANCE`` of 1: the mixture of one."""
+    """Projector |psi><psi| for a state of squared norm within ``MASS_TOLERANCE`` of 1, in band: the mixture of one."""
     return mixed_density([psi], [1.0])
 
 
 def mixed_density(states: Sequence[WaveFunction], weights: Sequence[float]) -> DensityMatrix:
-    """Mixture sum_i w_i |psi_i><psi_i|, sum w_i = 1, of normalized states on one grid, in either representation."""
+    """Mixture sum_i w_i |psi_i><psi_i|, sum w_i = 1, of normalized in-band states on one grid, any representation."""
     if len(states) != len(weights) or not states:
         raise ValueError(f"need one weight per state, got {len(weights)} for {len(states)}")
     if not all(np.isfinite(w) and w >= 0 for w in weights):
@@ -106,7 +118,7 @@ def mixed_density(states: Sequence[WaveFunction], weights: Sequence[float]) -> D
     for i, s in enumerate(states):
         if s.grid != grid:
             raise GridMismatchError(f"state {i} of the mixture lives on another grid than state 0")
-        _checked_mass(s, f"state {i} of the mixture", normalized=True)
+        _checked_state(s, f"state {i} of the mixture", normalized=True)
     amplitudes = [to_position(s).values for s in states]
     entries = np.outer(amplitudes[0], np.conj(amplitudes[0]))
     entries *= weights[0]
@@ -137,8 +149,8 @@ def wigner_values_of_amplitudes(amplitudes: np.ndarray, grid: Grid) -> np.ndarra
 
 
 def wdf_from_wavefunction(psi: WaveFunction) -> WignerFunction:
-    """Wigner distribution of a state in either representation, of squared norm within ``MASS_TOLERANCE`` of 1."""
-    _checked_mass(psi, "state", normalized=True)
+    """Wigner distribution of a state in either representation: in band, squared norm within ``MASS_TOLERANCE`` of 1."""
+    _checked_state(psi, "state", normalized=True)
     return WignerFunction(psi.grid, _adopt(wigner_values_of_amplitudes(to_position(psi).values, psi.grid)))
 
 
@@ -188,8 +200,8 @@ def _variance(x: np.ndarray, density: np.ndarray, delta: float) -> float:
 
 
 def uncertainty_product(w: WignerFunction) -> float:
-    """``delta_q * delta_p`` (>= hbar/2) of the state ``w`` carries: marginals over its mass (<= 1 + MASS_TOLERANCE)."""
-    mass = _checked_mass(w, "distribution")
+    """``delta_q * delta_p`` (>= hbar/2) of the in-band state ``w``: marginals over its mass (<= 1 + MASS_TOLERANCE)."""
+    mass = _checked_state(w, "distribution")
     g = w.grid
     var_q = _variance(g.q, marginal_q(w) / mass, g.delta_q)
     var_p = _variance(g.p, marginal_p(w) / mass, g.delta_p)
@@ -202,21 +214,21 @@ def uncertainty_product(w: WignerFunction) -> float:
 
 
 def overlap_probability(w1: WignerFunction, w2: WignerFunction) -> float:
-    """Transition probability ``h * integral W1 W2 dq dp`` of two states, each of mass within ``MASS_TOLERANCE`` of 1.
+    """Transition probability ``h * integral W1 W2 dq dp`` of two in-band states of mass within ``MASS_TOLERANCE`` of 1.
 
     Equals |<psi1|psi2>|^2 for pure states.
     """
     if w1.grid != w2.grid:
         raise GridMismatchError("distributions live on different grids")
-    _checked_mass(w1, "first distribution", normalized=True)
-    _checked_mass(w2, "second distribution", normalized=True)
+    _checked_state(w1, "first distribution", normalized=True)
+    _checked_state(w2, "second distribution", normalized=True)
     g = w1.grid
     return float(g.h * np.sum(w1.values * w2.values) * g.delta_q * g.delta_p)
 
 
 def purity(w: WignerFunction) -> float:
-    """Self-overlap ``h * integral W^2 dq dp`` over the squared mass (<= 1 + MASS_TOLERANCE); 1 for a pure state."""
-    mass = _checked_mass(w, "distribution")
+    """Self-overlap ``h * integral W^2 dq dp`` over the squared mass (<= 1 + MASS_TOLERANCE), in band; 1 if pure."""
+    mass = _checked_state(w, "distribution")
     g = w.grid
     return float(g.h * np.sum(w.values * w.values) * g.delta_q * g.delta_p) / mass**2
 
@@ -237,9 +249,9 @@ def recover_wavefunction(w: WignerFunction) -> WaveFunction:
     coordinate is reached by spectral upsampling of the q axis, which is
     exact for band-limited data.  The global phase is fixed by making
     psi(0) real and positive.  The mass must lie within ``MASS_TOLERANCE``
-    of 1, and the purity at least ``PURITY_THRESHOLD``.
+    of 1, the state in band, and the purity at least ``PURITY_THRESHOLD``.
     """
-    _checked_mass(w, "distribution", normalized=True)
+    _checked_state(w, "distribution", normalized=True)
     pur = purity(w)
     if pur < PURITY_THRESHOLD:
         raise InvariantViolation(f"purity {pur:.6f} below pure-state threshold; cannot invert")
@@ -260,5 +272,5 @@ def recover_wavefunction(w: WignerFunction) -> WaveFunction:
         raise InvariantViolation(
             "|psi(0)| is too small to serve as the recovery reference point"
         )
-    amplitudes = correlation / np.sqrt(reference)
-    return normalize(WaveFunction(g, amplitudes))
+    correlation /= np.sqrt(np.sum(np.abs(correlation) ** 2) * g.delta_q)  # normalized before its one WaveFunction
+    return WaveFunction(g, _adopt(correlation))

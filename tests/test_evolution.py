@@ -358,49 +358,54 @@ class TestAbortGatesFromBothSides:
     @pytest.mark.parametrize(
         "axis, edge, refused", [("q", 3e-6, True), ("q", 3e-7, False), ("p", 3e-7, True), ("p", 3e-8, False)]
     )
-    def test_marginal_edge(self, grid, axis, edge, refused):
+    def test_marginal_edge(self, grid, monkeypatch, axis, edge, refused):
         if axis == "q":  # the amplitude rule, read off the distribution
             w, message = wdf_from_wavefunction(edge_packet(grid, edge)), "amplitude {}"
-        else:  # a mixed Gaussian centred at p = grid.p[200] whose p-marginal at the last point is ``edge`` of its peak
-            width = (grid.p[-1] - grid.p[200]) / np.sqrt(-np.log(edge))
-            values = np.exp(-(grid.q[:, None] ** 2) - ((grid.p - grid.p[200]) / width) ** 2)
-            w = WignerFunction(grid, values / (values.sum() * grid.delta_q * grid.delta_p))
-            message = "value {} of the p-marginal"
-            marginal = w.values.sum(axis=0)
-            assert marginal[-1] / marginal.max() == pytest.approx(edge, rel=1e-12)
-        run = lambda: propagate(w, FREE, EvolutionConfig(dt=1e-9, n_steps=1))  # too short to move the edge
+            run = lambda: propagate(w, FREE, EvolutionConfig(dt=1e-9, n_steps=1))  # too short to move the edge
+        else:  # the state rule refuses such a state at the door, so it enters in band and leaks during its one step
+            w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), grid))
+            marginal = w.values.sum(axis=0)  # which the free step keeps to rounding
+            leak = np.exp(-(grid.q**2))  # a Gaussian in q on the last p column, ending the marginal there at ``edge``
+            leak *= (edge * marginal.max() - marginal[-1]) / leak.sum()
+            run, message = self.spiked_run(monkeypatch, w, np.s_[:, -1], leak), "value {} of the p-marginal"
         if refused:
             message = re.escape(message.format(f"{edge:.2e}"))
             with pytest.raises(InvariantViolation, match=f"^edge {message} at step 1: "):
                 run()
         else:
-            run()
+            marginal = run().values.sum(axis=0)
+            assert axis == "q" or marginal[-1] / marginal.max() == pytest.approx(edge, rel=1e-9)  # the leak landed
 
     @staticmethod
-    def spiked_run(grid, monkeypatch, w, spike):
-        """A one-step free run of ``w`` whose closing kick adds a mass-neutral +- pair of rows of height ``spike``.
-
-        Rows 150 and 151 meet the end anti-diagonals only at offsets 105 and 104, where a profile this smooth in p
-        has no content, so only the amplitude cap reads the pair.
-        """
+    def spiked_run(monkeypatch, w, where, spike):
+        """A one-step free run of ``w`` whose closing kick adds ``spike`` to the values at ``where``."""
         apply, calls = evolution._apply, []
-        profile = spike * np.exp(-2.0 * (grid.p - grid.p[204]) ** 2)
 
         def spiking_apply(values, symbol, axis):
             result = apply(values, symbol, axis)
             calls.append(axis)
             if len(calls) == 5:  # the closing kick of the only step
-                result[150:152] += (profile, -profile)
+                result[where] += spike
             return result
 
         monkeypatch.setattr(evolution, "_apply", spiking_apply)
         return lambda: propagate(w, FREE, EvolutionConfig(dt=1e-3, n_steps=1))
 
+    @staticmethod
+    def row_pair(grid, height):
+        """Where and what :meth:`spiked_run` adds for a mass-neutral +- pair of rows of height ``height``.
+
+        Rows 150 and 151 meet the end anti-diagonals only at offsets 105 and 104, where a profile this smooth in p
+        has no content, so only the amplitude cap reads the pair.
+        """
+        profile = height * np.exp(-2.0 * (grid.p - grid.p[204]) ** 2)
+        return np.s_[150:152], np.array([profile, -profile])
+
     @pytest.mark.parametrize("factor, refused", [(3.0, True), (1 / 3, False)])
     def test_amplitude_cap(self, grid, monkeypatch, factor, refused):
         w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), grid))
         spike = factor * 10.0 * max(2.0 / grid.h, np.max(np.abs(w.values)))
-        run = self.spiked_run(grid, monkeypatch, w, spike)
+        run = self.spiked_run(monkeypatch, w, *self.row_pair(grid, spike))
         if refused:
             with pytest.raises(InvariantViolation, match=f"^{re.escape(f'evolution went unstable at step 1 (peak {spike:.2e})')}$"):
                 run()
@@ -413,7 +418,7 @@ class TestAbortGatesFromBothSides:
         values = np.exp(-(grid.q[:, None] ** 2) / 8.0 - grid.p**2 / 12.5)
         w = WignerFunction(grid, values / (2.0 * np.pi * 5.0))
         assert np.max(w.values) == pytest.approx(0.1 * 2.0 / grid.h, rel=1e-12)
-        run = self.spiked_run(grid, monkeypatch, w, factor * 10.0 * 2.0 / grid.h)
+        run = self.spiked_run(monkeypatch, w, *self.row_pair(grid, factor * 10.0 * 2.0 / grid.h))
         if refused:
             with pytest.raises(InvariantViolation, match="^evolution went unstable at step 1 "):
                 run()

@@ -282,12 +282,13 @@ class TestPhaseSpaceCommutation:
         assert peak <= bound * result.values.nbytes
 
     @pytest.mark.filterwarnings("ignore:wavefunction edge amplitude")
-    def test_p_axis_law_is_exact_beyond_containment(self):
-        # random amplitudes fill the whole lattice; the law is still the defining sum
-        g = make_grid(-1.3, 2.9, 16, hbar=0.7)
-        rng = np.random.default_rng(29)
-        a, d = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
-        a /= np.sqrt(np.sum(np.abs(a) ** 2) * g.delta_q)  # a state filter_wdf admits: mass 1, not 8.19
+    def test_p_axis_law_is_exact_beyond_containment(self, grid):
+        # a state 3.0e-3 of its peak at the q end, 3000 times the fit rule, yet in band (momentum density 4.8e-9 of
+        # its peak at the p end, p-marginal 8.9e-9), through a device cut off at 0.35: the law is still the defining sum
+        g = grid
+        a = np.exp(-((g.q - 8.5) ** 2) / 2 + 0.7j * g.q)
+        d = 1.3 * np.exp(-((g.q - 9.0) ** 2) / 8 - 0.4j * g.q)
+        a /= np.sqrt(np.sum(np.abs(a) ** 2) * g.delta_q)  # a state filter_wdf admits: mass 1
         w = WignerFunction(g, wigner_values_of_amplitudes(a, g))
         out = filter_wdf(w, FilterSpec(kind=COORDINATE, device=WaveFunction(g, d)))
         assert np.max(np.abs(out.values - wigner_values_of_amplitudes(a * d, g))) <= 1e-13
@@ -295,7 +296,7 @@ class TestPhaseSpaceCommutation:
         for cells in (3, -5):
             spec = FilterSpec(kind=GENERAL_MOMENTUM, device=WaveFunction(g, d), q_offset=cells * g.delta_q)
             via_law = filter_wdf(w, spec).values
-            raw = zero_extended_take(a, np.arange(16) - cells) * d
+            raw = zero_extended_take(a, np.arange(g.n_points) - cells) * d
             assert np.max(np.abs(via_law - wigner_values_of_amplitudes(raw, g))) <= 1e-13
             out, transmitted = filter_wavefunction(WaveFunction(g, a), spec)
             assert np.max(np.abs(via_law - transmitted * wdf_from_wavefunction(out).values)) <= 1e-13
@@ -376,8 +377,10 @@ class TestDetect:
         g = make_grid(-3.0, 5.0, 32, hbar=0.7)
         n = g.n_points
         j0 = g.origin_index()
-        rng = np.random.default_rng(17)
-        a, b = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        # packets 1.5e-3 and 1.8e-3 of their peaks at opposite q ends, far beyond the fit rule, yet in band (momentum
+        # density at most 5.7e-9 of the peak at a p end): the window cuts off where both are alive
+        a = np.exp(-((g.q - 0.6) ** 2) / 2 + 0.5j * g.q)
+        b = np.exp(-((g.q - 1.2) ** 2) / 2 - 0.3j * g.q)
         # a normalized state and a device of squared norm 1/2: the map is bilinear, so the bound is unchanged
         a /= np.sqrt(np.sum(np.abs(a) ** 2) * g.delta_q)
         b /= np.sqrt(2 * np.sum(np.abs(b) ** 2) * g.delta_q)

@@ -2,6 +2,7 @@ import ast
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from wignerlab import io as wio
 from wignerlab.cli import main
 from wignerlab.errors import InvariantViolation
 from wignerlab.filtering import GENERAL_COORDINATE
+from wignerlab.wigner import wigner_values_of_amplitudes
 
 from helpers import (
     desk_grid, evolve_in_process, oracle_load_matrix, oracle_save_matrix, per_slit_figure4_scan, traced_peak,
@@ -227,6 +229,56 @@ class TestCli:
         assert metrics["mass"] == pytest.approx(0.313, abs=1e-3)
         assert metrics["uncertainty_product"] >= 0.5 - 1e-6
         assert metrics["purity"] == pytest.approx(1.0, abs=1e-6)
+
+    @staticmethod
+    def _folded_files(tmp_path):
+        """A width-1 Gaussian on -8:8:64 kicked to 1.2 times the lattice's last p, as a state file and, folded into
+        the band, as a matrix file; with a state inside the band, a slit and a harmonic well.  Paths by name."""
+        main(["state", "--gaussian", "q0=1", "--grid=-8:8:64", "--out", str(tmp_path / "s")])
+        g = wio.load_wavefunction(tmp_path / "s/state.csv").grid
+        values = np.exp(-(g.q**2) / 2 + 1.2j * g.p[-1] * g.q / g.hbar) / np.pi**0.25
+        wio.save_wavefunction(WaveFunction(g, values), tmp_path / "kicked.csv")
+        wio.save_wigner(WignerFunction(g, wigner_values_of_amplitudes(values, g)), tmp_path / "folded.csv")
+        (tmp_path / "slit.json").write_text(json.dumps({"kind": "coordinate", "device": {"gaussian": {"width": 1.0}}}))
+        (tmp_path / "harmonic.json").write_text(json.dumps({"coefficients": [0, 0, 0.5]}))
+        return {"kicked": str(tmp_path / "kicked.csv"), "folded": str(tmp_path / "folded.csv"),
+                "state": str(tmp_path / "s/state.csv"), "slit": str(tmp_path / "slit.json"),
+                "well": str(tmp_path / "harmonic.json")}
+
+    #: Every command that reads a state, ``{x}`` the input under test.
+    BAND_RUNS = {
+        "wdf": ["wdf", "{x}"],
+        "filter": ["filter", "{x}", "--filter", "{slit}"],
+        "filter-wdf": ["filter", "{x}", "--filter", "{slit}", "--wdf"],
+        "detect": ["detect", "{x}", "{state}"],
+        "detect-device": ["detect", "{state}", "{x}"],
+        "overlap": ["overlap", "{x}", "{state}"],
+        "blob": ["blob", "{x}"],
+        "evolve": ["evolve", "{x}", "--potential", "{well}", "--t", ".01", "--dt", ".001"],
+    }
+
+    @pytest.mark.parametrize("command", BAND_RUNS)
+    def test_state_file_beyond_the_band_is_refused(self, tmp_path, capsys, command):
+        # its distribution would fold it back into the band; each reader refuses it before the command writes
+        files = self._folded_files(tmp_path)
+        argv = [a.format(x=files["kicked"], **files) for a in self.BAND_RUNS[command]]
+        capsys.readouterr()
+        assert main(argv + ([] if command == "overlap" else ["--out", str(tmp_path / "o")])) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("invariant violation: momentum density 1.00e+00 of the state at or beyond ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [c for c in BAND_RUNS if not c.startswith("filter")])  # filter reads a state
+    def test_folded_matrix_is_refused(self, tmp_path, capsys, command):
+        files = self._folded_files(tmp_path)
+        argv = [a.format(x=files["folded"], **files) for a in self.BAND_RUNS[command]]
+        capsys.readouterr()
+        assert main(argv + ([] if command == "overlap" else ["--out", str(tmp_path / "o")])) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and re.match(r"invariant violation: momentum density \S+ of the .+ at or beyond ", err)
+        out = tmp_path / "o"
+        assert out.exists() == (command == "evolve")  # evolve makes it before its first step, where the refusal is
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["wdf", "detect", "evolve", "blob"])
     def test_mass_refusal_writes_nothing(self, tmp_path, capsys, command):

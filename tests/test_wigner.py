@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from wignerlab import (
     wdf_from_wavefunction,
 )
 from wignerlab.filtering import COORDINATE
+from wignerlab.grid import _EDGE_WARNING
 from wignerlab.wigner import _upsample_rows, wigner_values_of_amplitudes
 
 from helpers import (
@@ -284,6 +287,15 @@ class TestMarginals:
     def test_gaussian_center_value(self, gauss_pair):
         _, w = gauss_pair
         assert marginal_q(w)[w.grid.n_points // 2] == pytest.approx(np.pi**-0.5, abs=1e-10)
+
+    def test_momentum_marginal_folds_the_two_band_spectrum_of_any_amplitudes(self):
+        # the samples' spectrum has period two bands (2N points of delta_p); the p-marginal is it folded onto one band
+        g = desk_grid(64)
+        a = [1.0, 1.0j] @ np.random.default_rng(3).normal(size=(2, 64))  # random amplitudes: the identity is exact
+        spectrum = np.abs(np.fft.fft(a * 1j ** np.arange(64), 128)) ** 2 * g.delta_q**2 / g.h
+        folded = spectrum[:64] + spectrum[64:]
+        marginal = marginal_p(WignerFunction(g, wigner_values_of_amplitudes(a, g)))
+        assert np.max(np.abs(marginal - folded)) <= 1e-14 * np.max(folded)
 
     def test_unit_mass(self, gauss_pair):
         _, w = gauss_pair
@@ -646,6 +658,78 @@ class TestStateRule:
             mixed_density([big, other], [0.25, 0.25])
 
 
+def kicked_state(density):
+    """A width-1 Gaussian on the desk grid kicked toward its last p point until its momentum density there is about
+    ``density`` of its peak (3.008e-7 for 3e-7, 3.002e-8 for 3e-8), and that ratio as its Fourier transform reads it."""
+    g = desk_grid()
+    p0 = g.p[-1] - np.sqrt(-np.log(density))
+    psi = WaveFunction(g, np.exp(-(g.q**2) / 2 + 1j * p0 * g.q / g.hbar) / np.pi**0.25)
+    momentum = np.abs(fourier_transform(psi).values) ** 2
+    return psi, momentum[-1] / momentum.max()
+
+
+def band_refusal(edge, name):
+    """The whole refusal of the ``name`` argument at band reading ``edge``, as a ``match`` pattern."""
+    message = f"momentum density {edge:.2e} of the {name} at or beyond a p-lattice end exceeds 1e-07 of its peak: "
+    return f"^{re.escape(message)}its content beyond the band folds into it$"
+
+
+@pytest.mark.filterwarnings("ignore:wavefunction edge amplitude")  # the kicked states' Fourier transforms
+class TestBandRule:
+    """The band rule, ``grid.P_BAND_LEVEL``: every reader of the state rule refuses momentum density above 1e-7 of its
+    peak at or beyond a p-lattice end, read off a wavefunction's position samples (their whole two-band spectrum) or
+    a distribution's p-marginal; each reader pinned a factor of 3 to either side, before the state is used."""
+
+    @pytest.mark.parametrize("density, refused", [(3e-7, True), (3e-8, False)])
+    @pytest.mark.parametrize("reader", STATE_READERS)
+    def test_wavefunction_readers_from_both_sides(self, reader, density, refused):
+        read, name, _ = STATE_READERS[reader]
+        psi, edge = kicked_state(density)
+        assert edge == pytest.approx(density, rel=3e-3)
+        ref = gaussian_wavefunction(GaussianSpec(width=1.0), psi.grid)
+        if refused:
+            with pytest.raises(InvariantViolation, match=band_refusal(edge, name)):
+                read(psi, ref)
+        else:
+            read(psi, ref)
+
+    @pytest.mark.parametrize("density, refused", [(3e-7, True), (3e-8, False)])
+    @pytest.mark.parametrize("reader", MASS_READERS)
+    def test_distribution_readers_from_both_sides(self, reader, density, refused):
+        # the kicked state's distribution, built past wdf_from_wavefunction's own refusal; pure, so recovery runs
+        read, name, _ = MASS_READERS[reader]
+        psi, _ = kicked_state(density)
+        w = WignerFunction(psi.grid, wigner_values_of_amplitudes(psi.values, psi.grid))
+        marginal = marginal_p(w)
+        edge = marginal[-1] / marginal.max()
+        assert edge == pytest.approx(density, rel=3e-3)
+        ref = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), psi.grid))
+        if refused:
+            with pytest.raises(InvariantViolation, match=band_refusal(edge, name)):
+                read(w, ref)
+        else:
+            read(w, ref)
+
+    @pytest.mark.parametrize("p0", [20.0, 25.0, 40.0])
+    def test_a_state_beyond_the_band_is_refused(self, p0):
+        # the desk grid's band ends at p = 16.6; the distribution folds these to <p> = -13.5, -8.5 and 6.5, and only
+        # the first keeps a p-marginal edge (2.7e-5 of its peak) that the distribution readers can see
+        g = desk_grid()
+        psi = WaveFunction(g, np.exp(-(g.q**2) / 2 + 1j * p0 * g.q) / np.pi**0.25)
+        with pytest.raises(InvariantViolation, match=band_refusal(1.0, "state")):
+            wdf_from_wavefunction(psi)
+        if p0 == 20.0:
+            with pytest.raises(InvariantViolation, match=band_refusal(2.68e-5, "distribution")):
+                purity(WignerFunction(g, wigner_values_of_amplitudes(psi.values, g)))
+
+    def test_a_packet_beyond_the_band_beside_one_inside_is_refused(self):
+        # the band ends of the samples' first band read 4e-31 of its peak here: the packet at p0 = 25 lies beyond them
+        g = desk_grid()
+        psi = normalize(WaveFunction(g, np.exp(-(g.q**2) / 2) * (1.0 + np.exp(25j * g.q))))
+        with pytest.raises(InvariantViolation, match=band_refusal(1.0, "state")):
+            wdf_from_wavefunction(psi)
+
+
 class TestUpsampleRows:
     def test_even_rows_reproduce_the_input(self):
         values = np.random.default_rng(7).standard_normal((64, 5))
@@ -687,6 +771,19 @@ class TestRecovery:
         w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), desk_grid(1024)))
         _, peak = traced_peak(lambda: recover_wavefunction(w))
         assert peak <= 1.5 * w.values.nbytes
+
+    def test_edge_heavy_output_warns_once(self):
+        # packets at q = 0 and 5.9: the recovered state, like the input, is 1.5e-8 of its peak at the q end
+        g = desk_grid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            psi = normalize(WaveFunction(g, np.exp(-(g.q**2) / 2) + np.exp(-((g.q - 5.9) ** 2) / 2)))
+        w = wdf_from_wavefunction(psi)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            recovered = recover_wavefunction(w)
+        assert [str(x.message) for x in caught] == [_EDGE_WARNING]
+        assert aligned_max_error(recovered, psi) < 1e-8
 
     def test_mixed_state_rejected(self):
         g = desk_grid()
