@@ -4,11 +4,12 @@
     python scripts/identity.py REV_A REV_B
 
 Each revision's ``src/`` is exported with ``git archive`` into a temporary
-directory.  One fixed table of ``wignerlab`` commands then runs against each
-export, after a snippet that writes one state file beyond the lattice's band
-(``_KICKED``), every command in a fresh Python process, at N=256 and N=1024, once
-with ``os.fork`` present and once with it removed (so the serial path of the
-split CSV reader and writer runs too).  A command matches when its exit code,
+directory.  One fixed table of ``wignerlab`` commands, on the lattice -12:12:N
+and on the off-centre -9:15:N, then runs against each export, after a snippet
+that writes one state file beyond the lattice's band (``_KICKED``), every
+command in a fresh Python process, at N=256 and N=1024, once with ``os.fork``
+present and once with it removed (so the serial path of the split CSV reader
+and writer runs too).  A command matches when its exit code,
 stdout, stderr and the sha256 of every file in its output directory agree.
 
 Prints one line per command and a summary line; exits 1 on any difference.
@@ -56,7 +57,8 @@ _DEVICE = {"gaussian": {"width": 0.8, "center": 1.0}}
 _INPUTS = {
     "slit.json": {"kind": "coordinate", "device": {"gaussian": {"width": 1.0, "center": 0.5}}},
     "momentum.json": {"kind": "momentum", "device": _DEVICE},
-    # on -12:12 the offsets sit on both lattices: pi/8 is 3 cells of p, 0.75 is 8 cells of q at N=256, 32 at N=1024
+    # on -12:12 and -9:15 the offsets sit on both lattices: pi/8 is 3 cells of p, 0.75 is 8 cells of q at N=256, 32
+    # at N=1024
     "general_coordinate.json": {"kind": "general_coordinate", "p_offset": math.pi / 8, "device": _DEVICE},
     "general_momentum.json": {"kind": "general_momentum", "q_offset": 0.75, "device": _DEVICE},
     "well.json": {"coefficients": [0, 0, 0.5, 0, 0.01]},
@@ -85,6 +87,19 @@ def command_table(n: int) -> list[tuple[str, list[str]]]:
         ("", ["overlap", "w/wdf.csv", "wc/wdf.csv"]),
         ("", ["overlap", "w/wdf.csv", "f/filtered_wdf.csv"]),  # mass below 1: exits 1
         ("b", ["blob", "wc/wdf.csv"]),
+    ]
+    off = f"--grid=-9:15:{n}"  # q = 0 at index 3N/8, so the convolution windows start away from N/2
+    table += [
+        ("os", ["state", "--gaussian", "q0=1.5", "center=0.5", "p0=0.5", off]),
+        ("oc", ["state", "--cat", "d=3", "qi=1", off]),  # d=4 puts a hump too near q_min to fit
+        ("od", ["state", "--gaussian", "q0=0.8", "center=1", off]),
+        ("ow", ["wdf", "os/state.csv"]),
+        ("owc", ["wdf", "oc/state.csv"]),
+        ("owd", ["wdf", "od/state.csv"]),
+        ("ofm", ["filter", "os/state.csv", "--filter", "momentum.json", "--wdf"]),
+        ("ofgc", ["filter", "os/state.csv", "--filter", "general_coordinate.json", "--wdf"]),
+        ("odet", ["detect", "ow/wdf.csv", "owd/wdf.csv"]),
+        ("ob", ["blob", "owc/wdf.csv"]),
     ]
     table += [(which, ["figure", which, grid]) for which in ("fig2", "fig3", "fig4")]
     # a slit narrower than the state it scans (q_m != q_i)

@@ -73,16 +73,17 @@ MUTANTS = [
      'mass = _checked_state(w, "distribution")\n    g = w.grid\n    var_q',
      "mass = w.mass()\n    g = w.grid\n    var_q", ["test_wigner.py"]),
     ("purity drops its state check", "wigner.py",
-     'mass = _checked_state(w, "distribution")\n    g = w.grid\n    return',
-     "mass = w.mass()\n    g = w.grid\n    return", ["test_wigner.py"]),
+     'return _purity(w, _checked_state(w, "distribution"))', "return _purity(w, w.mass())", ["test_wigner.py"]),
     ("overlap_probability drops the first state check", "wigner.py",
      '    _checked_state(w1, "first distribution", normalized=True)\n', "", ["test_wigner.py"]),
     ("overlap_probability drops the second state check", "wigner.py",
      '    _checked_state(w2, "second distribution", normalized=True)\n', "", ["test_wigner.py"]),
     ("recover_wavefunction drops its state check", "wigner.py",
-     '    _checked_state(w, "distribution", normalized=True)\n    pur', "    pur", ["test_wigner.py"]),
+     'pur = _purity(w, _checked_state(w, "distribution", normalized=True))', "pur = _purity(w, w.mass())",
+     ["test_wigner.py"]),
     ("effective_area drops its state check", "blobs.py",
-     '    _checked_state(w, "distribution", normalized=True)\n', "", ["test_wigner.py", "test_blobs.py"]),
+     'pur = _purity(w, _checked_state(w, "distribution", normalized=True))', "pur = _purity(w, w.mass())",
+     ["test_wigner.py", "test_blobs.py"]),
     ("wdf_from_wavefunction drops its state check", "wigner.py",
      '    _checked_state(psi, "state", normalized=True)\n    return', "    return", ["test_wigner.py"]),
     ("mixed_density drops its state check", "wigner.py",
@@ -131,6 +132,14 @@ MUTANTS = [
     ("_half_dft takes the conjugate quarter phases", "grid.py",
      "np.fft.fft(values * _quarter_phases(n), 2 * n)", "np.fft.fft(values * np.conj(_quarter_phases(n)), 2 * n)",
      ["test_grid.py", "test_filtering.py"]),
+    ("fourier_transform keeps the band beyond the lattice's", "grid.py",
+     "_half_dft(psi.values)[:g.n_points]", "_half_dft(psi.values)[g.n_points:]", ["test_grid.py"]),
+    ("detect_from_wavefunctions keeps the band beyond the lattice's", "filtering.py",
+     "_half_dft(toeplitz[rows] * a)[:, :n]", "_half_dft(toeplitz[rows] * a)[:, n:]", ["test_filtering.py"]),
+    ("the band measure reads the lattice's band of the samples only", "wigner.py",
+     "np.abs(_half_dft(values)) ** 2", "np.abs(_half_dft(values)[:n]) ** 2", ["test_wigner.py"]),
+    ("smoothed_minimum drops its transpose between passes", "blobs.py",
+     "n // 2).T", "n // 2)", ["test_blobs.py"]),
     ("_transform_correlation scale 2 dq/h -> dq/h", "wigner.py",
      "out *= 2.0 * grid.delta_q / grid.h", "out *= grid.delta_q / grid.h", ["test_wigner.py"]),
     ("_load_matrix splits one row late", "io.py",

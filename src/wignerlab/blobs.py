@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .grid import _linear_convolution
-from .wigner import MASS_TOLERANCE, WignerFunction, _checked_state, purity
+from .wigner import MASS_TOLERANCE, WignerFunction, _checked_state, _purity
 
 #: Relative spectral power below which a frequency does not count as structure.
 SPECTRAL_POWER_FLOOR = 1e-6
@@ -48,8 +48,7 @@ def effective_area(w: WignerFunction) -> float:
     Requires a mass within ``MASS_TOLERANCE`` of 1, in band; rejects data whose
     self-overlap exceeds one by more than that, which no physical state can.
     """
-    _checked_state(w, "distribution", normalized=True)
-    pur = purity(w)
+    pur = _purity(w, _checked_state(w, "distribution", normalized=True))
     if pur > 1.0 + MASS_TOLERANCE:
         raise InvariantViolation(
             f"self-overlap {pur:.6f} exceeds one: sharper than any admissible state"
@@ -72,10 +71,9 @@ def smoothed_minimum(w: WignerFunction, sigma_q: float, sigma_p: float) -> float
     n = g.n_points
     offsets = np.arange(n) - n // 2
     smoothed = w.values
-    for axis, sigma, cell in ((0, sigma_q, g.delta_q), (1, sigma_p, g.delta_p)):
+    for sigma, cell in ((sigma_q, g.delta_q), (sigma_p, g.delta_p)):
         kernel = np.exp(-((offsets * cell) ** 2) / (2.0 * sigma**2))
-        kernel = np.expand_dims(kernel / kernel.sum(), 1 - axis)
-        smoothed = _linear_convolution(smoothed, kernel, axis, n // 2)
+        smoothed = _linear_convolution(smoothed, (kernel / kernel.sum())[:, None], n // 2).T  # then p runs down columns
     return float(smoothed.min())
 
 

@@ -153,13 +153,12 @@ def _cmd_evolve(args) -> tuple:
     potential = wio.load_potential_spec(args.potential)
     n_steps = max(int(np.ceil(args.t / args.dt - 1e-12)), 1)
     dt = args.t / n_steps
-    out_dir = _out_dir(args)  # frames are written while stepping, so the directory is made before it
     written = []
     dump_every = args.dump_every if args.dump_every else n_steps
     finish = list  # the latest frame's write, still to finish; ``list`` finishes nothing
     try:
         for frame, w in enumerate(_frames(w, potential, dt, n_steps, dump_every), 1):
-            path = out_dir / f"wdf_{frame:04d}.csv"
+            path = _out_dir(args) / f"wdf_{frame:04d}.csv"
             previous, finish = finish, list  # each finish runs once, even when it raises
             written += previous()
             # the next frame's steps overlap this frame's write in a helper; the last frame has no next steps

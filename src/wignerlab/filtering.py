@@ -151,8 +151,8 @@ def filter_wavefunction(psi_in: WaveFunction, f: FilterSpec) -> tuple[WaveFuncti
     if axis == 1:
         values = _shifted(state, steps, 0) * device
     else:
-        kicked = state * np.exp(1j * f.p_offset * g.q / g.hbar)
-        values = (g.delta_q / np.sqrt(g.h)) * _linear_convolution(kicked, device, 0, g.origin_index())
+        kicked = (state * np.exp(1j * f.p_offset * g.q / g.hbar))[:, None]
+        values = (g.delta_q / np.sqrt(g.h)) * _linear_convolution(kicked, device[:, None], g.origin_index())[:, 0]
     transmitted = float(np.sum(np.abs(values) ** 2) * g.delta_q)  # normalized before its one WaveFunction is built
     if transmitted <= ZERO_TRANSMISSION:
         raise InvariantViolation("filter transmits nothing of this state")
@@ -189,7 +189,7 @@ def filter_wdf(w_in: WignerFunction, f: FilterSpec) -> WignerFunction:
         spectrum *= np.conj(c, out=c)
         del c
         return WignerFunction(g, _adopt(np.fft.irfft(spectrum, g.n_points, axis=1)))
-    out = _linear_convolution(values, wigner_values_of_amplitudes(device, g), 0, g.origin_index())
+    out = _linear_convolution(values, wigner_values_of_amplitudes(device, g), g.origin_index())
     out *= g.delta_q
     return WignerFunction(g, _adopt(out))
 
@@ -209,7 +209,7 @@ def detect(w_in: WignerFunction, w_m: WignerFunction) -> DetectionMap:
     _checked_state(w_m, "device")
     spectrum = np.fft.rfft(w_in.values, axis=1)
     # in place, so two spectra are alive at once rather than three
-    _linear_convolution(spectrum, np.fft.rfft(w_m.values, axis=1), 0, g.origin_index(), out=spectrum)
+    _linear_convolution(spectrum, np.fft.rfft(w_m.values, axis=1), g.origin_index(), out=spectrum)
     values = np.fft.irfft(_centre_p(spectrum), g.n_points, axis=1)
     values *= g.delta_q
     values *= g.delta_p
@@ -240,7 +240,7 @@ def detect_from_wavefunctions(psi_in: WaveFunction, psi_m: WaveFunction) -> Dete
     values = np.empty((n, n))
     for first in range(0, n, _BLOCK):
         rows = slice(first, first + _BLOCK)
-        values[rows] = np.abs(_half_dft(toeplitz[rows] * a)) ** 2 * g.delta_q**2 / g.h
+        values[rows] = np.abs(_half_dft(toeplitz[rows] * a)[:, :n]) ** 2 * g.delta_q**2 / g.h
     return DetectionMap(g, _adopt(values))
 
 

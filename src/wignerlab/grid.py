@@ -202,13 +202,14 @@ def _quarter_phases(n: int) -> np.ndarray:
 
 
 def _half_dft(values: np.ndarray) -> np.ndarray:
-    """``sum_j values[..., j] * exp(-i*pi*j*(k - n/2)/n)`` for ``k in [0, n)``.
+    """``sum_j values[..., j] * exp(-i*pi*j*(k - n/2)/n)`` for ``k in [0, 2n)``: the lattice's band, then the next.
 
     The transform over the last axis onto the half-spaced momentum lattice,
-    relative to ``q_min``: one length-2N FFT of quarter-phased samples.
+    relative to ``q_min``, over the two bands that position samples span:
+    one length-2N FFT of quarter-phased samples.
     """
     n = values.shape[-1]
-    return np.fft.fft(values * _quarter_phases(n), 2 * n)[..., :n]
+    return np.fft.fft(values * _quarter_phases(n), 2 * n)
 
 
 def _pair_views(extended: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -250,30 +251,26 @@ def _shifted(values: np.ndarray, steps: int, axis: int) -> np.ndarray:
 _BLOCK = 64
 
 
-def _linear_convolution(
-    a: np.ndarray, b: np.ndarray, axis: int, start: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Zero-extended convolution of ``a`` and ``b`` along ``axis``, the other axis broadcast elementwise.
+def _linear_convolution(a: np.ndarray, b: np.ndarray, start: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Zero-extended convolution of the columns of the 2-D ``a`` and ``b`` along axis 0, a 1-column operand broadcast.
 
-    Keeps the n-long window from index ``start``, written into ``out`` when
+    Keeps the n-long window from row ``start``, written into ``out`` when
     given, which may alias ``a`` or ``b`` (block k of the result reads only
     block k of the operands).  Padding to 2n, not 2n - 1, keeps the FFT
-    length even; the extra sample is exactly zero.  Lines go ``_BLOCK`` at a
+    length even; the extra sample is exactly zero.  Columns go ``_BLOCK`` at a
     time, so the padded temporaries are ``2n x _BLOCK``, not ``2n x n``.  That
-    is exact: each line gets the same length-2n pocketfft call as in one
+    is exact: each column gets the same length-2n pocketfft call as in one
     whole-array transform, so the result is bit-identical.
     """
-    n = a.shape[axis]
+    n = a.shape[0]
     real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
     forward, inverse = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-    lines = lambda v: v.reshape(n, -1) if v.ndim == 1 else v if axis == 0 else v.T  # a 1-D operand is one line
-    x, y = lines(a), lines(b)
-    for first in range(0, max(x.shape[1], y.shape[1]), _BLOCK):
-        xb, yb = (v if v.shape[1] == 1 else v[:, first:first + _BLOCK] for v in (x, y))  # a kernel (extent 1) goes whole
-        window = inverse(forward(xb, 2 * n, 0) * forward(yb, 2 * n, 0), 2 * n, 0)[start:start + n]
+    for first in range(0, max(a.shape[1], b.shape[1]), _BLOCK):
+        ab, bb = (v if v.shape[1] == 1 else v[:, first:first + _BLOCK] for v in (a, b))  # a kernel column goes whole
+        window = inverse(forward(ab, 2 * n, 0) * forward(bb, 2 * n, 0), 2 * n, 0)[start:start + n]
         if out is None:  # allocated after the first block's transforms, so their peaks do not add
             out = np.empty(np.broadcast_shapes(a.shape, b.shape), window.dtype)
-        lines(out)[:, first:first + _BLOCK] = window
+        out[:, first:first + _BLOCK] = window
         del window  # a view that would keep the block's full transform alive into the next block
     return out
 
@@ -288,7 +285,7 @@ def fourier_transform(psi: WaveFunction) -> WaveFunction:
     if psi.representation != POSITION:
         raise ValueError("fourier_transform expects a position-representation input")
     g = psi.grid
-    values = (g.delta_q / np.sqrt(g.h)) * np.exp(-1j * g.p * g.q_min / g.hbar) * _half_dft(psi.values)
+    values = (g.delta_q / np.sqrt(g.h)) * np.exp(-1j * g.p * g.q_min / g.hbar) * _half_dft(psi.values)[:g.n_points]
     return WaveFunction(g, values, MOMENTUM)
 
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import GridMismatchError, InvariantViolation
 from .grid import (
-    _BLOCK, P_BAND_LEVEL, Grid, WaveFunction, _adopt, _centre_p, _edge_ratio, _frozen_array, _pair_correlation,
-    _quarter_phases, squared_norm, to_position,
+    _BLOCK, P_BAND_LEVEL, Grid, WaveFunction, _adopt, _centre_p, _edge_ratio, _frozen_array, _half_dft,
+    _pair_correlation, squared_norm, to_position,
 )
 
 #: The one mass rule: a distribution carries a positive total mass of at most 1 + MASS_TOLERANCE (a filter output
@@ -59,7 +59,7 @@ def _band_edge(values: np.ndarray) -> float:
     """``P_BAND_LEVEL``'s measure: the momentum density at or beyond a p-lattice end over its peak, of a matrix's
     p-marginal or of position amplitudes, whose spectrum spans two bands (the marginal folds it onto one)."""
     n = values.shape[-1]
-    density = np.abs(np.fft.fft(values * _quarter_phases(n), 2 * n)) ** 2 if values.ndim == 1 else values.sum(axis=0)
+    density = np.abs(_half_dft(values)) ** 2 if values.ndim == 1 else values.sum(axis=0)
     return _edge_ratio(density, (np.r_[0, n - 1:len(density)],))  # from index n on: beyond the last p, wrapping
 
 
@@ -104,12 +104,13 @@ class DensityMatrix:
 
 
 def pure_density(psi: WaveFunction) -> DensityMatrix:
-    """Projector |psi><psi| for a state of squared norm within ``MASS_TOLERANCE`` of 1, in band: the mixture of one."""
+    """Projector |psi><psi|, the mixture of one: an in-band state of squared norm within 1e-10 of 1 (the trace gate)."""
     return mixed_density([psi], [1.0])
 
 
 def mixed_density(states: Sequence[WaveFunction], weights: Sequence[float]) -> DensityMatrix:
-    """Mixture sum_i w_i |psi_i><psi_i|, sum w_i = 1, of normalized in-band states on one grid, any representation."""
+    """Mixture sum_i w_i |psi_i><psi_i| of in-band states on one grid, any representation, each of squared norm within
+    ``MASS_TOLERANCE`` of 1; the :class:`DensityMatrix` trace gate holds sum_i w_i |psi_i|^2 within 1e-10 of 1."""
     if len(states) != len(weights) or not states:
         raise ValueError(f"need one weight per state, got {len(weights)} for {len(states)}")
     if not all(np.isfinite(w) and w >= 0 for w in weights):
@@ -228,9 +229,12 @@ def overlap_probability(w1: WignerFunction, w2: WignerFunction) -> float:
 
 def purity(w: WignerFunction) -> float:
     """Self-overlap ``h * integral W^2 dq dp`` over the squared mass (<= 1 + MASS_TOLERANCE), in band; 1 if pure."""
-    mass = _checked_state(w, "distribution")
-    g = w.grid
-    return float(g.h * np.sum(w.values * w.values) * g.delta_q * g.delta_p) / mass**2
+    return _purity(w, _checked_state(w, "distribution"))
+
+
+def _purity(w: WignerFunction, mass: float) -> float:
+    """:func:`purity` of ``w`` given its ``mass``, as its reader's state check returned it."""
+    return float(w.grid.h * np.sum(w.values * w.values) * w.grid.delta_q * w.grid.delta_p) / mass**2
 
 
 def _upsample_rows(values: np.ndarray) -> np.ndarray:
@@ -251,8 +255,7 @@ def recover_wavefunction(w: WignerFunction) -> WaveFunction:
     psi(0) real and positive.  The mass must lie within ``MASS_TOLERANCE``
     of 1, the state in band, and the purity at least ``PURITY_THRESHOLD``.
     """
-    _checked_state(w, "distribution", normalized=True)
-    pur = purity(w)
+    pur = _purity(w, _checked_state(w, "distribution", normalized=True))
     if pur < PURITY_THRESHOLD:
         raise InvariantViolation(f"purity {pur:.6f} below pure-state threshold; cannot invert")
     g = w.grid

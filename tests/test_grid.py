@@ -183,7 +183,11 @@ def test_non_finite_amplitudes_rejected(bad):
 
 
 class TestKernels:
-    """Lattice kernels against direct sums."""
+    """Lattice kernels against direct sums.
+
+    ``_linear_convolution`` convolves columns: a line along axis 1 is a column of the transposed view, and a 1-D
+    operand is a single column.
+    """
 
     @pytest.mark.parametrize("kind", [float, complex])
     @pytest.mark.parametrize("start", ["zero", "half", "origin"])
@@ -196,9 +200,9 @@ class TestKernels:
         if kind is complex:
             a = a + 1j * rng.normal(size=n)
             b = b - 1j * rng.normal(size=n)
-        result = _linear_convolution(a, b, 0, offset)
-        assert np.iscomplexobj(result) == (kind is complex)
-        assert np.max(np.abs(result - np.convolve(a, b)[offset: offset + n])) < 1e-12
+        result = _linear_convolution(a[:, None], b[:, None], offset)
+        assert result.shape == (n, 1) and np.iscomplexobj(result) == (kind is complex)
+        assert np.max(np.abs(result[:, 0] - np.convolve(a, b)[offset: offset + n])) < 1e-12
 
     def test_convolution_2d_matches_double_sum(self):
         # 150 rows: two full 64-wide blocks and a tail
@@ -212,7 +216,7 @@ class TestKernels:
                 for j in range(n):
                     if 0 <= l + s1 - j < n:
                         expected[k, l] += a[k, j] * b[k, l + s1 - j]
-        assert np.max(np.abs(_linear_convolution(a, b, 1, s1) - expected)) < 1e-12
+        assert np.max(np.abs(_linear_convolution(a.T, b.T, s1).T - expected)) < 1e-12
 
     @pytest.mark.parametrize("kind", [float, complex])
     @pytest.mark.parametrize("axis", [0, 1])
@@ -227,11 +231,13 @@ class TestKernels:
         if operand == "kernel":  # extent 1 on the blocked axis, broadcast over it
             b = b[:, :1] if axis == 0 else b[:1]
         expected = one_shot_convolution(a, b, {axis: 7})
+        columns = (lambda v: v) if axis == 0 else (lambda v: v.T)  # axis 1 goes as the transposed views
         if operand == "aliased":
             result = a.copy()
-            assert _linear_convolution(result, b, axis, 7, out=result) is result
+            view = columns(result)
+            assert _linear_convolution(view, columns(b), 7, out=view) is view
         else:
-            result = _linear_convolution(a, b, axis, 7)
+            result = columns(_linear_convolution(columns(a), columns(b), 7))
         assert np.array_equal(result, expected)
 
     @pytest.mark.parametrize("n", [8, 200, 1024])
@@ -258,11 +264,11 @@ class TestKernels:
         assert np.array_equal(_pair_correlation(values), gathered_pair_correlation(values))
 
     def test_half_dft_matches_exponential_sum(self):
+        # both bands: k in [0, n) is the lattice's, k in [n, 2n) the one beyond it
         n = 16
         rng = np.random.default_rng(7)
         values = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
-        j = np.arange(n)
-        kernel = np.exp(-1j * np.pi * np.outer(j, j - n // 2) / n)
+        kernel = np.exp(-1j * np.pi * np.outer(np.arange(n), np.arange(2 * n) - n // 2) / n)
         assert np.max(np.abs(_half_dft(values) - values @ kernel)) < 1e-12
 
 

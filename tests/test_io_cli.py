@@ -276,9 +276,7 @@ class TestCli:
         assert main(argv + ([] if command == "overlap" else ["--out", str(tmp_path / "o")])) == 1
         out, err = capsys.readouterr()
         assert out == "" and re.match(r"invariant violation: momentum density \S+ of the .+ at or beyond ", err)
-        out = tmp_path / "o"
-        assert out.exists() == (command == "evolve")  # evolve makes it before its first step, where the refusal is
-        assert not out.exists() or not any(out.iterdir())
+        assert not (tmp_path / "o").exists()  # evolve too: it makes the directory at its first frame
 
     @pytest.mark.parametrize("command", ["wdf", "detect", "evolve", "blob"])
     def test_mass_refusal_writes_nothing(self, tmp_path, capsys, command):
@@ -293,9 +291,7 @@ class TestCli:
         capsys.readouterr()
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("invariant violation: total mass 3 of the ")
-        out = tmp_path / "o"
-        assert out.exists() == (command == "evolve")  # evolve makes it before its first step, where the refusal is
-        assert not out.exists() or not any(out.iterdir())
+        assert not (tmp_path / "o").exists()  # evolve too: it makes the directory at its first frame
 
     @staticmethod
     def _tripled_state(tmp_path):
@@ -946,7 +942,7 @@ class TestEvolveStream:
         assert main(_evolve_argv(evolve_inputs, "n64", "0.1", "1e-3", "25", out)) == 1
         assert capsys.readouterr().err.startswith("invariant violation: evolution went unstable at step 25 (peak ")
         _assert_no_child_left()
-        assert _snapshot(out) == {}
+        assert not out.exists()  # the abort comes before the first frame, so no directory is made
 
 
 def _special_matrix(n, rng):

@@ -646,6 +646,20 @@ class TestStateRule:
         else:
             read(*self.scaled(1.0 - deficit))
 
+    @pytest.mark.parametrize("excess, refused", [(1e-9, True), (-1e-9, True), (1e-11, False), (-1e-11, False)])
+    def test_density_route_reads_the_trace_gate(self, excess, refused):
+        # within MASS_TOLERANCE, so the other readers take the state, but a projector's trace must lie within 1e-10
+        psi, _ = self.scaled(1.0 + excess)
+        wdf_from_wavefunction(psi)
+        filter_wavefunction(psi, SLIT)
+        trace = re.escape(f"{1.0 + excess:.9f}")
+        for build in (lambda: pure_density(psi), lambda: mixed_density([psi], [1.0])):
+            if refused:
+                with pytest.raises(InvariantViolation, match=f"^density matrix trace is {trace}\\d*, expected 1$"):
+                    build()
+            else:
+                build()
+
     def test_pure_density_reads_the_mixture_rule(self):
         with pytest.raises(InvariantViolation, match="^total mass 3 of the state 0 of the mixture deviates from 1 "):
             pure_density(self.scaled(3.0)[0])
