@@ -6,7 +6,7 @@
 Each revision's ``src/`` is exported with ``git archive`` into a temporary
 directory.  One fixed table of ``wignerlab`` commands, on the lattice -12:12:N
 and on the off-centre -9:15:N, then runs against each export, after a snippet
-that writes one state file beyond the lattice's band (``_KICKED``), every
+that writes two state files the generators refuse (``_RAW_STATES``), every
 command in a fresh Python process, at N=256 and N=1024, once with ``os.fork``
 present and once with it removed (so the serial path of the split CSV reader
 and writer runs too).  A command matches when its exit code,
@@ -43,14 +43,17 @@ _LAUNCH = (
     "sys.exit(main(sys.argv[2:]))\n"
 )
 
-#: Writes ``kicked.csv``, a width-1 Gaussian on -12:12:N kicked to 1.2 times the lattice's last p, beyond the band a
-#: distribution on the lattice holds (the generators refuse it); run against each export, as the commands are.
-_KICKED = (
+#: Writes two width-1 Gaussians on -12:12:N that the generators refuse, run against each export as the commands are:
+#: ``kicked.csv``, kicked to 1.2 times the lattice's last p, beyond the band a distribution on the lattice holds, and
+#: ``edge.csv``, centred at q = 8.9, 1.1e-2 of its peak at the q end, whose band reading at N=256 (1.2e-7) lies just
+#: above the band rule, so a change of how a state reads its band shows in the table.
+_RAW_STATES = (
     "import sys, numpy as np\n"
-    "from wignerlab import WaveFunction, io, make_grid\n"
+    "from wignerlab import WaveFunction, io, make_grid, normalize\n"
     "g = make_grid(-12, 12, int(sys.argv[1]))\n"
     "values = np.exp(-g.q**2 / 2 + 1.2j * g.p[-1] * g.q / g.hbar) / np.pi**0.25\n"
     "io.save_wavefunction(WaveFunction(g, values), 'kicked.csv')\n"
+    "io.save_wavefunction(normalize(WaveFunction(g, np.exp(-(g.q - 8.9)**2 / 2))), 'edge.csv')\n"
 )
 
 _DEVICE = {"gaussian": {"width": 0.8, "center": 1.0}}
@@ -78,6 +81,8 @@ def command_table(n: int) -> list[tuple[str, list[str]]]:
         ("wc", ["wdf", "c/state.csv"]),
         ("wd", ["wdf", "d/state.csv"]),
         ("wk", ["wdf", "kicked.csv"]),  # beyond the band: exits 1 and leaves no directory
+        ("we", ["wdf", "edge.csv"]),
+        ("fe", ["filter", "edge.csv", "--filter", "slit.json"]),
         ("f", ["filter", "s/state.csv", "--filter", "slit.json", "--wdf"]),
         ("fm", ["filter", "s/state.csv", "--filter", "momentum.json", "--wdf"]),
         ("fgc", ["filter", "s/state.csv", "--filter", "general_coordinate.json", "--wdf"]),
@@ -133,7 +138,7 @@ def run_table(src: Path, work: Path, n: int, fork: str) -> list[tuple]:
     for name, spec in _INPUTS.items():
         (work / name).write_text(json.dumps(spec))
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    subprocess.run([sys.executable, "-c", _KICKED, str(n)], cwd=work, env=env, check=True)
+    subprocess.run([sys.executable, "-c", _RAW_STATES, str(n)], cwd=work, env=env, check=True)
     results = []
     for out, argv in command_table(n):
         done = subprocess.run([sys.executable, "-c", _LAUNCH, fork, *argv], cwd=work, env=env, capture_output=True)

@@ -104,8 +104,6 @@ MUTANTS = [
      "MIN_REFERENCE = 1e-6", "MIN_REFERENCE = 1e-9", ["test_wigner.py"]),
     ("spectral power floor 1e-6 -> 1e-7", "blobs.py",
      "SPECTRAL_POWER_FLOOR = 1e-6", "SPECTRAL_POWER_FLOOR = 1e-7", ["test_blobs.py"]),
-    ("edge warning level 1e-8 -> 1e-6", "grid.py",
-     "EDGE_WARN_LEVEL = 1e-8", "EDGE_WARN_LEVEL = 1e-6", ["test_grid.py", "test_filtering.py"]),
     ("amplitude level 1e-6 -> 1e-5", "grid.py",
      "EDGE_LEVEL = 1e-6", "EDGE_LEVEL = 1e-5", ["test_states.py", "test_evolution.py"]),
     ("p-band level 1e-7 -> 1e-6", "grid.py",
@@ -118,6 +116,8 @@ MUTANTS = [
      ["test_wigner.py"]),
     ("the band measure reads the band ends only, not the samples' second band", "wigner.py",
      "np.r_[0, n - 1:len(density)]", "[0, n - 1]", ["test_wigner.py"]),
+    ("band reading without folding", "wigner.py", "        density[:n] += density[n:]", "        pass",
+     ["test_wigner.py"]),
     ("lattice-offset tolerance 1e-9 -> 1e-3 of the ratio", "grid.py",
      "1e-9 * max(1.0, abs(ratio))", "1e-3 * max(1.0, abs(ratio))", ["test_grid.py", "test_filtering.py"]),
     ("_pair_views reads the lower row one cell late", "grid.py",
@@ -164,9 +164,6 @@ MUTANTS = [
      "ends[0] <= c <= ends[1] and edge <= EDGE_LEVEL", "edge <= EDGE_LEVEL", ["test_states.py"]),
     ("origin_index tolerance 1e-9 -> 0.4 of a cell", "grid.py",
      "> 1e-9 * self.delta_q", "> 0.4 * self.delta_q", ["test_grid.py"]),
-    ("the edge warning reads the first end only", "grid.py",
-     "_edge_ratio(values) > EDGE_WARN_LEVEL", "_edge_ratio(values, ([0],)) > EDGE_WARN_LEVEL",
-     ["test_grid.py", "test_filtering.py"]),
     ("the detection-map floor reads the first row only", "filtering.py",
      "low = float(values.min())", "low = float(values[0].min())", ["test_filtering.py"]),
     ("the split loader drops its column check", "io.py",

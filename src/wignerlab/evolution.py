@@ -18,7 +18,6 @@ propagator is the independent oracle on the wavefunction side.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,6 +220,4 @@ def split_step_schrodinger(psi: WaveFunction, v: PotentialSpec, cfg: EvolutionCo
                     f"edge amplitude {edge:.2e} at step {step + 1}: state reached the "
                     "grid boundary, enlarge the grid or shorten the run"
                 )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # edge diagnostics already enforced above
-        return WaveFunction(g, values, POSITION)
+    return WaveFunction(g, values, POSITION)

@@ -11,7 +11,6 @@ periodizes the data.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,15 +21,11 @@ from .errors import GridMismatchError, InvariantViolation
 POSITION = "position"
 MOMENTUM = "momentum"
 
-#: The containment rule: a state fits while its amplitude at a lattice end is at most EDGE_LEVEL of its peak, and its
-#: momentum density at or beyond a p end at most P_BAND_LEVEL (the band rule: wigner._band_edge, read by every state
-#: reader and by the propagator's checks); WaveFunction warns above EDGE_WARN_LEVEL.
+#: The containment rule, two refusal levels: a state fits while its amplitude at a lattice end is at most EDGE_LEVEL
+#: of its peak (the generators' fit rule and the propagators' aborts), and its momentum density at or beyond a p end
+#: at most P_BAND_LEVEL (the band rule: wigner._band_edge, read by every state reader and by the propagator's checks).
 EDGE_LEVEL = 1e-6
 P_BAND_LEVEL = 1e-7
-EDGE_WARN_LEVEL = 1e-8
-
-_EDGE_WARNING = ("wavefunction edge amplitude exceeds 1e-8 of the peak; "
-                 "periodization artifacts possible, consider a wider grid")
 
 
 @dataclass(frozen=True)
@@ -158,8 +153,6 @@ class WaveFunction:
         n = self.grid.n_points
         values = _frozen_array(self.values, np.complex128, (n,), "amplitudes in wavefunction")
         object.__setattr__(self, "values", values)
-        if values.any() and _edge_ratio(values) > EDGE_WARN_LEVEL:
-            warnings.warn(_EDGE_WARNING, stacklevel=3)  # skips the dataclass-generated __init__ frame
 
     @property
     def quadrature_delta(self) -> float:
@@ -279,8 +272,10 @@ def fourier_transform(psi: WaveFunction) -> WaveFunction:
     """Momentum representation ``h^(-1/2) * integral psi(q) exp(-ipq/hbar) dq``.
 
     The half-spaced momentum lattice makes this a fractional-frequency sum,
-    computed as a phase-corrected length-2N spectral transform.  Exactly
-    invertible (to spectral accuracy) for states contained in both windows.
+    computed as a phase-corrected length-2N spectral transform.
+    :func:`inverse_fourier_transform` undoes it to rounding where both edges
+    are at most 1e-15, and within 3.1e-8 of the peak at the generators' fit
+    limits (measured on two-packet states, N 64-300, hbar 0.5-2).
     """
     if psi.representation != POSITION:
         raise ValueError("fourier_transform expects a position-representation input")

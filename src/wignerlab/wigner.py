@@ -57,9 +57,14 @@ class WignerFunction:
 
 def _band_edge(values: np.ndarray) -> float:
     """``P_BAND_LEVEL``'s measure: the momentum density at or beyond a p-lattice end over its peak, of a matrix's
-    p-marginal or of position amplitudes, whose spectrum spans two bands (the marginal folds it onto one)."""
+    p-marginal or of position amplitudes, whose two-band spectrum is read folded onto the band, as their p-marginal
+    sums it, and beyond it, which only the samples show; so a state reads at least what its distribution reads."""
     n = values.shape[-1]
-    density = np.abs(_half_dft(values)) ** 2 if values.ndim == 1 else values.sum(axis=0)
+    if values.ndim == 1:
+        density = np.abs(_half_dft(values)) ** 2
+        density[:n] += density[n:]  # |X_k|^2 + |X_(k+n)|^2, holding the peak, then the band beyond
+    else:
+        density = values.sum(axis=0)
     return _edge_ratio(density, (np.r_[0, n - 1:len(density)],))  # from index n on: beyond the last p, wrapping
 
 

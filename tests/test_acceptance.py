@@ -158,14 +158,10 @@ def test_criterion_07_offaxis_slit_scan():
     mix_weight = 0.5 / (1.0 + np.exp(-(d**2)))
     hump_l = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0, center=-d), GRID))
     hump_r = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0, center=+d), GRID))
-    import warnings
-
     rows = []
     for center in centers:
         slit_values = np.pi**-0.25 * np.exp(-((GRID.q - center) ** 2) / 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            device = WaveFunction(GRID, slit_values)
+        device = WaveFunction(GRID, slit_values)
         spec = FilterSpec(kind=COORDINATE, device=device)
         mixed = mix_weight * (
             filter_wdf(hump_l, spec).values + filter_wdf(hump_r, spec).values

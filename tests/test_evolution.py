@@ -1,6 +1,5 @@
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -65,9 +64,7 @@ def edge_packet(grid, edge):
     """
     center = grid.q[151]
     width = (grid.q[-1] - center) / np.sqrt(-2.0 * np.log(edge))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the 1e-8 amplitude diagnostic of WaveFunction
-        psi = normalize(WaveFunction(grid, np.exp(-((grid.q - center) ** 2) / (2 * width**2))))
+    psi = normalize(WaveFunction(grid, np.exp(-((grid.q - center) ** 2) / (2 * width**2))))
     assert abs(psi.values[-1] / psi.values[151]) == pytest.approx(edge, rel=1e-12)
     return psi
 
@@ -266,9 +263,7 @@ class TestPropagate:
     def test_state_leaving_the_lattice_aborts(self, grid, center, momentum, potential, where):
         # drift and kick are periodic, so unchecked the state re-enters from the
         # other side: the free packet would end at <q> = -6.9 instead of 15
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # deliberately grazing the boundary
-            psi = gaussian_wavefunction(GaussianSpec(width=1.0, center=center, momentum_offset=momentum), grid)
+        psi = gaussian_wavefunction(GaussianSpec(width=1.0, center=center, momentum_offset=momentum), grid)
         w = wdf_from_wavefunction(psi)
         with pytest.raises(InvariantViolation, match=f"^edge {where} at step "):
             propagate(w, potential, EvolutionConfig(dt=1e-3, n_steps=3000))
@@ -495,10 +490,8 @@ class TestSplitStep:
             run()
 
     def test_edge_breach_aborts(self, grid):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # deliberately grazing the boundary
-            values = np.exp(-((grid.q - 6.0) ** 2) / 2 + 3j * grid.q)
-            psi = normalize(WaveFunction(grid, values))
+        values = np.exp(-((grid.q - 6.0) ** 2) / 2 + 3j * grid.q)
+        psi = normalize(WaveFunction(grid, values))
         with pytest.raises(InvariantViolation, match="edge"):
             split_step_schrodinger(psi, FREE, EvolutionConfig(dt=1e-3, n_steps=2500))
 
@@ -518,18 +511,11 @@ def test_moyal_matches_split_step_for_anharmonic_well(grid):
 GENTLE_QUARTIC = PotentialSpec(coefficients=(0.0, 0.0, 0.5, 0.0, 0.005), mass=1.0)
 
 
-def quiet_packet(grid, center, momentum=0.0):
-    """A width-1 packet the fit rule admits, built without the 1e-8 edge diagnostic of WaveFunction."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return gaussian_wavefunction(GaussianSpec(width=1.0, center=center, momentum_offset=momentum), grid)
-
-
 @pytest.mark.parametrize("center", [4.5, -4.5, 5.0, -5.0, 5.5, -5.5, 6.0, -6.0, 6.5, -6.5, 6.64])
 @pytest.mark.parametrize("well", [HARMONIC, GENTLE_QUARTIC], ids=["harmonic", "quartic"])
 def test_admitted_packets_run(grid, well, center):
     # the fit rule admits centres up to 6.65 on this lattice, and each such packet steps to t = 3 within 1e-6
-    psi = quiet_packet(grid, center)
+    psi = gaussian_wavefunction(GaussianSpec(width=1.0, center=center), grid)
     out = propagate(wdf_from_wavefunction(psi), well, EvolutionConfig(dt=1e-3, n_steps=3000))
     if well is HARMONIC:  # the exact rotation
         spec = GaussianSpec(width=1.0, center=center * np.cos(3.0), momentum_offset=-center * np.sin(3.0))
@@ -542,7 +528,7 @@ def test_admitted_packets_run(grid, well, center):
 
 @pytest.mark.parametrize("center, momentum", [(6.0, 5.0), (5.0, -6.0), (0.0, 10.0)])
 def test_free_leaks_abort_with_the_oracle(grid, center, momentum):
-    psi = quiet_packet(grid, center, momentum)
+    psi = gaussian_wavefunction(GaussianSpec(width=1.0, center=center, momentum_offset=momentum), grid)
     cfg = EvolutionConfig(dt=1e-3, n_steps=2000)
     steps = []
     w = wdf_from_wavefunction(psi)
@@ -555,7 +541,6 @@ def test_free_leaks_abort_with_the_oracle(grid, center, momentum):
     assert oracle - 25 <= moyal <= 25 * math.ceil(oracle / 25) + 25
 
 
-@pytest.mark.filterwarnings("ignore:wavefunction edge amplitude")
 @pytest.mark.parametrize(
     "coefficients, center, last",
     [((0.0, -40.0), -4.0, 300), ((0.0, 0.0, -0.5, 0.0, 0.02), 6.6, 250)],
@@ -564,7 +549,7 @@ def test_free_leaks_abort_with_the_oracle(grid, center, momentum):
 def test_p_band_leaks_abort_before_they_err(grid, coefficients, center, last):
     # every frame a run returns matches the oracle at dt/4 within 1e-6 of the peak; the next check aborts on p
     well = PotentialSpec(coefficients=coefficients)
-    psi = quiet_packet(grid, center)
+    psi = gaussian_wavefunction(GaussianSpec(width=1.0, center=center), grid)
     frames = evolution._frames(wdf_from_wavefunction(psi), well, 1e-3, 1000, 25)
     for _ in range(last // 25):
         psi = split_step_schrodinger(psi, well, EvolutionConfig(dt=2.5e-4, n_steps=100))

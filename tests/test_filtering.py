@@ -79,8 +79,7 @@ class TestFilterWavefunction:
 
     def test_unit_transmission_is_identity(self, grid):
         psi = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
-        with pytest.warns(UserWarning):
-            device = WaveFunction(grid, np.ones(grid.n_points))
+        device = WaveFunction(grid, np.ones(grid.n_points))
         out, transmitted = filter_wavefunction(psi, FilterSpec(kind=COORDINATE, device=device))
         assert transmitted == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(out.values - psi.values)) < 1e-12
@@ -88,8 +87,7 @@ class TestFilterWavefunction:
     def test_blocked_state_rejected(self, grid):
         psi = gaussian_wavefunction(GaussianSpec(width=0.8, center=-6.0), grid)
         device_values = np.where(grid.q > 5.0, 1.0, 0.0)
-        with pytest.warns(UserWarning):
-            device = WaveFunction(grid, device_values)
+        device = WaveFunction(grid, device_values)
         with pytest.raises(InvariantViolation):
             filter_wavefunction(psi, FilterSpec(kind=COORDINATE, device=device))
 
@@ -105,16 +103,6 @@ class TestFilterWavefunction:
                 filter_wavefunction(psi, spec)
         else:
             assert filter_wavefunction(psi, spec)[1] == pytest.approx(transmission, rel=1e-9)
-
-    def test_edge_heavy_output_warns_once(self, grid):
-        psi = gaussian_wavefunction(GaussianSpec(width=1.0, center=5.0), grid)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            device = WaveFunction(grid, np.exp(-((grid.q - 11.0) ** 2) / 2))  # the output's edge is 2.4e-7 of its peak
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            filter_wavefunction(psi, FilterSpec(kind=COORDINATE, device=device))
-        assert [str(w.message) for w in caught] == [wgrid._EDGE_WARNING]
 
     def test_grid_mismatch(self, grid):
         psi = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
@@ -281,7 +269,6 @@ class TestPhaseSpaceCommutation:
         result, peak = traced_peak(lambda: filter_wdf(w_in, spec))
         assert peak <= bound * result.values.nbytes
 
-    @pytest.mark.filterwarnings("ignore:wavefunction edge amplitude")
     def test_p_axis_law_is_exact_beyond_containment(self, grid):
         # a state 3.0e-3 of its peak at the q end, 3000 times the fit rule, yet in band (momentum density 4.8e-9 of
         # its peak at the p end, p-marginal 8.9e-9), through a device cut off at 0.35: the law is still the defining sum
@@ -372,7 +359,6 @@ class TestDetect:
             rhs = detect_from_wavefunctions(psi, dev)
             assert np.max(np.abs(lhs.values - rhs.values)) < 1e-8
 
-    @pytest.mark.filterwarnings("ignore:wavefunction edge amplitude")
     def test_from_wavefunctions_matches_direct_sum(self):
         g = make_grid(-3.0, 5.0, 32, hbar=0.7)
         n = g.n_points

@@ -93,9 +93,7 @@ class TestFourier:
         values = np.zeros(g.n_points, dtype=complex)
         values[g.n_points // 2] = 1.0
         spike = normalize(WaveFunction(g, values))
-        with pytest.warns(UserWarning):
-            # flat momentum amplitudes touch the band edges, diagnostic fires
-            mags = np.abs(fourier_transform(spike).values)
+        mags = np.abs(fourier_transform(spike).values)
         assert np.max(mags) - np.min(mags) < 1e-12 * np.max(mags)
 
     def test_round_trip(self):
@@ -270,22 +268,6 @@ class TestKernels:
         values = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
         kernel = np.exp(-1j * np.pi * np.outer(np.arange(n), np.arange(2 * n) - n // 2) / n)
         assert np.max(np.abs(_half_dft(values) - values @ kernel)) < 1e-12
-
-
-def test_edge_warning_emitted():
-    g = desk_grid()
-    values = np.exp(-((g.q - 6.2) ** 2) / 2)
-    with pytest.warns(UserWarning, match="edge amplitude"):
-        WaveFunction(g, values)
-
-
-def test_contained_state_quiet():
-    import warnings
-
-    g = desk_grid()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _gaussian(g, center=1.0)
 
 
 def test_values_are_immutable():

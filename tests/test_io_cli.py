@@ -446,7 +446,6 @@ class TestCli:
         assert payload["steps"] == 50
         assert payload["mass"] == pytest.approx(1.0, abs=1e-7)
 
-    @pytest.mark.filterwarnings("ignore:wavefunction edge amplitude")  # above 1e-8 from centre 5.84 on
     @pytest.mark.parametrize("center", ["5.5", "6", "6.6"])
     def test_evolve_runs_every_packet_state_admits(self, tmp_path, capsys, center):
         # the fit rule admits centres up to 6.65 on -12:12:256, and evolve steps each such packet

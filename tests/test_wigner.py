@@ -1,6 +1,5 @@
 import re
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -45,7 +44,6 @@ from wignerlab import (
     wdf_from_wavefunction,
 )
 from wignerlab.filtering import COORDINATE
-from wignerlab.grid import _EDGE_WARNING
 from wignerlab.wigner import _upsample_rows, wigner_values_of_amplitudes
 
 from helpers import (
@@ -688,11 +686,11 @@ def band_refusal(edge, name):
     return f"^{re.escape(message)}its content beyond the band folds into it$"
 
 
-@pytest.mark.filterwarnings("ignore:wavefunction edge amplitude")  # the kicked states' Fourier transforms
 class TestBandRule:
     """The band rule, ``grid.P_BAND_LEVEL``: every reader of the state rule refuses momentum density above 1e-7 of its
-    peak at or beyond a p-lattice end, read off a wavefunction's position samples (their whole two-band spectrum) or
-    a distribution's p-marginal; each reader pinned a factor of 3 to either side, before the state is used."""
+    peak at or beyond a p-lattice end, read off a wavefunction's position samples (their two-band spectrum, folded
+    onto the band as the p-marginal folds it, and beyond it) or a distribution's p-marginal; each reader pinned a
+    factor of 3 to either side, before the state is used."""
 
     @pytest.mark.parametrize("density, refused", [(3e-7, True), (3e-8, False)])
     @pytest.mark.parametrize("reader", STATE_READERS)
@@ -735,6 +733,21 @@ class TestBandRule:
         if p0 == 20.0:
             with pytest.raises(InvariantViolation, match=band_refusal(2.68e-5, "distribution")):
                 purity(WignerFunction(g, wigner_values_of_amplitudes(psi.values, g)))
+
+    @pytest.mark.parametrize("reader", [*STATE_READERS, *MASS_READERS])
+    def test_a_packet_toward_a_q_end_reads_as_its_distribution(self, reader):
+        # a width-1 packet at q = 8.9, 1.1e-2 of its peak at the q end: its folded samples and its p-marginal both read
+        # 1.21e-7, where its samples read band by band (6.1e-8) would pass the state readers that its distribution fails
+        g = desk_grid()
+        psi = normalize(WaveFunction(g, np.exp(-((g.q - 8.9) ** 2) / 2)))
+        ref = gaussian_wavefunction(GaussianSpec(width=1.0), g)
+        if reader in STATE_READERS:
+            (read, name, _), args = STATE_READERS[reader], (psi, ref)
+        else:
+            w = WignerFunction(g, wigner_values_of_amplitudes(psi.values, g))
+            (read, name, _), args = MASS_READERS[reader], (w, wdf_from_wavefunction(ref))
+        with pytest.raises(InvariantViolation, match=band_refusal(1.21e-7, name)):
+            read(*args)
 
     def test_a_packet_beyond_the_band_beside_one_inside_is_refused(self):
         # the band ends of the samples' first band read 4e-31 of its peak here: the packet at p0 = 25 lies beyond them
@@ -786,18 +799,11 @@ class TestRecovery:
         _, peak = traced_peak(lambda: recover_wavefunction(w))
         assert peak <= 1.5 * w.values.nbytes
 
-    def test_edge_heavy_output_warns_once(self):
+    def test_edge_heavy_state_round_trip(self):
         # packets at q = 0 and 5.9: the recovered state, like the input, is 1.5e-8 of its peak at the q end
         g = desk_grid()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            psi = normalize(WaveFunction(g, np.exp(-(g.q**2) / 2) + np.exp(-((g.q - 5.9) ** 2) / 2)))
-        w = wdf_from_wavefunction(psi)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            recovered = recover_wavefunction(w)
-        assert [str(x.message) for x in caught] == [_EDGE_WARNING]
-        assert aligned_max_error(recovered, psi) < 1e-8
+        psi = normalize(WaveFunction(g, np.exp(-(g.q**2) / 2) + np.exp(-((g.q - 5.9) ** 2) / 2)))
+        assert aligned_max_error(recover_wavefunction(wdf_from_wavefunction(psi)), psi) < 1e-8
 
     def test_mixed_state_rejected(self):
         g = desk_grid()
