@@ -118,6 +118,8 @@ def command_table(n: int) -> list[tuple[str, list[str]]]:
         ("rg", ["state", "--gaussian", "q0=1e-200", grid]),
         ("r3", ["figure", "fig3", "--d", "2", "--qi", "0.05", grid]),
         ("re", ["evolve", "s/state.csv", "--potential", "well.json", "--t", "1e300", "--dt", "1e-10"]),
+        ("rn", ["state", "--gaussian", "q0=1", f"{grid}.5"]),  # a fractional N
+        ("rdt", ["evolve", "s/state.csv", "--potential", "well.json", "--t", "0.01", "--dt", "inf"]),
     ]
     return [(out, argv + ["--out", out] if out else argv) for out, argv in table]
 

@@ -61,43 +61,48 @@ MUTANTS = [
     ("mass tolerance 1e-6 -> 1e-5", "wigner.py",
      "MASS_TOLERANCE = 1e-6", "MASS_TOLERANCE = 1e-5", ["test_wigner.py", "test_blobs.py"]),
     ("filter_wdf drops its state check", "filtering.py",
-     '    _checked_state(w_in, "state")\n    g = w_in.grid\n    axis', "    g = w_in.grid\n    axis",
+     '    _checked_state(w_in, WignerFunction, "state")\n    g = w_in.grid\n    axis', "    g = w_in.grid\n    axis",
      ["test_wigner.py"]),
     ("detect drops the state's check", "filtering.py",
-     '    _checked_state(w_in, "state")\n    _checked_state(w_m', "    _checked_state(w_m", ["test_wigner.py"]),
+     '    _checked_state(w_in, WignerFunction, "state")\n    _checked_state(w_m', "    _checked_state(w_m",
+     ["test_wigner.py"]),
     ("detect drops the device's check", "filtering.py",
-     '    _checked_state(w_m, "device")\n', "", ["test_wigner.py"]),
+     '    _checked_state(w_m, WignerFunction, "device")\n', "", ["test_wigner.py"]),
     ("the propagator drops its state check", "evolution.py",
-     '_checked_state(w, "state")', "w.mass()", ["test_wigner.py"]),
+     '_checked_state(w, WignerFunction, "state")', "w.mass()", ["test_wigner.py"]),
     ("uncertainty_product drops its state check", "wigner.py",
-     'mass = _checked_state(w, "distribution")\n    g = w.grid\n    var_q',
+     'mass = _checked_state(w, WignerFunction, "distribution")\n    g = w.grid\n    var_q',
      "mass = w.mass()\n    g = w.grid\n    var_q", ["test_wigner.py"]),
     ("purity drops its state check", "wigner.py",
-     'return _purity(w, _checked_state(w, "distribution"))', "return _purity(w, w.mass())", ["test_wigner.py"]),
-    ("overlap_probability drops the first state check", "wigner.py",
-     '    _checked_state(w1, "first distribution", normalized=True)\n', "", ["test_wigner.py"]),
-    ("overlap_probability drops the second state check", "wigner.py",
-     '    _checked_state(w2, "second distribution", normalized=True)\n', "", ["test_wigner.py"]),
-    ("recover_wavefunction drops its state check", "wigner.py",
-     'pur = _purity(w, _checked_state(w, "distribution", normalized=True))', "pur = _purity(w, w.mass())",
+     'return _purity(w, _checked_state(w, WignerFunction, "distribution"))', "return _purity(w, w.mass())",
      ["test_wigner.py"]),
+    ("overlap_probability drops the first state check", "wigner.py",
+     '    _checked_state(w1, WignerFunction, "first distribution", normalized=True)\n', "", ["test_wigner.py"]),
+    ("overlap_probability drops the second state check", "wigner.py",
+     '    _checked_state(w2, WignerFunction, "second distribution", normalized=True)\n', "", ["test_wigner.py"]),
+    ("recover_wavefunction drops its state check", "wigner.py",
+     'pur = _purity(w, _checked_state(w, WignerFunction, "distribution", normalized=True))',
+     "pur = _purity(w, w.mass())", ["test_wigner.py"]),
     ("effective_area drops its state check", "blobs.py",
-     'pur = _purity(w, _checked_state(w, "distribution", normalized=True))', "pur = _purity(w, w.mass())",
-     ["test_wigner.py", "test_blobs.py"]),
+     'pur = _purity(w, _checked_state(w, WignerFunction, "distribution", normalized=True))',
+     "pur = _purity(w, w.mass())", ["test_wigner.py", "test_blobs.py"]),
     ("wdf_from_wavefunction drops its state check", "wigner.py",
-     '    _checked_state(psi, "state", normalized=True)\n    return', "    return", ["test_wigner.py"]),
+     '    _checked_state(psi, WaveFunction, "state", normalized=True)\n    return', "    return", ["test_wigner.py"]),
     ("mixed_density drops its state check", "wigner.py",
-     '        _checked_state(s, f"state {i} of the mixture", normalized=True)\n', "", ["test_wigner.py"]),
+     '        _checked_state(s, WaveFunction, f"state {i} of the mixture", normalized=True)\n', "",
+     ["test_wigner.py"]),
     ("filter_wavefunction drops its state check", "filtering.py",
-     '    _checked_state(psi_in, "state", normalized=True)\n    g = psi_in.grid\n    axis', "    g = psi_in.grid\n    axis",
+     '    _checked_state(psi_in, WaveFunction, "state", normalized=True)\n    g = psi_in.grid\n    axis',
+     "    g = psi_in.grid\n    axis",
      ["test_wigner.py"]),
     ("detect_from_wavefunctions drops the state's check", "filtering.py",
-     '    _checked_state(psi_in, "state", normalized=True)\n    _checked_state(psi_m', "    _checked_state(psi_m",
+     '    _checked_state(psi_in, WaveFunction, "state", normalized=True)\n    _checked_state(psi_m',
+     "    _checked_state(psi_m",
      ["test_wigner.py"]),
     ("detect_from_wavefunctions drops the device's check", "filtering.py",
-     '    _checked_state(psi_m, "device")\n', "", ["test_wigner.py"]),
+     '    _checked_state(psi_m, WaveFunction, "device")\n', "", ["test_wigner.py"]),
     ("split_step_schrodinger drops its state check", "evolution.py",
-     '    _checked_state(psi, "state", normalized=True)\n', "", ["test_wigner.py"]),
+     '    _checked_state(psi, WaveFunction, "state", normalized=True)\n', "", ["test_wigner.py"]),
     ("negative-variance refusal 0 -> -1", "wigner.py",
      "if var_q < 0 or var_p < 0:", "if var_q < -1 or var_p < -1:", ["test_wigner.py"]),
     ("recovery reference 1e-6 -> 1e-9", "wigner.py",
@@ -118,6 +123,13 @@ MUTANTS = [
      "np.r_[0, n - 1:len(density)]", "[0, n - 1]", ["test_wigner.py"]),
     ("band reading without folding", "wigner.py", "        density[:n] += density[n:]", "        pass",
      ["test_wigner.py"]),
+    ("the state check admits the other kind", "wigner.py", "    _checked_kind(w, kind, name)\n", "",
+     ["test_wigner.py"]),
+    ("the number rule admits non-finite values", "errors.py",
+     " and abs(v) <= sys.float_info.max", "", ["test_refusals.py"]),
+    ("the number rule admits bools", "errors.py", " and not isinstance(v, bool)", "", ["test_refusals.py"]),
+    ("_count admits fractions", "errors.py", "(x := _finite(name, v)).is_integer()", "(x := _finite(name, v))",
+     ["test_refusals.py"]),
     ("lattice-offset tolerance 1e-9 -> 1e-3 of the ratio", "grid.py",
      "1e-9 * max(1.0, abs(ratio))", "1e-3 * max(1.0, abs(ratio))", ["test_grid.py", "test_filtering.py"]),
     ("_pair_views reads the lower row one cell late", "grid.py",
@@ -169,10 +181,8 @@ MUTANTS = [
     ("the split loader drops its column check", "io.py",
      '        if rows.shape[1] != n:  # a one-column tail would broadcast; more rows than n fail to fit\n'
      '            raise ValueError("not the tail of an n x n matrix")\n', "", ["test_io_cli.py"]),
-    ("the sidecar drops its integrality check", "io.py",
-     '    if meta["n_points"] != int(meta["n_points"]):\n'
-     '        raise ValueError(f"{sidecar}: n_points must be an integer, got {meta[\'n_points\']!r}")\n', "",
-     ["test_io_cli.py"]),
+    ("the sidecar's grid drops its integrality check (_count -> _finite)", "grid.py",
+     "n_points=_count", "n_points=_finite", ["test_io_cli.py"]),
     ("MEMORY_BUDGET 11 -> 2", "cli.py", "MEMORY_BUDGET = 11", "MEMORY_BUDGET = 2", ["test_io_cli.py"]),
 ]
 

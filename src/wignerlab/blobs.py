@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, _positive
 from .grid import _linear_convolution
 from .wigner import MASS_TOLERANCE, WignerFunction, _checked_state, _purity
 
@@ -48,7 +48,7 @@ def effective_area(w: WignerFunction) -> float:
     Requires a mass within ``MASS_TOLERANCE`` of 1, in band; rejects data whose
     self-overlap exceeds one by more than that, which no physical state can.
     """
-    pur = _purity(w, _checked_state(w, "distribution", normalized=True))
+    pur = _purity(w, _checked_state(w, WignerFunction, "distribution", normalized=True))
     if pur > 1.0 + MASS_TOLERANCE:
         raise InvariantViolation(
             f"self-overlap {pur:.6f} exceeds one: sharper than any admissible state"
@@ -65,8 +65,7 @@ def smoothed_minimum(w: WignerFunction, sigma_q: float, sigma_p: float) -> float
     nonnegative for every physical state.  The kernel is a Gaussian in q
     times a Gaussian in p, so it is applied as two linear one-axis passes.
     """
-    if not (sigma_q > 0 and sigma_p > 0):
-        raise ValueError("smoothing widths must be positive")
+    sigma_q, sigma_p = _positive("sigma_q", sigma_q), _positive("sigma_p", sigma_p)
     g = w.grid
     n = g.n_points
     offsets = np.arange(n) - n // 2

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InvariantViolation
+from .errors import InvariantViolation, _count, _positive
 from .grid import Grid, make_grid, squared_norm
 from .wigner import (
     WignerFunction,
@@ -53,7 +53,7 @@ def _parse_grid(text: str, hbar: float) -> Grid:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec must be qmin:qmax:N, got {text!r}")
-    return make_grid(float(parts[0]), float(parts[1]), int(parts[2]), hbar=hbar)
+    return make_grid(float(parts[0]), float(parts[1]), float(parts[2]), hbar=hbar)
 
 
 def _parse_params(tokens: list[str]) -> dict[str, float]:
@@ -142,19 +142,17 @@ def _cmd_detect(args) -> tuple:
 
 
 def _cmd_evolve(args) -> tuple:
-    for flag, value in (("--t", args.t), ("--dt", args.dt)):
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{flag} must be finite and positive, got {value}")
-    if args.dump_every < 0:
-        raise ValueError(f"--dump-every must be nonnegative, got {args.dump_every}")
-    if not np.isfinite(args.t / args.dt):
-        raise ValueError(f"--t {args.t:g} over --dt {args.dt:g} is not a finite step count")
+    t, dt, dump_every = _positive("--t", args.t), _positive("--dt", args.dt), _count("--dump-every", args.dump_every)
+    if dump_every < 0:
+        raise ValueError(f"--dump-every must be nonnegative, got {dump_every}")
+    if not np.isfinite(t / dt):
+        raise ValueError(f"--t {t:g} over --dt {dt:g} is not a finite step count")
     w = _load_state_as_wdf(args.input)
     potential = wio.load_potential_spec(args.potential)
-    n_steps = max(int(np.ceil(args.t / args.dt - 1e-12)), 1)
-    dt = args.t / n_steps
+    n_steps = max(int(np.ceil(t / dt - 1e-12)), 1)
+    dt = t / n_steps
     written = []
-    dump_every = args.dump_every if args.dump_every else n_steps
+    dump_every = dump_every or n_steps
     finish = list  # the latest frame's write, still to finish; ``list`` finishes nothing
     try:
         for frame, w in enumerate(_frames(w, potential, dt, n_steps, dump_every), 1):
@@ -277,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--potential", required=True, help="potential spec JSON")
     p_evolve.add_argument("--t", type=float, required=True)
     p_evolve.add_argument("--dt", type=float, required=True)
-    p_evolve.add_argument("--dump-every", type=int, default=0, help="steps between CSV dumps")
+    p_evolve.add_argument("--dump-every", type=float, default=0, help="steps between CSV dumps")
     add_common(p_evolve)
     p_evolve.set_defaults(func=_cmd_evolve)
 
@@ -323,7 +321,7 @@ def _lattice_size(args) -> int:
     if hasattr(args, "grid"):
         return _parse_grid(args.grid, args.hbar).n_points
     first = next(getattr(args, name) for name in ("input", "state", "a") if hasattr(args, name))
-    return int(wio._read_sidecar(Path(first))["n_points"])
+    return wio._read_sidecar(Path(first))[0].n_points
 
 
 def _available_memory() -> int | None:

@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one number rule: every public constructor, and the CLI for
+its own flags, checks each scalar parameter with one of the rule's three forms below, which name it in their error."""
+
+import numbers
+import sys
 
 
 class WignerlabError(Exception):
@@ -17,3 +21,30 @@ class InvariantViolation(WignerlabError, ValueError):
     wrappers translate this into exit code 1 (everything else that goes
     wrong is a usage or I/O problem, exit code 2).
     """
+
+
+def _finite(name: str, v) -> float:
+    """``v`` as a float: a real number, not a bool (JSON's true is no number), and finite."""
+    if not (isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _positive(name: str, v) -> float:
+    """``v`` as a float: a finite number above zero."""
+    if not (x := _finite(name, v)) > 0:
+        raise ValueError(f"{name} must be positive, got {x!r}")
+    return x
+
+
+def _count(name: str, v) -> int:
+    """``v`` as an int: a finite number with no fractional part."""
+    if not (x := _finite(name, v)).is_integer():
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _checked_fields(obj, **rules) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as its rule, one of the three above, returns it."""
+    for name, rule in rules.items():
+        object.__setattr__(obj, name, rule(name, getattr(obj, name)))

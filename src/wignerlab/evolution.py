@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, _checked_fields, _count, _finite, _positive
 from .grid import EDGE_LEVEL, P_BAND_LEVEL, POSITION, Grid, WaveFunction, _adopt, _edge_ratio, _pair_views, to_position
 from .wigner import WignerFunction, _band_edge, _checked_state
 
@@ -37,14 +37,11 @@ class PotentialSpec:
     mass: float = 1.0
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
+        coeffs = tuple(_finite(f"coefficients[{k}]", c) for k, c in enumerate(self.coefficients))
         if not 1 <= len(coeffs) <= 9:
             raise ValueError(f"potential needs 1 to 9 coefficients (degree at most 8), got {len(coeffs)}")
-        if not all(np.isfinite(coeffs)):
-            raise ValueError("potential coefficients must be finite")
-        if not (np.isfinite(self.mass) and self.mass > 0):
-            raise ValueError(f"mass must be finite and positive, got {self.mass}")
         object.__setattr__(self, "coefficients", coeffs)
+        _checked_fields(self, mass=_positive)
 
     @property
     def polynomial(self) -> np.polynomial.Polynomial:
@@ -54,14 +51,13 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Stepping parameters: step size and step count."""
+    """Stepping parameters: step size and step count, an integer, stored as an ``int``."""
 
     dt: float
     n_steps: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        _checked_fields(self, dt=_positive, n_steps=_count)
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be nonnegative, got {self.n_steps}")
 
@@ -141,7 +137,7 @@ def _frames(w: WignerFunction, v: PotentialSpec, dt: float, n_steps: int, every:
 
     Step numbers count over the run; the 25-step checks restart at each frame, as in chunked ``propagate``.
     """
-    grid, current, initial_mass = w.grid, w.values, _checked_state(w, "state")
+    grid, current, initial_mass = w.grid, w.values, _checked_state(w, WignerFunction, "state")
     del w  # the caller's state is not kept for the whole run
     transport, force = _moyal_symbols(grid, v)
     potential = v.polynomial
@@ -197,7 +193,7 @@ def split_step_schrodinger(psi: WaveFunction, v: PotentialSpec, cfg: EvolutionCo
     of the peak, the containment rule that the generators apply.  Reads the
     state in position; its squared norm lies within ``MASS_TOLERANCE`` of 1, and it is in band.
     """
-    _checked_state(psi, "state", normalized=True)
+    _checked_state(psi, WaveFunction, "state", normalized=True)
     g = psi.grid
     n = g.n_points
     v_values = v.polynomial(g.q)

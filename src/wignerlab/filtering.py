@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, InvariantViolation
+from .errors import GridMismatchError, InvariantViolation, _checked_fields, _finite
 from .grid import (
     _BLOCK,
     Grid,
@@ -78,9 +78,8 @@ class FilterSpec:
     def __post_init__(self):
         if self.kind not in FILTER_KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r}")
+        _checked_fields(self, q_offset=_finite, p_offset=_finite)
         for name in ("q_offset", "p_offset"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
             if getattr(self, name) and name != _KIND_OFFSET.get(self.kind):
                 raise ValueError(f"the {self.kind} filter takes no {name}")
 
@@ -143,7 +142,7 @@ def filter_wavefunction(psi_in: WaveFunction, f: FilterSpec) -> tuple[WaveFuncti
     position twin of its :func:`filter_wdf` law.  The transmitted fraction is
     the squared norm of the raw output.  Raises when the device blocks the state.
     """
-    _checked_state(psi_in, "state", normalized=True)
+    _checked_state(psi_in, WaveFunction, "state", normalized=True)
     g = psi_in.grid
     axis, steps = _law(g, f)
     state = to_position(psi_in).values
@@ -177,7 +176,7 @@ def filter_wdf(w_in: WignerFunction, f: FilterSpec) -> WignerFunction:
     state; along q it is linear.  The output mass is the transmitted fraction;
     the input's may not exceed ``1 + MASS_TOLERANCE``, and it is in band.
     """
-    _checked_state(w_in, "state")
+    _checked_state(w_in, WignerFunction, "state")
     g = w_in.grid
     axis, steps = _law(g, f)
     values = _shifted(w_in.values, steps, 1 - axis)
@@ -205,8 +204,8 @@ def detect(w_in: WignerFunction, w_m: WignerFunction) -> DetectionMap:
     g = w_in.grid
     if g != w_m.grid:
         raise GridMismatchError("state and device live on different grids")
-    _checked_state(w_in, "state")
-    _checked_state(w_m, "device")
+    _checked_state(w_in, WignerFunction, "state")
+    _checked_state(w_m, WignerFunction, "device")
     spectrum = np.fft.rfft(w_in.values, axis=1)
     # in place, so two spectra are alive at once rather than three
     _linear_convolution(spectrum, np.fft.rfft(w_m.values, axis=1), g.origin_index(), out=spectrum)
@@ -226,8 +225,8 @@ def detect_from_wavefunctions(psi_in: WaveFunction, psi_m: WaveFunction) -> Dete
     """
     if psi_in.grid != psi_m.grid:
         raise GridMismatchError("state and device live on different grids")
-    _checked_state(psi_in, "state", normalized=True)
-    _checked_state(psi_m, "device")
+    _checked_state(psi_in, WaveFunction, "state", normalized=True)
+    _checked_state(psi_m, WaveFunction, "device")
     g = psi_in.grid
     n = g.n_points
     a = to_position(psi_in).values

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError, InvariantViolation
+from .errors import GridMismatchError, InvariantViolation, _checked_fields, _count, _finite, _positive
 
 POSITION = "position"
 MOMENTUM = "momentum"
@@ -35,7 +35,8 @@ class Grid:
     Samples are ``q_j = q_min + j*delta_q`` for ``j in [0, n_points)`` and
     ``p_k = (k - n_points/2)*delta_p`` with
     ``delta_p = pi*hbar/(n_points*delta_q)``, so that
-    ``delta_q*delta_p*n_points == pi*hbar`` exactly.
+    ``delta_q*delta_p*n_points == pi*hbar`` exactly.  The count
+    ``n_points`` is an integer, stored as an ``int``; the rest are floats.
     """
 
     q_min: float
@@ -44,17 +45,9 @@ class Grid:
     hbar: float = 1.0
 
     def __post_init__(self):
+        _checked_fields(self, q_min=_finite, delta_q=_positive, n_points=_count, hbar=_positive)
         if self.n_points % 2 != 0 or self.n_points < 8:
-            raise ValueError(
-                f"n_points must be even and >= 8, got {self.n_points}"
-            )
-        for name in ("q_min", "delta_q", "hbar"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.delta_q > 0:
-            raise ValueError(f"delta_q must be positive, got {self.delta_q}")
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+            raise ValueError(f"n_points must be even and >= 8, got {self.n_points}")
 
     @property
     def h(self) -> float:
@@ -100,14 +93,10 @@ class Grid:
 
 def make_grid(q_min: float, q_max: float, n_points: int, hbar: float = 1.0) -> Grid:
     """Build the lattice covering [q_min, q_max) with ``n_points`` samples."""
+    q_min, q_max, n = _finite("q_min", q_min), _finite("q_max", q_max), _count("n_points", n_points)
     if not q_max > q_min:
         raise ValueError("q_max must exceed q_min")
-    return Grid(
-        q_min=float(q_min),
-        delta_q=(float(q_max) - float(q_min)) / n_points,
-        n_points=int(n_points),
-        hbar=float(hbar),
-    )
+    return Grid(q_min, (q_max - q_min) / max(n, 1), n, hbar)  # a count below 8 meets Grid's refusal, not a 1/0
 
 
 class _Adopted(np.ndarray):

@@ -66,31 +66,19 @@ def _sidecar_path(csv_path: Path) -> Path:
     return csv_path.with_suffix(".json")
 
 
-def _read_sidecar(csv_path: Path) -> dict:
+def _read_sidecar(csv_path: Path) -> tuple[Grid, str | None]:
+    """The grid of a CSV's sidecar and its representation field, which only wavefunction sidecars hold."""
     if not csv_path.exists():
         raise FileNotFoundError(f"no such file: {csv_path}")
     sidecar = _sidecar_path(csv_path)
     if not sidecar.exists():
         raise FileNotFoundError(f"{csv_path} has no metadata sidecar {sidecar.name}")
     meta = _read_spec(sidecar, "metadata sidecar", _GRID_FIELDS, ("representation",))
-    for field in _GRID_FIELDS:
-        _number(sidecar, field, meta[field])
-    if meta["n_points"] != int(meta["n_points"]):
-        raise ValueError(f"{sidecar}: n_points must be an integer, got {meta['n_points']!r}")
-    return meta
+    return _built(sidecar, Grid, **{field: meta[field] for field in _GRID_FIELDS}), meta.get("representation")
 
 
 def _grid_dict(grid: Grid) -> dict:
     return {field: getattr(grid, field) for field in _GRID_FIELDS}
-
-
-def _grid_from_dict(meta: dict) -> Grid:
-    return Grid(
-        q_min=float(meta["q_min"]),
-        delta_q=float(meta["delta_q"]),
-        n_points=int(meta["n_points"]),
-        hbar=float(meta["hbar"]),
-    )
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -116,10 +104,12 @@ def _fields(json_path: Path, spec: dict, required: tuple[str, ...], optional: tu
     return spec
 
 
-def _number(json_path: Path, field: str, value) -> float:
-    if type(value) not in (int, float) or not np.isfinite(value):  # a JSON true or false is no number
-        raise ValueError(f"{json_path}: {field} must be a finite number, got {value!r}")
-    return float(value)
+def _built(json_path: Path, build, prefix: str = "", **fields):
+    """``build(**fields)`` of fields read from ``json_path``, whose error, of the same class, names the file first."""
+    try:
+        return build(**fields)
+    except ValueError as exc:
+        raise type(exc)(f"{json_path}: {prefix}{exc}") from None
 
 
 def save_wavefunction(psi: WaveFunction, csv_path: str | Path) -> list[Path]:
@@ -136,12 +126,11 @@ def save_wavefunction(psi: WaveFunction, csv_path: str | Path) -> list[Path]:
 
 def load_wavefunction(csv_path: str | Path) -> WaveFunction:
     csv_path = Path(csv_path)
-    meta = _read_sidecar(csv_path)
-    grid = _grid_from_dict(meta)
+    grid, representation = _read_sidecar(csv_path)
     rows = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
     if rows.shape != (grid.n_points, 3):
         raise ValueError(f"{csv_path}: expected {grid.n_points} rows of q,re,im")
-    return WaveFunction(grid, rows[:, 1] + 1j * rows[:, 2], meta["representation"])
+    return WaveFunction(grid, rows[:, 1] + 1j * rows[:, 2], representation)
 
 
 def save_matrix(values: np.ndarray, grid: Grid, csv_path: str | Path) -> list[Path]:
@@ -187,7 +176,7 @@ def start_save_wigner(w: WignerFunction, csv_path: str | Path) -> Callable[[], l
 
 def load_wigner(csv_path: str | Path) -> WignerFunction:
     csv_path = Path(csv_path)
-    grid = _grid_from_dict(_read_sidecar(csv_path))
+    grid = _read_sidecar(csv_path)[0]
     return WignerFunction(grid, _adopt(_load_matrix(csv_path, grid.n_points)))
 
 
@@ -231,7 +220,7 @@ def _load_matrix(csv_path: Path, n: int) -> np.ndarray:
 
 def is_wavefunction_file(csv_path: str | Path) -> bool:
     """Wavefunction sidecars carry a representation field, matrix sidecars do not."""
-    return "representation" in _read_sidecar(Path(csv_path))
+    return _read_sidecar(Path(csv_path))[1] is not None
 
 
 def load_filter_spec(json_path: str | Path, grid: Grid) -> FilterSpec:
@@ -254,31 +243,21 @@ def load_filter_spec(json_path: str | Path, grid: Grid) -> FilterSpec:
         _fields(json_path, device_entry, ("gaussian",), (), "device.")
         optional = ("center", "momentum_offset")
         params = _fields(json_path, device_entry["gaussian"], ("width",), optional, "device.gaussian.")
-        gaussian = {name: _number(json_path, f"device.gaussian.{name}", value) for name, value in params.items()}
-        device = gaussian_wavefunction(GaussianSpec(**gaussian), grid)
+        device = gaussian_wavefunction(_built(json_path, GaussianSpec, "device.gaussian.", **params), grid)
     else:
         raise ValueError(
             f"{json_path}: filter device must be a CSV path or an inline gaussian object, got {device_entry!r}"
         )
-    return FilterSpec(
-        kind=spec["kind"],
-        device=device,
-        q_offset=_number(json_path, "q_offset", spec.get("q_offset", 0.0)),
-        p_offset=_number(json_path, "p_offset", spec.get("p_offset", 0.0)),
-    )
+    return _built(json_path, FilterSpec, **{**spec, "device": device})
 
 
 def load_potential_spec(json_path: str | Path) -> PotentialSpec:
     """Potential description: ``{"coefficients": [...], "mass": 1.0}``."""
     json_path = Path(json_path)
     spec = _read_spec(json_path, "potential spec", ("coefficients",), ("mass",))
-    coefficients = spec["coefficients"]
-    if not isinstance(coefficients, list) or not all(type(c) in (int, float) for c in coefficients):
-        raise ValueError(f"{json_path}: coefficients must be a list of numbers, got {coefficients!r}")
-    if not np.all(np.isfinite(coefficients)):  # Python's json reads NaN and Infinity
-        raise ValueError(f"{json_path}: coefficients must be finite, got {coefficients!r}")
-    mass = _number(json_path, "mass", spec.get("mass", 1.0))
-    return PotentialSpec(coefficients=tuple(coefficients), mass=mass)
+    if not isinstance(spec["coefficients"], list):
+        raise ValueError(f"{json_path}: coefficients must be a list of numbers, got {spec['coefficients']!r}")
+    return _built(json_path, PotentialSpec, **spec)
 
 
 def write_manifest(out_dir: str | Path, command: str, grid: Grid, inputs: list, outputs: list) -> Path:

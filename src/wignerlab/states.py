@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _checked_fields, _finite, _positive
 from .grid import EDGE_LEVEL, POSITION, Grid, WaveFunction, _adopt
 from .wigner import WignerFunction
 
@@ -25,8 +26,7 @@ class GaussianSpec:
     momentum_offset: float = 0.0
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError(f"width must be positive, got {self.width}")
+        _checked_fields(self, width=_positive, center=_finite, momentum_offset=_finite)
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,7 @@ class CatSpec:
     separation: float
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError(f"width must be positive, got {self.width}")
+        _checked_fields(self, width=_positive, separation=_finite)
         if self.separation < 0:
             raise ValueError(f"separation must be nonnegative, got {self.separation}")
 
@@ -66,14 +65,13 @@ def _check_fit(grid: Grid, center: float, width: float, momentum_offset: float =
 def _check_slit(q_m: float, offset: float, grid: Grid) -> None:
     """Refuse a slit unless the square of its width, which the filtered forms divide by, is a positive finite
     float64, its momentum extent ``hbar/q_m`` fits the p range, as an inline Gaussian device's must, and its
-    offset is finite."""
+    offset is a finite number."""
     with np.errstate(over="ignore", under="ignore"):
         square = np.float64(q_m) ** 2
     if not (q_m > 0 and np.isfinite(square) and square > 0):
         raise ValueError(f"slit width {q_m} must be positive with a square that is a positive finite float64")
     _check_axis(grid, "p", 0.0, q_m, "slit")
-    if not np.isfinite(offset):
-        raise ValueError(f"slit offset {offset} must be finite")
+    _finite("offset", offset)
 
 
 def gaussian_wavefunction(spec: GaussianSpec, grid: Grid) -> WaveFunction:

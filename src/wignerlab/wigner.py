@@ -68,9 +68,16 @@ def _band_edge(values: np.ndarray) -> float:
     return _edge_ratio(density, (np.r_[0, n - 1:len(density)],))  # from index n on: beyond the last p, wrapping
 
 
-def _checked_state(w: WignerFunction | WaveFunction, name: str, normalized: bool = False) -> float:
-    """Mass of ``w`` (a wavefunction's is its squared norm), the ``name`` argument of its reader, under the state rule:
-    the mass rule, and the band rule, ``_band_edge`` of ``w`` (a wavefunction in position) at most ``P_BAND_LEVEL``."""
+def _checked_kind(w, kind: type, name: str) -> None:
+    """Refuse ``w``, the ``name`` argument of its reader, unless it is the ``kind`` of value that the reader takes."""
+    if not isinstance(w, kind):
+        raise TypeError(f"the {name} must be a {kind.__name__}, got a {type(w).__name__}")
+
+
+def _checked_state(w: WignerFunction | WaveFunction, kind: type, name: str, normalized: bool = False) -> float:
+    """Mass of ``w``, a ``kind`` (a wavefunction's mass is its squared norm), the ``name`` argument of its reader, under
+    the state rule: the mass rule, and the band rule, ``_band_edge`` of ``w`` (in position) at most ``P_BAND_LEVEL``."""
+    _checked_kind(w, kind, name)
     mass = squared_norm(w) if isinstance(w, WaveFunction) else w.mass()
     if not mass > 0:  # uncertainty_product and purity divide by it
         raise InvariantViolation(f"total mass {mass:.7g} of the {name} is not positive: it carries no state")
@@ -124,7 +131,7 @@ def mixed_density(states: Sequence[WaveFunction], weights: Sequence[float]) -> D
     for i, s in enumerate(states):
         if s.grid != grid:
             raise GridMismatchError(f"state {i} of the mixture lives on another grid than state 0")
-        _checked_state(s, f"state {i} of the mixture", normalized=True)
+        _checked_state(s, WaveFunction, f"state {i} of the mixture", normalized=True)
     amplitudes = [to_position(s).values for s in states]
     entries = np.outer(amplitudes[0], np.conj(amplitudes[0]))
     entries *= weights[0]
@@ -156,7 +163,7 @@ def wigner_values_of_amplitudes(amplitudes: np.ndarray, grid: Grid) -> np.ndarra
 
 def wdf_from_wavefunction(psi: WaveFunction) -> WignerFunction:
     """Wigner distribution of a state in either representation: in band, squared norm within ``MASS_TOLERANCE`` of 1."""
-    _checked_state(psi, "state", normalized=True)
+    _checked_state(psi, WaveFunction, "state", normalized=True)
     return WignerFunction(psi.grid, _adopt(wigner_values_of_amplitudes(to_position(psi).values, psi.grid)))
 
 
@@ -178,11 +185,13 @@ def wdf_from_density(rho: DensityMatrix) -> WignerFunction:
 
 def marginal_q(w: WignerFunction) -> np.ndarray:
     """Momentum-integrated distribution, the position density |psi(q)|^2; a linear map of any matrix."""
+    _checked_kind(w, WignerFunction, "distribution")
     return np.asarray(w.values.sum(axis=1) * w.grid.delta_p)
 
 
 def marginal_p(w: WignerFunction) -> np.ndarray:
     """Position-integrated distribution, the momentum density |psi_bar(p)|^2; a linear map of any matrix."""
+    _checked_kind(w, WignerFunction, "distribution")
     return np.asarray(w.values.sum(axis=0) * w.grid.delta_q)
 
 
@@ -194,6 +203,7 @@ def expectation(w: WignerFunction, symbol: Callable[[np.ndarray, np.ndarray], np
     Weyl-ordered (symmetrized) scalar counterpart.  Linear in ``w``: any
     matrix is taken, and the mass is not divided out.
     """
+    _checked_kind(w, WignerFunction, "distribution")
     g = w.grid
     qq, pp = np.meshgrid(g.q, g.p, indexing="ij")
     return float(np.sum(np.asarray(symbol(qq, pp), dtype=np.float64) * w.values)
@@ -207,7 +217,7 @@ def _variance(x: np.ndarray, density: np.ndarray, delta: float) -> float:
 
 def uncertainty_product(w: WignerFunction) -> float:
     """``delta_q * delta_p`` (>= hbar/2) of the in-band state ``w``: marginals over its mass (<= 1 + MASS_TOLERANCE)."""
-    mass = _checked_state(w, "distribution")
+    mass = _checked_state(w, WignerFunction, "distribution")
     g = w.grid
     var_q = _variance(g.q, marginal_q(w) / mass, g.delta_q)
     var_p = _variance(g.p, marginal_p(w) / mass, g.delta_p)
@@ -226,15 +236,15 @@ def overlap_probability(w1: WignerFunction, w2: WignerFunction) -> float:
     """
     if w1.grid != w2.grid:
         raise GridMismatchError("distributions live on different grids")
-    _checked_state(w1, "first distribution", normalized=True)
-    _checked_state(w2, "second distribution", normalized=True)
+    _checked_state(w1, WignerFunction, "first distribution", normalized=True)
+    _checked_state(w2, WignerFunction, "second distribution", normalized=True)
     g = w1.grid
     return float(g.h * np.sum(w1.values * w2.values) * g.delta_q * g.delta_p)
 
 
 def purity(w: WignerFunction) -> float:
     """Self-overlap ``h * integral W^2 dq dp`` over the squared mass (<= 1 + MASS_TOLERANCE), in band; 1 if pure."""
-    return _purity(w, _checked_state(w, "distribution"))
+    return _purity(w, _checked_state(w, WignerFunction, "distribution"))
 
 
 def _purity(w: WignerFunction, mass: float) -> float:
@@ -260,7 +270,7 @@ def recover_wavefunction(w: WignerFunction) -> WaveFunction:
     psi(0) real and positive.  The mass must lie within ``MASS_TOLERANCE``
     of 1, the state in band, and the purity at least ``PURITY_THRESHOLD``.
     """
-    pur = _purity(w, _checked_state(w, "distribution", normalized=True))
+    pur = _purity(w, _checked_state(w, WignerFunction, "distribution", normalized=True))
     if pur < PURITY_THRESHOLD:
         raise InvariantViolation(f"purity {pur:.6f} below pure-state threshold; cannot invert")
     g = w.grid

@@ -93,14 +93,15 @@ class TestPotentialSpec:
 
     @pytest.mark.parametrize("mass", [float("inf"), float("nan")])
     def test_rejects_non_finite_mass(self, mass):
-        with pytest.raises(ValueError, match="mass must be finite and positive"):
+        with pytest.raises(ValueError, match=f"^mass must be a finite number, got {mass}$"):
             PotentialSpec(coefficients=(0.0,), mass=mass)
 
 
 class TestEvolutionConfig:
     @pytest.mark.parametrize("dt", [0.0, -1e-3, float("inf"), float("nan")])
     def test_rejects_bad_dt(self, dt):
-        with pytest.raises(ValueError, match="dt must be finite and positive"):
+        message = f"dt must be positive, got {dt}" if np.isfinite(dt) else f"dt must be a finite number, got {dt}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             EvolutionConfig(dt=dt, n_steps=1)
 
 

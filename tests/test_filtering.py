@@ -142,7 +142,7 @@ class TestFilterWavefunction:
     @pytest.mark.parametrize("kind, offset", [(GENERAL_COORDINATE, "p_offset"), (GENERAL_MOMENTUM, "q_offset")])
     def test_non_finite_offset_is_named(self, kind, offset, value, grid):
         device = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
-        with pytest.raises(ValueError, match=f"^{offset} must be finite, got {value}$"):
+        with pytest.raises(ValueError, match=f"^{offset} must be a finite number, got {value}$"):
             FilterSpec(kind=kind, device=device, **{offset: value})
 
     @pytest.mark.parametrize("n", [200, 1024])

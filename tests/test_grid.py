@@ -45,7 +45,7 @@ class TestMakeGrid:
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_fields(self, field, value):
         fields = {"q_min": -4.0, "delta_q": 1.0, "n_points": 8, "hbar": 1.0, field: value}
-        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number, got {value}$"):
             Grid(**fields)
 
     def test_origin_index(self):

@@ -516,9 +516,9 @@ class TestCli:
                          id="coefficients-empty"),
             pytest.param("evolve", {"mass": 1}, "spec.json: missing field coefficients", id="coefficients-missing"),
             pytest.param("evolve", {"coefficients": [0, 0, True]},
-                         "spec.json: coefficients must be a list of numbers, got [0, 0, True]", id="coefficient-boolean"),
+                         "spec.json: coefficients[2] must be a finite number, got True", id="coefficient-boolean"),
             pytest.param("evolve", {"coefficients": [0, 0, float("nan")]},
-                         "spec.json: coefficients must be finite, got [0, 0, nan]", id="coefficient-nan"),
+                         "spec.json: coefficients[2] must be a finite number, got nan", id="coefficient-nan"),
             pytest.param("evolve", {"coefficients": [0, 0, 0.5], "mas": 2}, "spec.json: unknown field mas",
                          id="potential-unknown-field"),
             pytest.param("evolve", {"coefficients": [0, 0, 0.5], "mass": [1]},
@@ -591,11 +591,12 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            pytest.param(["state", "--gaussian", "q0=1", "--hbar", "inf"], "hbar must be finite, got inf",
+            pytest.param(["state", "--gaussian", "q0=1", "--hbar", "inf"], "hbar must be a finite number, got inf",
                          id="state-hbar-inf"),
-            pytest.param(["state", "--gaussian", "q0=1", "--grid=-12:1e309:256"], "delta_q must be finite, got inf",
-                         id="state-q-max-overflow"),
-            pytest.param(["figure", "fig2", "--hbar", "inf"], "hbar must be finite, got inf", id="figure-hbar-inf"),
+            pytest.param(["state", "--gaussian", "q0=1", "--grid=-12:1e309:256"],
+                         "q_max must be a finite number, got inf", id="state-q-max-overflow"),
+            pytest.param(["figure", "fig2", "--hbar", "inf"], "hbar must be a finite number, got inf",
+                         id="figure-hbar-inf"),
             pytest.param(["figure", "fig2", "--qm", "0"], "width must be positive, got 0.0", id="figure-slit-width-zero"),
             pytest.param(["state", "--cat", "d=2", "qi=0.05"], P_BAND_MISFIT.format(width=0.05, edge="7.08e-01"),
                          id="cat-beyond-p-band"),

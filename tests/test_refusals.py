@@ -2,7 +2,9 @@
 
 A library row asserts the error class and the whole message; a CLI row asserts
 exit code 2, the whole ``error:`` line on stderr and that no ``--out``
-directory is left behind.
+directory is left behind.  The number rule has its own table: every public
+scalar parameter, given a value that is not a finite real number (or, for a
+count, not an integer), is refused with the one message that names it.
 """
 
 import re
@@ -25,17 +27,21 @@ from wignerlab import (
     detect_from_wavefunctions,
     filter_wavefunction,
     filter_wdf,
+    filtered_cat_wdf_closed_form,
     filtered_gaussian_wdf_closed_form,
     fourier_transform,
     gaussian_wavefunction,
+    make_grid,
     mixed_density,
+    propagate,
+    smoothed_minimum,
     split_step_schrodinger,
     subplanck_scale,
     wdf_from_wavefunction,
 )
 from wignerlab import io as wio
 from wignerlab.cli import main
-from wignerlab.filtering import COORDINATE
+from wignerlab.filtering import COORDINATE, GENERAL_COORDINATE, GENERAL_MOMENTUM
 
 from helpers import desk_grid
 
@@ -83,7 +89,7 @@ LIBRARY = [
     ("detect-amplitudes-grids", lambda tmp: detect_from_wavefunctions(PSI, ELSEWHERE), GridMismatchError,
      "state and device live on different grids"),
     ("potential-coefficients", lambda tmp: PotentialSpec((0.0, float("nan"))), ValueError,
-     "potential coefficients must be finite"),
+     "coefficients[1] must be a finite number, got nan"),
     ("step-count", lambda tmp: EvolutionConfig(1e-3, -1), ValueError, "n_steps must be nonnegative, got -1"),
     ("schrodinger-momentum-state",
      lambda tmp: split_step_schrodinger(MOMENTUM_MASS_4, PotentialSpec((0.0,)), EvolutionConfig(1e-3, 1)),
@@ -116,3 +122,90 @@ def test_refusal_names_its_cause(tmp_path, capsys, refuse, error, message):
         assert main(refuse + ["--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "o").exists()
+
+
+#: ``(parameter, call that passes the value as that parameter)`` for every public scalar; counts are marked.
+SCALARS = {
+    "grid-q-min": ("q_min", lambda v: Grid(v, 0.1, 8)),
+    "grid-delta-q": ("delta_q", lambda v: Grid(-1.0, v, 8)),
+    "grid-n-points": ("n_points", lambda v: Grid(-1.0, 0.1, v)),
+    "grid-hbar": ("hbar", lambda v: Grid(-1.0, 0.1, 8, v)),
+    "make-grid-q-min": ("q_min", lambda v: make_grid(v, 12, 256)),
+    "make-grid-q-max": ("q_max", lambda v: make_grid(-12, v, 256)),
+    "make-grid-n-points": ("n_points", lambda v: make_grid(-12, 12, v)),
+    "gaussian-width": ("width", lambda v: GaussianSpec(v)),
+    "gaussian-center": ("center", lambda v: GaussianSpec(1.0, center=v)),
+    "gaussian-momentum-offset": ("momentum_offset", lambda v: GaussianSpec(1.0, momentum_offset=v)),
+    "cat-width": ("width", lambda v: CatSpec(v, 1.0)),
+    "cat-separation": ("separation", lambda v: CatSpec(1.0, v)),
+    "filter-q-offset": ("q_offset", lambda v: FilterSpec(GENERAL_MOMENTUM, PSI, q_offset=v)),
+    "filter-p-offset": ("p_offset", lambda v: FilterSpec(GENERAL_COORDINATE, PSI, p_offset=v)),
+    "potential-coefficient": ("coefficients[2]", lambda v: PotentialSpec((0.0, 0.0, v))),
+    "potential-mass": ("mass", lambda v: PotentialSpec((0.0,), mass=v)),
+    "evolution-dt": ("dt", lambda v: EvolutionConfig(v, 1)),
+    "evolution-n-steps": ("n_steps", lambda v: EvolutionConfig(1e-3, v)),
+    "smoothing-sigma-q": ("sigma_q", lambda v: smoothed_minimum(wdf_from_wavefunction(PSI), v, 1.0)),
+    "smoothing-sigma-p": ("sigma_p", lambda v: smoothed_minimum(wdf_from_wavefunction(PSI), 1.0, v)),
+    "slit-offset": ("offset", lambda v: filtered_cat_wdf_closed_form(CatSpec(1.0, 2.0), 1.0, v, GRID)),
+}
+_COUNTS = {"grid-n-points", "make-grid-n-points", "evolution-n-steps"}
+_NOT_NUMBERS = [(float("nan"), "nan"), (float("inf"), "inf"), (True, "True"), ("1", "'1'")]
+
+
+@pytest.mark.parametrize(
+    "call, value, message",
+    [
+        pytest.param(call, value, f"{name} must be a finite number, got {shown}", id=f"{row}-{shown}")
+        for row, (name, call) in SCALARS.items()
+        for value, shown in _NOT_NUMBERS
+    ]
+    + [pytest.param(SCALARS[row][1], 2.5, f"{SCALARS[row][0]} must be an integer, got 2.5", id=f"{row}-2.5")
+       for row in sorted(_COUNTS)],
+)
+def test_number_rule_names_the_parameter(call, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        pytest.param(["--t", "nan", "--dt", "1e-3"], "--t must be a finite number, got nan", id="t-nan"),
+        pytest.param(["--t", "inf", "--dt", "1e-3"], "--t must be a finite number, got inf", id="t-inf"),
+        pytest.param(["--t", "0.01", "--dt", "nan"], "--dt must be a finite number, got nan", id="dt-nan"),
+        pytest.param(["--t", "0.01", "--dt", "inf"], "--dt must be a finite number, got inf", id="dt-inf"),
+        pytest.param(["--t", "0.01", "--dt", "1e-3", "--dump-every", "nan"],
+                     "--dump-every must be a finite number, got nan", id="dump-every-nan"),
+        pytest.param(["--t", "0.01", "--dt", "1e-3", "--dump-every", "inf"],
+                     "--dump-every must be a finite number, got inf", id="dump-every-inf"),
+        pytest.param(["--t", "0.01", "--dt", "1e-3", "--dump-every", "2.5"],
+                     "--dump-every must be an integer, got 2.5", id="dump-every-2.5"),
+        pytest.param(["--grid=-12:12:256.5"], "n_points must be an integer, got 256.5", id="grid-n-256.5"),
+        pytest.param(["--grid=-12:12:nan"], "n_points must be a finite number, got nan", id="grid-n-nan"),
+        pytest.param(["--grid=-12:12:inf"], "n_points must be a finite number, got inf", id="grid-n-inf"),
+    ],
+)
+def test_number_rule_names_the_flag(tmp_path, capsys, flags, message):
+    if flags[0].startswith("--grid"):
+        argv = ["state", "--gaussian", "q0=1", *flags]
+    else:
+        state = wio.save_wavefunction(PSI, tmp_path / "state.csv")[0]
+        (tmp_path / "well.json").write_text('{"coefficients": [0, 0, 0.5]}')
+        argv = ["evolve", str(state), "--potential", str(tmp_path / "well.json"), *flags]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_integral_counts_are_taken_as_ints():
+    cfg = EvolutionConfig(1e-3, 2.0)
+    assert type(cfg.n_steps) is int
+    w = wdf_from_wavefunction(PSI)
+    stepped = propagate(w, PotentialSpec((0.0, 0.0, 0.5)), cfg).values
+    assert not np.array_equal(stepped, w.values)
+    assert np.array_equal(stepped, propagate(w, PotentialSpec((0.0, 0.0, 0.5)), EvolutionConfig(1e-3, 2)).values)
+    grid = Grid(-12.0, 0.1, 8.0)
+    assert type(grid.n_points) is int
+    transformed = fourier_transform(WaveFunction(grid, np.ones(8)))
+    assert type(transformed.grid.n_points) is int and transformed.grid.n_points == 8
+    assert transformed.values.shape == (8,)

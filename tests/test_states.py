@@ -264,7 +264,7 @@ class TestSlitRule:
 
     @pytest.mark.parametrize("offset", [float("inf"), float("nan")])
     def test_non_finite_offset_is_named(self, grid, offset):
-        with pytest.raises(ValueError, match=f"^slit offset {offset} must be finite$"):
+        with pytest.raises(ValueError, match=f"^offset must be a finite number, got {offset}$"):
             filtered_cat_wdf_closed_form(CatSpec(1.0, 2.0), 1.0, offset, grid)
 
 
@@ -328,6 +328,11 @@ class TestFitGate:
 
     @pytest.mark.parametrize("width", [1e-200, 1e300, float("inf")])
     def test_vanishing_or_unbounded_width_is_refused(self, grid, width):
+        if not np.isfinite(width):  # the specs refuse it, before the fit rule
+            for spec in (GaussianSpec, lambda width: CatSpec(width, separation=1.0)):
+                with pytest.raises(ValueError, match=f"^width must be a finite number, got {width}$"):
+                    spec(width=width)
+            return
         for spec in (GaussianSpec(width=width), CatSpec(width=width, separation=1.0)):
             for generate in GENERATORS[type(spec)]:
                 with pytest.raises(ValueError, match="does not fit"):

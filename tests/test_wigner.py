@@ -17,6 +17,7 @@ from wignerlab import (
     WignerFunction,
     blob_report,
     cat_wavefunction,
+    classify_interaction,
     detect,
     detect_from_wavefunctions,
     effective_area,
@@ -668,6 +669,35 @@ class TestStateRule:
         other = gaussian_wavefunction(GaussianSpec(width=1.0, center=1.0), psi.grid)
         with pytest.raises(InvariantViolation, match="^total mass 3 of the state 0 of the mixture deviates from 1 "):
             mixed_density([big, other], [0.25, 0.25])
+
+
+#: Every reader that takes one kind of value, with the argument it names: the readers of the state rule, where a
+#: mixture's weights need no norm, and the readers that check the kind alone.
+KIND_READERS = {
+    **{name: (read, what, WignerFunction) for name, (read, what, _) in MASS_READERS.items()},
+    "expectation": (lambda w, ref: expectation(w, lambda q, p: 1 + 0 * q), "distribution", WignerFunction),
+    "marginal_q": (lambda w, ref: marginal_q(w), "distribution", WignerFunction),
+    "marginal_p": (lambda w, ref: marginal_p(w), "distribution", WignerFunction),
+    "classify_interaction": (lambda w, ref: classify_interaction(w, ref), "first distribution", WignerFunction),
+    **{name: (read, what, WaveFunction) for name, (read, what, _) in STATE_READERS.items() if "mixture" not in what},
+    "mixed_density-first": (lambda psi, ref: mixed_density([psi], [1.0]), "state 0 of the mixture", WaveFunction),
+    "mixed_density-second": (lambda psi, ref: mixed_density([ref, psi], [0.5, 0.5]), "state 1 of the mixture",
+                             WaveFunction),
+    "pure_density": (lambda psi, ref: pure_density(psi), "state 0 of the mixture", WaveFunction),
+}
+
+
+@pytest.mark.parametrize("reader", KIND_READERS)
+def test_each_reader_refuses_the_other_kind(reader):
+    # a distribution reader given a wavefunction used to return a number (purity 0.82 for a pure state, a complex
+    # p-marginal), and a wavefunction reader given a distribution raised an AttributeError
+    read, name, kind = KIND_READERS[reader]
+    psi = gaussian_wavefunction(GaussianSpec(width=1.0), desk_grid())
+    w = wdf_from_wavefunction(psi)
+    other, ref = (psi, w) if kind is WignerFunction else (w, psi)
+    refusal = f"^the {name} must be a {kind.__name__}, got a {type(other).__name__}$"
+    with pytest.raises(TypeError, match=refusal):
+        read(other, ref)
 
 
 def kicked_state(density):
