@@ -66,6 +66,7 @@ _INPUTS = {
     "general_momentum.json": {"kind": "general_momentum", "q_offset": 0.75, "device": _DEVICE},
     "well.json": {"coefficients": [0, 0, 0.5, 0, 0.01]},
     "harmonic.json": {"coefficients": [0, 0, 0.5]},
+    "matrix_device.json": {"kind": "coordinate", "device": "wd/wdf.csv"},  # a matrix file where a wavefunction goes
 }
 
 
@@ -120,6 +121,8 @@ def command_table(n: int) -> list[tuple[str, list[str]]]:
         ("re", ["evolve", "s/state.csv", "--potential", "well.json", "--t", "1e300", "--dt", "1e-10"]),
         ("rn", ["state", "--gaussian", "q0=1", f"{grid}.5"]),  # a fractional N
         ("rdt", ["evolve", "s/state.csv", "--potential", "well.json", "--t", "0.01", "--dt", "inf"]),
+        ("rfw", ["filter", "w/wdf.csv", "--filter", "slit.json"]),  # a matrix file as the filter input
+        ("rfd", ["filter", "s/state.csv", "--filter", "matrix_device.json"]),  # and as the filter device
     ]
     return [(out, argv + ["--out", out] if out else argv) for out, argv in table]
 

@@ -67,7 +67,7 @@ MUTANTS = [
      '    _checked_state(w_in, WignerFunction, "state")\n    _checked_state(w_m', "    _checked_state(w_m",
      ["test_wigner.py"]),
     ("detect drops the device's check", "filtering.py",
-     '    _checked_state(w_m, WignerFunction, "device")\n', "", ["test_wigner.py"]),
+     '    _checked_state(w_m, WignerFunction, "device", on=(w_in, "state"))\n', "", ["test_wigner.py"]),
     ("the propagator drops its state check", "evolution.py",
      '_checked_state(w, WignerFunction, "state")', "w.mass()", ["test_wigner.py"]),
     ("uncertainty_product drops its state check", "wigner.py",
@@ -79,7 +79,8 @@ MUTANTS = [
     ("overlap_probability drops the first state check", "wigner.py",
      '    _checked_state(w1, WignerFunction, "first distribution", normalized=True)\n', "", ["test_wigner.py"]),
     ("overlap_probability drops the second state check", "wigner.py",
-     '    _checked_state(w2, WignerFunction, "second distribution", normalized=True)\n', "", ["test_wigner.py"]),
+     '    _checked_state(w2, WignerFunction, "second distribution", normalized=True, on=(w1, "first distribution"))\n',
+     "", ["test_wigner.py"]),
     ("recover_wavefunction drops its state check", "wigner.py",
      'pur = _purity(w, _checked_state(w, WignerFunction, "distribution", normalized=True))',
      "pur = _purity(w, w.mass())", ["test_wigner.py"]),
@@ -89,7 +90,7 @@ MUTANTS = [
     ("wdf_from_wavefunction drops its state check", "wigner.py",
      '    _checked_state(psi, WaveFunction, "state", normalized=True)\n    return', "    return", ["test_wigner.py"]),
     ("mixed_density drops its state check", "wigner.py",
-     '        _checked_state(s, WaveFunction, f"state {i} of the mixture", normalized=True)\n', "",
+     '        _checked_state(s, WaveFunction, f"state {i} of the mixture", normalized=True, on=first)\n', "",
      ["test_wigner.py"]),
     ("filter_wavefunction drops its state check", "filtering.py",
      '    _checked_state(psi_in, WaveFunction, "state", normalized=True)\n    g = psi_in.grid\n    axis',
@@ -100,7 +101,7 @@ MUTANTS = [
      "    _checked_state(psi_m",
      ["test_wigner.py"]),
     ("detect_from_wavefunctions drops the device's check", "filtering.py",
-     '    _checked_state(psi_m, WaveFunction, "device")\n', "", ["test_wigner.py"]),
+     '    _checked_state(psi_m, WaveFunction, "device", on=(psi_in, "state"))\n', "", ["test_wigner.py"]),
     ("split_step_schrodinger drops its state check", "evolution.py",
      '    _checked_state(psi, WaveFunction, "state", normalized=True)\n', "", ["test_wigner.py"]),
     ("negative-variance refusal 0 -> -1", "wigner.py",
@@ -123,8 +124,17 @@ MUTANTS = [
      "np.r_[0, n - 1:len(density)]", "[0, n - 1]", ["test_wigner.py"]),
     ("band reading without folding", "wigner.py", "        density[:n] += density[n:]", "        pass",
      ["test_wigner.py"]),
-    ("the state check admits the other kind", "wigner.py", "    _checked_kind(w, kind, name)\n", "",
+    ("the state check admits the other kind", "wigner.py", "    _checked_kind(w, kind, name, on)\n", "",
      ["test_wigner.py"]),
+    ("smoothed_minimum drops its kind check", "blobs.py",
+     '    _checked_kind(w, WignerFunction, "distribution")\n    sigma_q', "    sigma_q", ["test_wigner.py"]),
+    ("FilterSpec drops its device kind check", "filtering.py",
+     '        _checked_kind(self.device, WaveFunction, "device")\n', "", ["test_wigner.py"]),
+    ("the kind rule drops its grid clause", "errors.py",
+     "if on is not None and w.grid != on[0].grid:", "if False:", ["test_refusals.py"]),
+    ("the sidecar's kind is not read", "io.py",
+     'found = "matrix" if meta.get("representation") is None else "wavefunction"', "found = kind",
+     ["test_refusals.py", "test_io_cli.py"]),
     ("the number rule admits non-finite values", "errors.py",
      " and abs(v) <= sys.float_info.max", "", ["test_refusals.py"]),
     ("the number rule admits bools", "errors.py", " and not isinstance(v, bool)", "", ["test_refusals.py"]),

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, _positive
+from .errors import InvariantViolation, _checked_kind, _positive
 from .grid import _linear_convolution
 from .wigner import MASS_TOLERANCE, WignerFunction, _checked_state, _purity
 
@@ -65,6 +65,7 @@ def smoothed_minimum(w: WignerFunction, sigma_q: float, sigma_p: float) -> float
     nonnegative for every physical state.  The kernel is a Gaussian in q
     times a Gaussian in p, so it is applied as two linear one-axis passes.
     """
+    _checked_kind(w, WignerFunction, "distribution")
     sigma_q, sigma_p = _positive("sigma_q", sigma_q), _positive("sigma_p", sigma_p)
     g = w.grid
     n = g.n_points
@@ -89,6 +90,7 @@ def subplanck_scale(w: WignerFunction) -> float:
     Gaussian of any width yields h/2.  Only states with structure finer than
     their envelope (interference fringes) score below that.
     """
+    _checked_kind(w, WignerFunction, "distribution")
     g = w.grid
     n = g.n_points
     # the power of a real matrix is even in frequency, so the half spectra suffice

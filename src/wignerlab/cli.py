@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvariantViolation, _count, _positive
-from .grid import Grid, make_grid, squared_norm
+from .grid import Grid, WaveFunction, make_grid, squared_norm
 from .wigner import (
     WignerFunction,
     overlap_probability,
@@ -75,10 +75,9 @@ def _pop(params: dict[str, float], key: str, default: float | None = None) -> fl
 
 
 def _load_state_as_wdf(path: str) -> WignerFunction:
-    """Accept a wavefunction CSV or a distribution-matrix CSV; the library readers apply the mass rule."""
-    if wio.is_wavefunction_file(path):
-        return wdf_from_wavefunction(wio.load_wavefunction(path))
-    return wio.load_wigner(path)
+    """The distribution of a wavefunction CSV, or a distribution-matrix CSV; the library readers apply the mass rule."""
+    state = wio.load_state(path)
+    return wdf_from_wavefunction(state) if isinstance(state, WaveFunction) else state
 
 
 def _out_dir(args) -> Path:

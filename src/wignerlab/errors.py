@@ -1,5 +1,6 @@
-"""Exception types shared across the library, and the one number rule: every public constructor, and the CLI for
-its own flags, checks each scalar parameter with one of the rule's three forms below, which name it in their error."""
+"""Exception types shared across the library, and its two argument rules, which name the argument they refuse: every
+public constructor, and the CLI for its own flags, checks each scalar with one of the number rule's three forms below,
+and every public reader checks each value it takes with the kind rule, ``_checked_kind``, of its kind and grid."""
 
 import numbers
 import sys
@@ -48,3 +49,12 @@ def _checked_fields(obj, **rules) -> None:
     """Store each named field of the frozen dataclass ``obj`` as its rule, one of the three above, returns it."""
     for name, rule in rules.items():
         object.__setattr__(obj, name, rule(name, getattr(obj, name)))
+
+
+def _checked_kind(w, kind: type, name: str, on: tuple | None = None) -> None:
+    """Refuse ``w``, the ``name`` argument of its reader, unless it is the ``kind`` of value that the reader takes and,
+    where ``on`` is the ``(value, name)`` of the reader's first argument, it lives on that argument's grid."""
+    if not isinstance(w, kind):
+        raise TypeError(f"the {name} must be a {kind.__name__}, got a {type(w).__name__}")
+    if on is not None and w.grid != on[0].grid:
+        raise GridMismatchError(f"the {name} lives on another grid than the {on[1]}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, _checked_fields, _count, _finite, _positive
+from .errors import InvariantViolation, _checked_fields, _checked_kind, _count, _finite, _positive
 from .grid import EDGE_LEVEL, P_BAND_LEVEL, POSITION, Grid, WaveFunction, _adopt, _edge_ratio, _pair_views, to_position
 from .wigner import WignerFunction, _band_edge, _checked_state
 
@@ -107,6 +107,7 @@ def moyal_rhs(w: WignerFunction, v: PotentialSpec) -> np.ndarray:
     For quadratic potentials every quantum correction vanishes identically
     and the result is pure classical transport.
     """
+    _checked_kind(w, WignerFunction, "distribution")
     transport, force = _moyal_symbols(w.grid, v)
     return _apply(w.values, transport, 0) + _apply(w.values, force, 1)
 

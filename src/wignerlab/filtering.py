@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, InvariantViolation, _checked_fields, _finite
+from .errors import InvariantViolation, _checked_fields, _checked_kind, _finite
 from .grid import (
     _BLOCK,
     Grid,
@@ -78,6 +78,7 @@ class FilterSpec:
     def __post_init__(self):
         if self.kind not in FILTER_KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r}")
+        _checked_kind(self.device, WaveFunction, "device")
         _checked_fields(self, q_offset=_finite, p_offset=_finite)
         for name in ("q_offset", "p_offset"):
             if getattr(self, name) and name != _KIND_OFFSET.get(self.kind):
@@ -118,10 +119,10 @@ class InteractionReport:
     classification: str
 
 
-def _law(g: Grid, f: FilterSpec) -> tuple[int, int]:
-    """The convolution axis of ``f``'s law, 0 (q) or 1 (p), and its shift in cells along the other; checks the grid."""
-    if g != f.device.grid:
-        raise GridMismatchError("state and device live on different grids")
+def _law(state: WaveFunction | WignerFunction, f: FilterSpec) -> tuple[int, int]:
+    """``f``'s convolution axis, 0 (q) or 1 (p), and its shift in cells along the other, on ``state``'s grid."""
+    _checked_kind(f.device, WaveFunction, "device", (state, "state"))
+    g = state.grid
     if f.kind in (COORDINATE, GENERAL_MOMENTUM):
         return 1, g.steps_of(f.q_offset, g.delta_q)
     if not g.p[0] <= f.p_offset <= g.p[-1]:
@@ -144,7 +145,7 @@ def filter_wavefunction(psi_in: WaveFunction, f: FilterSpec) -> tuple[WaveFuncti
     """
     _checked_state(psi_in, WaveFunction, "state", normalized=True)
     g = psi_in.grid
-    axis, steps = _law(g, f)
+    axis, steps = _law(psi_in, f)
     state = to_position(psi_in).values
     device = to_position(f.device).values
     if axis == 1:
@@ -178,7 +179,7 @@ def filter_wdf(w_in: WignerFunction, f: FilterSpec) -> WignerFunction:
     """
     _checked_state(w_in, WignerFunction, "state")
     g = w_in.grid
-    axis, steps = _law(g, f)
+    axis, steps = _law(w_in, f)
     values = _shifted(w_in.values, steps, 1 - axis)
     device = to_position(f.device).values
     if axis == 1:
@@ -201,11 +202,9 @@ def detect(w_in: WignerFunction, w_m: WignerFunction) -> DetectionMap:
     as classical phase-space data.  The sum is periodic in p, linear in q.
     Neither mass may exceed ``1 + MASS_TOLERANCE``; both are in band.
     """
-    g = w_in.grid
-    if g != w_m.grid:
-        raise GridMismatchError("state and device live on different grids")
     _checked_state(w_in, WignerFunction, "state")
-    _checked_state(w_m, WignerFunction, "device")
+    _checked_state(w_m, WignerFunction, "device", on=(w_in, "state"))
+    g = w_in.grid
     spectrum = np.fft.rfft(w_in.values, axis=1)
     # in place, so two spectra are alive at once rather than three
     _linear_convolution(spectrum, np.fft.rfft(w_m.values, axis=1), g.origin_index(), out=spectrum)
@@ -223,10 +222,8 @@ def detect_from_wavefunctions(psi_in: WaveFunction, psi_m: WaveFunction) -> Dete
     a wavefunction.  Both are read in position; the state's squared norm is
     within ``MASS_TOLERANCE`` of 1, the device's at most ``1 + MASS_TOLERANCE``; both in band.
     """
-    if psi_in.grid != psi_m.grid:
-        raise GridMismatchError("state and device live on different grids")
     _checked_state(psi_in, WaveFunction, "state", normalized=True)
-    _checked_state(psi_m, WaveFunction, "device")
+    _checked_state(psi_m, WaveFunction, "device", on=(psi_in, "state"))
     g = psi_in.grid
     n = g.n_points
     a = to_position(psi_in).values

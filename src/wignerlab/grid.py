@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError, InvariantViolation, _checked_fields, _count, _finite, _positive
+from .errors import InvariantViolation, _checked_fields, _checked_kind, _count, _finite, _positive
 
 POSITION = "position"
 MOMENTUM = "momentum"
@@ -154,27 +154,24 @@ class WaveFunction:
 
 def squared_norm(psi: WaveFunction) -> float:
     """Quadrature squared norm sum(|psi_j|^2) * delta."""
+    _checked_kind(psi, WaveFunction, "wavefunction")
     return float(np.sum(np.abs(psi.values) ** 2) * psi.quadrature_delta)
 
 
 def normalize(psi: WaveFunction) -> WaveFunction:
-    """Rescale to unit quadrature norm; rejects the zero wavefunction."""
+    """Rescale to unit quadrature norm; rejects the zero wavefunction and, in ``squared_norm``, other kinds."""
     norm2 = squared_norm(psi)
     if not norm2 > 0 or not np.isfinite(norm2):
         raise InvariantViolation(f"cannot normalize a wavefunction with squared norm {norm2}")
     return WaveFunction(psi.grid, psi.values / np.sqrt(norm2), psi.representation)
 
 
-def _require_compatible(a: WaveFunction, b: WaveFunction) -> None:
-    if a.grid != b.grid:
-        raise GridMismatchError("wavefunctions live on different grids")
-    if a.representation != b.representation:
-        raise GridMismatchError("wavefunctions are in different representations")
-
-
 def inner_product(a: WaveFunction, b: WaveFunction) -> complex:
-    """Quadrature inner product <a|b>; conjugate-linear in the first slot."""
-    _require_compatible(a, b)
+    """Quadrature inner product <a|b> of two wavefunctions on one grid in one representation; conjugate-linear in a."""
+    _checked_kind(a, WaveFunction, "first wavefunction")
+    _checked_kind(b, WaveFunction, "second wavefunction", (a, "first wavefunction"))
+    if a.representation != b.representation:
+        raise ValueError(f"inner_product expects one representation, got {a.representation} and {b.representation}")
     return complex(np.sum(np.conj(a.values) * b.values) * a.quadrature_delta)
 
 
@@ -266,6 +263,7 @@ def fourier_transform(psi: WaveFunction) -> WaveFunction:
     are at most 1e-15, and within 3.1e-8 of the peak at the generators' fit
     limits (measured on two-packet states, N 64-300, hbar 0.5-2).
     """
+    _checked_kind(psi, WaveFunction, "wavefunction")
     if psi.representation != POSITION:
         raise ValueError("fourier_transform expects a position-representation input")
     g = psi.grid
@@ -275,6 +273,7 @@ def fourier_transform(psi: WaveFunction) -> WaveFunction:
 
 def inverse_fourier_transform(psi: WaveFunction) -> WaveFunction:
     """Position representation ``h^(-1/2) * integral psi(p) exp(+ipq/hbar) dp``."""
+    _checked_kind(psi, WaveFunction, "wavefunction")
     if psi.representation != MOMENTUM:
         raise ValueError("inverse_fourier_transform expects a momentum-representation input")
     g = psi.grid

@@ -66,14 +66,18 @@ def _sidecar_path(csv_path: Path) -> Path:
     return csv_path.with_suffix(".json")
 
 
-def _read_sidecar(csv_path: Path) -> tuple[Grid, str | None]:
-    """The grid of a CSV's sidecar and its representation field, which only wavefunction sidecars hold."""
+def _read_sidecar(csv_path: Path, kind: str | None = None) -> tuple[Grid, str | None]:
+    """The grid of a CSV's sidecar and its representation field, which makes it a "wavefunction" file and whose
+    absence makes it a "matrix" file; a file of the other kind than ``kind``, when given, is refused."""
     if not csv_path.exists():
         raise FileNotFoundError(f"no such file: {csv_path}")
     sidecar = _sidecar_path(csv_path)
     if not sidecar.exists():
         raise FileNotFoundError(f"{csv_path} has no metadata sidecar {sidecar.name}")
     meta = _read_spec(sidecar, "metadata sidecar", _GRID_FIELDS, ("representation",))
+    found = "matrix" if meta.get("representation") is None else "wavefunction"
+    if kind not in (None, found):
+        raise ValueError(f"{csv_path} must be a {kind} file, got a {found} file")
     return _built(sidecar, Grid, **{field: meta[field] for field in _GRID_FIELDS}), meta.get("representation")
 
 
@@ -124,9 +128,24 @@ def save_wavefunction(psi: WaveFunction, csv_path: str | Path) -> list[Path]:
     return [csv_path, sidecar]
 
 
+def load_state(csv_path: str | Path) -> WaveFunction | WignerFunction:
+    """The wavefunction or the distribution that a CSV holds, as its sidecar names it."""
+    return _load(Path(csv_path))
+
+
 def load_wavefunction(csv_path: str | Path) -> WaveFunction:
-    csv_path = Path(csv_path)
-    grid, representation = _read_sidecar(csv_path)
+    return _load(Path(csv_path), "wavefunction")
+
+
+def load_wigner(csv_path: str | Path) -> WignerFunction:
+    return _load(Path(csv_path), "matrix")
+
+
+def _load(csv_path: Path, kind: str | None = None) -> WaveFunction | WignerFunction:
+    """The value a CSV of ``kind`` (either, if None) holds; its sidecar is read once, before the CSV."""
+    grid, representation = _read_sidecar(csv_path, kind)
+    if representation is None:
+        return WignerFunction(grid, _adopt(_load_matrix(csv_path, grid.n_points)))
     rows = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
     if rows.shape != (grid.n_points, 3):
         raise ValueError(f"{csv_path}: expected {grid.n_points} rows of q,re,im")
@@ -174,12 +193,6 @@ def start_save_wigner(w: WignerFunction, csv_path: str | Path) -> Callable[[], l
     return lambda: [csv_path, _sidecar_path(csv_path)] if _joined(pid) else save_wigner(w, csv_path)
 
 
-def load_wigner(csv_path: str | Path) -> WignerFunction:
-    csv_path = Path(csv_path)
-    grid = _read_sidecar(csv_path)[0]
-    return WignerFunction(grid, _adopt(_load_matrix(csv_path, grid.n_points)))
-
-
 def _strict_loadtxt(csv_path: Path, start: int, stop: int | None) -> np.ndarray:
     """``np.loadtxt`` of lines ``[start:stop]`` of a matrix CSV, raising every warning."""
     with open(csv_path) as fh, warnings.catch_warnings():
@@ -216,11 +229,6 @@ def _load_matrix(csv_path: Path, n: int) -> np.ndarray:
         return np.loadtxt(csv_path, delimiter=",", ndmin=2)
     values[:len(head)] = head
     return values
-
-
-def is_wavefunction_file(csv_path: str | Path) -> bool:
-    """Wavefunction sidecars carry a representation field, matrix sidecars do not."""
-    return _read_sidecar(Path(csv_path))[1] is not None
 
 
 def load_filter_spec(json_path: str | Path, grid: Grid) -> FilterSpec:

@@ -63,13 +63,13 @@ def _check_fit(grid: Grid, center: float, width: float, momentum_offset: float =
 
 
 def _check_slit(q_m: float, offset: float, grid: Grid) -> None:
-    """Refuse a slit unless the square of its width, which the filtered forms divide by, is a positive finite
-    float64, its momentum extent ``hbar/q_m`` fits the p range, as an inline Gaussian device's must, and its
-    offset is a finite number."""
+    """Refuse a slit unless its width is positive with a square, which the filtered forms divide by, that is a
+    positive finite float64, its momentum extent ``hbar/q_m`` fits the p range, as an inline Gaussian device's must,
+    and its offset is a finite number."""
     with np.errstate(over="ignore", under="ignore"):
-        square = np.float64(q_m) ** 2
-    if not (q_m > 0 and np.isfinite(square) and square > 0):
-        raise ValueError(f"slit width {q_m} must be positive with a square that is a positive finite float64")
+        square = np.float64(_positive("q_m", q_m)) ** 2
+    if not (np.isfinite(square) and square > 0):
+        raise ValueError(f"q_m must have a square that is a positive finite float64, got {q_m!r}")
     _check_axis(grid, "p", 0.0, q_m, "slit")
     _finite("offset", offset)
 

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import GridMismatchError, InvariantViolation
+from .errors import InvariantViolation, _checked_kind
 from .grid import (
     _BLOCK, P_BAND_LEVEL, Grid, WaveFunction, _adopt, _centre_p, _edge_ratio, _frozen_array, _half_dft,
     _pair_correlation, squared_norm, to_position,
@@ -68,16 +68,11 @@ def _band_edge(values: np.ndarray) -> float:
     return _edge_ratio(density, (np.r_[0, n - 1:len(density)],))  # from index n on: beyond the last p, wrapping
 
 
-def _checked_kind(w, kind: type, name: str) -> None:
-    """Refuse ``w``, the ``name`` argument of its reader, unless it is the ``kind`` of value that the reader takes."""
-    if not isinstance(w, kind):
-        raise TypeError(f"the {name} must be a {kind.__name__}, got a {type(w).__name__}")
-
-
-def _checked_state(w: WignerFunction | WaveFunction, kind: type, name: str, normalized: bool = False) -> float:
-    """Mass of ``w``, a ``kind`` (a wavefunction's mass is its squared norm), the ``name`` argument of its reader, under
-    the state rule: the mass rule, and the band rule, ``_band_edge`` of ``w`` (in position) at most ``P_BAND_LEVEL``."""
-    _checked_kind(w, kind, name)
+def _checked_state(w: WignerFunction | WaveFunction, kind: type, name: str, normalized=False, on=None) -> float:
+    """Mass of ``w``, the ``name`` argument of its reader, under the kind rule, given ``on``, and the state rule: the
+    mass rule (a wavefunction's mass is its squared norm), and the band rule, ``_band_edge`` of ``w`` (in position) at
+    most ``P_BAND_LEVEL``."""
+    _checked_kind(w, kind, name, on)
     mass = squared_norm(w) if isinstance(w, WaveFunction) else w.mass()
     if not mass > 0:  # uncertainty_product and purity divide by it
         raise InvariantViolation(f"total mass {mass:.7g} of the {name} is not positive: it carries no state")
@@ -127,17 +122,15 @@ def mixed_density(states: Sequence[WaveFunction], weights: Sequence[float]) -> D
         raise ValueError(f"need one weight per state, got {len(weights)} for {len(states)}")
     if not all(np.isfinite(w) and w >= 0 for w in weights):
         raise InvariantViolation(f"mixture weights must be finite and nonnegative, got {[float(w) for w in weights]}")
-    grid = states[0].grid
+    first = (states[0], "state 0 of the mixture")
     for i, s in enumerate(states):
-        if s.grid != grid:
-            raise GridMismatchError(f"state {i} of the mixture lives on another grid than state 0")
-        _checked_state(s, WaveFunction, f"state {i} of the mixture", normalized=True)
+        _checked_state(s, WaveFunction, f"state {i} of the mixture", normalized=True, on=first)
     amplitudes = [to_position(s).values for s in states]
     entries = np.outer(amplitudes[0], np.conj(amplitudes[0]))
     entries *= weights[0]
     for a, w in zip(amplitudes[1:], weights[1:]):
         entries += w * np.outer(a, np.conj(a))
-    return DensityMatrix(grid, _adopt(entries))
+    return DensityMatrix(states[0].grid, _adopt(entries))
 
 
 def _transform_correlation(half: np.ndarray, grid: Grid) -> np.ndarray:
@@ -176,6 +169,7 @@ def wdf_from_density(rho: DensityMatrix) -> WignerFunction:
     the :class:`DensityMatrix` gate bounds by ``1.6e-13 * L / hbar`` in the
     result on a lattice of length ``L``.
     """
+    _checked_kind(rho, DensityMatrix, "density matrix")
     n = rho.grid.n_points
     corr = np.zeros((n, n // 2 + 1), dtype=np.complex128)
     for m in range(n // 2 + 1):  # rows j -/+ m both on the lattice for m <= j < n - m
@@ -234,10 +228,8 @@ def overlap_probability(w1: WignerFunction, w2: WignerFunction) -> float:
 
     Equals |<psi1|psi2>|^2 for pure states.
     """
-    if w1.grid != w2.grid:
-        raise GridMismatchError("distributions live on different grids")
     _checked_state(w1, WignerFunction, "first distribution", normalized=True)
-    _checked_state(w2, WignerFunction, "second distribution", normalized=True)
+    _checked_state(w2, WignerFunction, "second distribution", normalized=True, on=(w1, "first distribution"))
     g = w1.grid
     return float(g.h * np.sum(w1.values * w2.values) * g.delta_q * g.delta_p)
 

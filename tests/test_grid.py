@@ -141,10 +141,13 @@ class TestInnerProduct:
     def test_grid_mismatch(self):
         a = _gaussian(desk_grid())
         b = _gaussian(make_grid(-10, 10, 256))
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(GridMismatchError, match="^the second wavefunction lives on another grid than the first "):
             inner_product(a, b)
-        with pytest.raises(GridMismatchError):
-            inner_product(a, fourier_transform(_gaussian(desk_grid())))
+
+    def test_representation_mismatch(self):
+        a = _gaussian(desk_grid())
+        with pytest.raises(ValueError, match="^inner_product expects one representation, got position and momentum$"):
+            inner_product(a, fourier_transform(a))
 
 
 class TestNormalize:

@@ -73,6 +73,24 @@ class TestRoundTrips:
         assert loaded.grid == w.grid
         assert np.array_equal(loaded.values, w.values)
 
+    def test_load_state_takes_the_kind_its_sidecar_names(self, tmp_path, grid, monkeypatch):
+        # the CLI read each sidecar twice: once to learn the kind, once to load
+        psi = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
+        w = wdf_from_wavefunction(psi)
+        wio.save_wavefunction(psi, tmp_path / "state.csv")
+        wio.save_wigner(w, tmp_path / "w.csv")
+        reads = []
+        read_sidecar = wio._read_sidecar
+        monkeypatch.setattr(wio, "_read_sidecar", lambda *args: reads.append(args[0]) or read_sidecar(*args))
+        loaded = wio.load_state(tmp_path / "state.csv")
+        assert type(loaded) is WaveFunction and np.array_equal(loaded.values, psi.values)
+        assert np.array_equal(wio.load_state(tmp_path / "w.csv").values, w.values)
+        assert reads == [tmp_path / "state.csv", tmp_path / "w.csv"]
+        reads.clear()
+        assert np.array_equal(cli._load_state_as_wdf(str(tmp_path / "state.csv")).values, w.values)
+        assert np.array_equal(cli._load_state_as_wdf(str(tmp_path / "w.csv")).values, w.values)
+        assert reads == [tmp_path / "state.csv", tmp_path / "w.csv"]
+
     def test_header_and_sidecar_schema(self, tmp_path, grid):
         psi = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
         wio.save_wavefunction(psi, tmp_path / "state.csv")

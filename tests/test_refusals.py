@@ -31,8 +31,10 @@ from wignerlab import (
     filtered_gaussian_wdf_closed_form,
     fourier_transform,
     gaussian_wavefunction,
+    inner_product,
     make_grid,
     mixed_density,
+    overlap_probability,
     propagate,
     smoothed_minimum,
     split_step_schrodinger,
@@ -83,11 +85,17 @@ LIBRARY = [
     ("filter-momentum-state", lambda tmp: filter_wavefunction(MOMENTUM_MASS_4, FilterSpec(COORDINATE, PSI)),
      InvariantViolation, "total mass 4 of the state deviates from 1 by more than 1e-6"),
     ("filter-wdf-grids", lambda tmp: filter_wdf(wdf_from_wavefunction(PSI), FilterSpec(COORDINATE, ELSEWHERE)),
-     GridMismatchError, "state and device live on different grids"),
+     GridMismatchError, "the device lives on another grid than the state"),
     ("detect-grids", lambda tmp: detect(wdf_from_wavefunction(PSI), wdf_from_wavefunction(ELSEWHERE)),
-     GridMismatchError, "state and device live on different grids"),
+     GridMismatchError, "the device lives on another grid than the state"),
     ("detect-amplitudes-grids", lambda tmp: detect_from_wavefunctions(PSI, ELSEWHERE), GridMismatchError,
-     "state and device live on different grids"),
+     "the device lives on another grid than the state"),
+    ("overlap-grids", lambda tmp: overlap_probability(wdf_from_wavefunction(PSI), wdf_from_wavefunction(ELSEWHERE)),
+     GridMismatchError, "the second distribution lives on another grid than the first distribution"),
+    ("mixture-grids", lambda tmp: mixed_density([PSI, ELSEWHERE], [0.5, 0.5]), GridMismatchError,
+     "the state 1 of the mixture lives on another grid than the state 0 of the mixture"),
+    ("inner-product-grids", lambda tmp: inner_product(PSI, ELSEWHERE), GridMismatchError,
+     "the second wavefunction lives on another grid than the first wavefunction"),
     ("potential-coefficients", lambda tmp: PotentialSpec((0.0, float("nan"))), ValueError,
      "coefficients[1] must be a finite number, got nan"),
     ("step-count", lambda tmp: EvolutionConfig(1e-3, -1), ValueError, "n_steps must be nonnegative, got -1"),
@@ -99,12 +107,23 @@ LIBRARY = [
     ("subplanck-flat", lambda tmp: subplanck_scale(WignerFunction(GRID, np.ones((256, 256)))), InvariantViolation,
      "distribution has no resolvable structure on this grid"),
     ("state-file-rows", _truncated_state, ValueError, "{tmp}/state.csv: expected 256 rows of q,re,im"),
+    ("wigner-file-kind", lambda tmp: wio.load_wigner(wio.save_wavefunction(PSI, tmp / "state.csv")[0]), ValueError,
+     "{tmp}/state.csv must be a matrix file, got a wavefunction file"),
+    ("wavefunction-file-kind", lambda tmp: wio.load_wavefunction(wio.save_wigner(wdf_from_wavefunction(PSI),
+                                                                                 tmp / "wdf.csv")[0]),
+     ValueError, "{tmp}/wdf.csv must be a wavefunction file, got a matrix file"),
 ]
 
 CLI = [
     ("grid-spec", ["state", "--gaussian", "q0=1", "--grid=-12:12"], "grid spec must be qmin:qmax:N, got '-12:12'"),
     ("parameter-token", ["state", "--gaussian", "q0"], "expected key=value, got 'q0'"),
     ("unknown-parameter", ["state", "--gaussian", "q0=1", "x=2"], "unknown parameters: ['x']"),
+]
+
+#: ``(name, argv)`` of commands that read a matrix file where they take a wavefunction file, ``{tmp}/w/wdf.csv``.
+CLI_FILE_KINDS = [
+    ("filter-input", ["filter", "{tmp}/w/wdf.csv", "--filter", "{tmp}/slit.json"]),
+    ("filter-device", ["filter", "{tmp}/state.csv", "--filter", "{tmp}/matrix_device.json"]),
 ]
 
 
@@ -122,6 +141,19 @@ def test_refusal_names_its_cause(tmp_path, capsys, refuse, error, message):
         assert main(refuse + ["--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [pytest.param(argv, id=name) for name, argv in CLI_FILE_KINDS])
+def test_cli_refuses_a_file_of_the_other_kind(tmp_path, capsys, argv):
+    # each used to exit 2 with "<path>: expected 256 rows of q,re,im", which names neither kind
+    wio.save_wavefunction(PSI, tmp_path / "state.csv")
+    (tmp_path / "w").mkdir()
+    wio.save_wigner(wdf_from_wavefunction(PSI), tmp_path / "w" / "wdf.csv")
+    (tmp_path / "slit.json").write_text('{"kind": "coordinate", "device": "state.csv"}')
+    (tmp_path / "matrix_device.json").write_text('{"kind": "coordinate", "device": "w/wdf.csv"}')
+    assert main([arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr() == ("", f"error: {tmp_path}/w/wdf.csv must be a wavefunction file, got a matrix file\n")
+    assert not (tmp_path / "o").exists()
 
 
 #: ``(parameter, call that passes the value as that parameter)`` for every public scalar; counts are marked.
@@ -147,6 +179,7 @@ SCALARS = {
     "smoothing-sigma-q": ("sigma_q", lambda v: smoothed_minimum(wdf_from_wavefunction(PSI), v, 1.0)),
     "smoothing-sigma-p": ("sigma_p", lambda v: smoothed_minimum(wdf_from_wavefunction(PSI), 1.0, v)),
     "slit-offset": ("offset", lambda v: filtered_cat_wdf_closed_form(CatSpec(1.0, 2.0), 1.0, v, GRID)),
+    "slit-width": ("q_m", lambda v: filtered_cat_wdf_closed_form(CatSpec(1.0, 2.0), v, 0.0, GRID)),
 }
 _COUNTS = {"grid-n-points", "make-grid-n-points", "evolution-n-steps"}
 _NOT_NUMBERS = [(float("nan"), "nan"), (float("inf"), "inf"), (True, "True"), ("1", "'1'")]

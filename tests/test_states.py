@@ -268,7 +268,16 @@ class TestSlitRule:
             filtered_cat_wdf_closed_form(CatSpec(1.0, 2.0), 1.0, offset, grid)
 
 
-@pytest.mark.parametrize("q_m", [1e-200, 1e300, float("inf")])
+@pytest.mark.parametrize(
+    "q_m, refusal",
+    [
+        pytest.param(1e-200, "q_m must have a square that is a positive finite float64, got 1e-200", id="1e-200"),
+        pytest.param(1e300, "q_m must have a square that is a positive finite float64, got 1e+300", id="1e+300"),
+        pytest.param(float("inf"), "q_m must be a finite number, got inf", id="inf"),
+        pytest.param(0.0, "q_m must be positive, got 0.0", id="0.0"),
+        pytest.param(-1.0, "q_m must be positive, got -1.0", id="-1.0"),
+    ],
+)
 @pytest.mark.parametrize(
     "build",
     [
@@ -276,10 +285,9 @@ class TestSlitRule:
         pytest.param(lambda q_m, g: filtered_cat_wdf_closed_form(CatSpec(1.0, 2.0), q_m, 0.0, g), id="filtered-cat"),
     ],
 )
-def test_slit_width_without_a_finite_square_is_refused(grid, build, q_m):
+def test_slit_width_without_a_finite_square_is_refused(grid, build, q_m, refusal):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before numpy warns
-        refusal = f"slit width {q_m} must be positive with a square that is a positive finite float64"
         with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
             build(q_m, grid)
 

@@ -1,9 +1,12 @@
+import dataclasses
+import inspect
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import wignerlab
 from wignerlab import (
     CatSpec,
     DensityMatrix,
@@ -28,18 +31,22 @@ from wignerlab import (
     gaussian_wavefunction,
     gaussian_wdf_closed_form,
     inner_product,
+    inverse_fourier_transform,
     make_grid,
     marginal_p,
     marginal_q,
     mixed_density,
+    moyal_rhs,
     normalize,
     overlap_probability,
     propagate,
     pure_density,
     purity,
     recover_wavefunction,
+    smoothed_minimum,
     split_step_schrodinger,
     squared_norm,
+    subplanck_scale,
     uncertainty_product,
     wdf_from_density,
     wdf_from_wavefunction,
@@ -262,7 +269,8 @@ class TestFromDensity:
         b = gaussian_wavefunction(GaussianSpec(width=1.0), make_grid(-12 + shift, 12 + shift, 256))
         monkeypatch.setattr(np, "outer", None)
         for states, other in (([a, b], 1), ([b, a, a], 1), ([a, a, b], 2)):
-            with pytest.raises(GridMismatchError, match=f"^state {other} of the mixture lives on another grid than"):
+            refusal = f"^the state {other} of the mixture lives on another grid than the state 0 of the mixture$"
+            with pytest.raises(GridMismatchError, match=refusal):
                 mixed_density(states, [1.0 / len(states)] * len(states))
 
     def test_physical_states_positive_semidefinite(self):
@@ -684,20 +692,44 @@ KIND_READERS = {
     "mixed_density-second": (lambda psi, ref: mixed_density([ref, psi], [0.5, 0.5]), "state 1 of the mixture",
                              WaveFunction),
     "pure_density": (lambda psi, ref: pure_density(psi), "state 0 of the mixture", WaveFunction),
+    "smoothed_minimum": (lambda w, ref: smoothed_minimum(w, 1, 1), "distribution", WignerFunction),
+    "subplanck_scale": (lambda w, ref: subplanck_scale(w), "distribution", WignerFunction),
+    "moyal_rhs": (lambda w, ref: moyal_rhs(w, HARMONIC), "distribution", WignerFunction),
+    "FilterSpec": (lambda psi, ref: FilterSpec(COORDINATE, psi), "device", WaveFunction),
+    "squared_norm": (lambda psi, ref: squared_norm(psi), "wavefunction", WaveFunction),
+    "normalize": (lambda psi, ref: normalize(psi), "wavefunction", WaveFunction),
+    "inner_product-first": (lambda psi, ref: inner_product(psi, ref), "first wavefunction", WaveFunction),
+    "inner_product-second": (lambda psi, ref: inner_product(ref, psi), "second wavefunction", WaveFunction),
+    "fourier_transform": (lambda psi, ref: fourier_transform(psi), "wavefunction", WaveFunction),
+    "inverse_fourier_transform": (lambda psi, ref: inverse_fourier_transform(psi), "wavefunction", WaveFunction),
+    "wdf_from_density": (lambda rho, ref: wdf_from_density(rho), "density matrix", DensityMatrix),
 }
 
 
 @pytest.mark.parametrize("reader", KIND_READERS)
 def test_each_reader_refuses_the_other_kind(reader):
     # a distribution reader given a wavefunction used to return a number (purity 0.82 for a pure state, a complex
-    # p-marginal), and a wavefunction reader given a distribution raised an AttributeError
+    # p-marginal), and a wavefunction reader given a distribution raised an AttributeError; smoothed_minimum raised an
+    # IndexError, and FilterSpec took a distribution as its device, on which filter_wavefunction then failed
     read, name, kind = KIND_READERS[reader]
     psi = gaussian_wavefunction(GaussianSpec(width=1.0), desk_grid())
     w = wdf_from_wavefunction(psi)
-    other, ref = (psi, w) if kind is WignerFunction else (w, psi)
+    other, ref = (w, psi) if kind is WaveFunction else (psi, w)
     refusal = f"^the {name} must be a {kind.__name__}, got a {type(other).__name__}$"
     with pytest.raises(TypeError, match=refusal):
         read(other, ref)
+
+
+def test_the_kind_table_holds_every_public_reader():
+    # a public function or value type with a parameter annotated as one of the three kinds of value is a reader
+    kinds = re.compile(r"\b(WaveFunction|WignerFunction|DensityMatrix)\b")
+    readers = {
+        name for name in wignerlab.__all__
+        if inspect.isfunction(obj := getattr(wignerlab, name)) or dataclasses.is_dataclass(obj)
+        if any(kinds.search(str(p.annotation)) for p in inspect.signature(obj).parameters.values())
+    }
+    assert len(readers) == 29
+    assert readers - {row.split("-")[0] for row in KIND_READERS} == set()
 
 
 def kicked_state(density):
