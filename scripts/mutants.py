@@ -187,7 +187,16 @@ MUTANTS = [
     ("origin_index tolerance 1e-9 -> 0.4 of a cell", "grid.py",
      "> 1e-9 * self.delta_q", "> 0.4 * self.delta_q", ["test_grid.py"]),
     ("the detection-map floor reads the first row only", "filtering.py",
-     "low = float(values.min())", "low = float(values[0].min())", ["test_filtering.py"]),
+     "low = float(self.values.min())", "low = float(self.values[0].min())", ["test_filtering.py"]),
+    ("DetectionMap drops its nonnegativity floor", "filtering.py",
+     "        if low < -1e-12:\n            raise InvariantViolation(\n"
+     "                f\"detection map has negative values down to {low:.2e}\"\n            )\n", "",
+     ["test_filtering.py"]),
+    ("the lattice-matrix mass drops delta_p", "wigner.py",
+     "* self.grid.delta_q * self.grid.delta_p)", "* self.grid.delta_q)", ["test_wigner.py", "test_filtering.py"]),
+    ("blob_report reads w before its check", "blobs.py",
+     "    area = effective_area(w)  # checks w before it is read\n    sigma_q = float(np.sqrt(w.grid.hbar / 2.0))\n",
+     "    sigma_q = float(np.sqrt(w.grid.hbar / 2.0))\n    area = effective_area(w)\n", ["test_wigner.py"]),
     ("the split loader drops its column check", "io.py",
      '        if rows.shape[1] != n:  # a one-column tail would broadcast; more rows than n fail to fit\n'
      '            raise ValueError("not the tail of an n x n matrix")\n', "", ["test_io_cli.py"]),

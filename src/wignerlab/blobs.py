@@ -105,9 +105,10 @@ def subplanck_scale(w: WignerFunction) -> float:
 
 def blob_report(w: WignerFunction) -> BlobReport:
     """Assemble the full diagnostic report, smoothing with sigma_q = sigma_p = sqrt(hbar/2)."""
+    area = effective_area(w)  # checks w before it is read
     sigma_q = float(np.sqrt(w.grid.hbar / 2.0))
     return BlobReport(
-        effective_area=effective_area(w),
+        effective_area=area,
         min_value=float(w.values.min()),
         min_smoothed_value=smoothed_minimum(w, sigma_q, float(w.grid.hbar / 2.0 / sigma_q)),
         subplanck_scale=subplanck_scale(w),

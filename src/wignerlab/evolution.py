@@ -138,7 +138,8 @@ def _frames(w: WignerFunction, v: PotentialSpec, dt: float, n_steps: int, every:
 
     Step numbers count over the run; the 25-step checks restart at each frame, as in chunked ``propagate``.
     """
-    grid, current, initial_mass = w.grid, w.values, _checked_state(w, WignerFunction, "state")
+    initial_mass = _checked_state(w, WignerFunction, "state")
+    grid, current = w.grid, w.values
     del w  # the caller's state is not kept for the whole run
     transport, force = _moyal_symbols(grid, v)
     potential = v.polynomial

@@ -23,11 +23,9 @@ import numpy as np
 from .errors import InvariantViolation, _checked_fields, _checked_kind, _finite
 from .grid import (
     _BLOCK,
-    Grid,
     WaveFunction,
     _adopt,
     _centre_p,
-    _frozen_array,
     _half_dft,
     _linear_convolution,
     _pair_correlation,
@@ -35,7 +33,8 @@ from .grid import (
     to_position,
 )
 from .wigner import (
-    WignerFunction, _checked_state, marginal_p, marginal_q, overlap_probability, wigner_values_of_amplitudes,
+    WignerFunction, _LatticeMatrix, _checked_state, marginal_p, marginal_q, overlap_probability,
+    wigner_values_of_amplitudes,
 )
 
 COORDINATE = "coordinate"
@@ -85,28 +84,21 @@ class FilterSpec:
                 raise ValueError(f"the {self.kind} filter takes no {name}")
 
 
-@dataclass(frozen=True)
-class DetectionMap:
+class DetectionMap(_LatticeMatrix):
     """Nonnegative detector readout over the phase-space lattice.
 
     Not renormalized: the total mass encodes the detection efficiency.
     """
 
-    grid: Grid
-    values: np.ndarray
+    _what = "values in detection map"
 
     def __post_init__(self):
-        n = self.grid.n_points
-        values = _frozen_array(self.values, np.float64, (n, n), "values in detection map")
-        low = float(values.min())
+        super().__post_init__()
+        low = float(self.values.min())
         if low < -1e-12:
             raise InvariantViolation(
                 f"detection map has negative values down to {low:.2e}"
             )
-        object.__setattr__(self, "values", values)
-
-    def mass(self) -> float:
-        return float(self.values.sum() * self.grid.delta_q * self.grid.delta_p)
 
 
 @dataclass(frozen=True)

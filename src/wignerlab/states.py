@@ -96,20 +96,16 @@ def gaussian_wdf_closed_form(spec: GaussianSpec, grid: Grid) -> WignerFunction:
     return WignerFunction(grid, _adopt(values))
 
 
-def cat_norm_constant(spec: CatSpec) -> float:
-    """Normalization ``(4 pi w^2)^(-1/4) [1 + exp(-d^2/w^2)]^(-1/2)``."""
-    return float(
-        (4 * np.pi * spec.width**2) ** (-0.25)
-        * (1.0 + np.exp(-(spec.separation**2) / spec.width**2)) ** (-0.5)
-    )
-
-
 def cat_wavefunction(spec: CatSpec, grid: Grid) -> WaveFunction:
-    """Two-hump state ``N [exp(-(q-d)^2/2w^2) + exp(-(q+d)^2/2w^2)]``."""
+    """Two-hump state ``N [exp(-(q-d)^2/2w^2) + exp(-(q+d)^2/2w^2)]``, normalized by
+    ``N = (4 pi w^2)^(-1/4) [1 + exp(-d^2/w^2)]^(-1/2)``."""
     for hump in (spec.separation, -spec.separation):
         _check_fit(grid, hump, spec.width)
     q = grid.q
-    norm = cat_norm_constant(spec)
+    norm = float(
+        (4 * np.pi * spec.width**2) ** (-0.25)
+        * (1.0 + np.exp(-(spec.separation**2) / spec.width**2)) ** (-0.5)
+    )
     values = norm * (
         np.exp(-((q - spec.separation) ** 2) / (2 * spec.width**2))
         + np.exp(-((q + spec.separation) ** 2) / (2 * spec.width**2))

@@ -40,19 +40,26 @@ MIN_REFERENCE = 1e-6
 
 
 @dataclass(frozen=True)
-class WignerFunction:
-    """Real matrix over the q x p lattice, indexed ``values[q_index, p_index]``."""
+class _LatticeMatrix:
+    """The frozen float64 ``(n, n)`` values and the mass of the two phase-space matrices, :class:`WignerFunction` and
+    ``filtering.DetectionMap``: siblings, so neither is read as the other; each names its values in ``_what``."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
         n = self.grid.n_points
-        values = _frozen_array(self.values, np.float64, (n, n), "values in Wigner matrix")
+        values = _frozen_array(self.values, np.float64, (n, n), self._what)
         object.__setattr__(self, "values", values)
 
     def mass(self) -> float:
         return float(np.sum(self.values) * self.grid.delta_q * self.grid.delta_p)
+
+
+class WignerFunction(_LatticeMatrix):
+    """Real matrix over the q x p lattice, indexed ``values[q_index, p_index]``."""
+
+    _what = "values in Wigner matrix"
 
 
 def _band_edge(values: np.ndarray) -> float:

@@ -104,6 +104,15 @@ class TestFilterWavefunction:
         else:
             assert filter_wavefunction(psi, spec)[1] == pytest.approx(transmission, rel=1e-9)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("kind", [COORDINATE, MOMENTUM_KIND])
+    def test_overflowing_transmission_is_named(self, grid, kind):
+        # a finite device whose output's squared norm overflows cannot be normalized, on a p-axis or a q-axis kind
+        psi = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
+        device = WaveFunction(grid, 1e200 * gaussian_wavefunction(GaussianSpec(width=0.8, center=0.5), grid).values)
+        with pytest.raises(InvariantViolation, match="^cannot normalize a filter output with squared norm inf$"):
+            filter_wavefunction(psi, FilterSpec(kind=kind, device=device))
+
     def test_grid_mismatch(self, grid):
         psi = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
         other = gaussian_wavefunction(GaussianSpec(width=1.0), make_grid(-10, 10, 256))

@@ -720,6 +720,17 @@ def test_each_reader_refuses_the_other_kind(reader):
         read(other, ref)
 
 
+@pytest.mark.parametrize("reader", KIND_READERS)
+def test_each_reader_refuses_a_bare_array(reader):
+    # the other kind has a grid, so a reader that touched it before its check passed the test above: blob_report and
+    # propagate read w.grid first and raised an AttributeError for a bare array
+    read, name, kind = KIND_READERS[reader]
+    psi = gaussian_wavefunction(GaussianSpec(width=1.0), desk_grid())
+    ref = psi if kind is WaveFunction else wdf_from_wavefunction(psi)
+    with pytest.raises(TypeError, match=f"^the {name} must be a {kind.__name__}, got a ndarray$"):
+        read(np.eye(8), ref)
+
+
 def test_the_kind_table_holds_every_public_reader():
     # a public function or value type with a parameter annotated as one of the three kinds of value is a reader
     kinds = re.compile(r"\b(WaveFunction|WignerFunction|DensityMatrix)\b")
