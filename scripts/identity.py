@@ -123,6 +123,8 @@ def command_table(n: int) -> list[tuple[str, list[str]]]:
         ("rdt", ["evolve", "s/state.csv", "--potential", "well.json", "--t", "0.01", "--dt", "inf"]),
         ("rfw", ["filter", "w/wdf.csv", "--filter", "slit.json"]),  # a matrix file as the filter input
         ("rfd", ["filter", "s/state.csv", "--filter", "matrix_device.json"]),  # and as the filter device
+        ("rdw", ["wdf", "det/detection.csv"]),  # a detector readout where a state goes
+        ("rdd", ["detect", "w/wdf.csv", "det/detection.csv"]),  # and as the device
     ]
     return [(out, argv + ["--out", out] if out else argv) for out, argv in table]
 

@@ -133,7 +133,8 @@ MUTANTS = [
     ("the kind rule drops its grid clause", "errors.py",
      "if on is not None and w.grid != on[0].grid:", "if False:", ["test_refusals.py"]),
     ("the sidecar's kind is not read", "io.py",
-     'found = "matrix" if meta.get("representation") is None else "wavefunction"', "found = kind",
+     'found = {None: "matrix", "detection map": "detection map"}.get(meta.get("representation"), "wavefunction")',
+     "found = kinds[0]",
      ["test_refusals.py", "test_io_cli.py"]),
     ("the number rule admits non-finite values", "errors.py",
      " and abs(v) <= sys.float_info.max", "", ["test_refusals.py"]),
@@ -203,6 +204,16 @@ MUTANTS = [
     ("the sidecar's grid drops its integrality check (_count -> _finite)", "grid.py",
      "n_points=_count", "n_points=_finite", ["test_io_cli.py"]),
     ("MEMORY_BUDGET 11 -> 2", "cli.py", "MEMORY_BUDGET = 11", "MEMORY_BUDGET = 2", ["test_io_cli.py"]),
+    ("save_matrix writes no detection kind", "io.py",
+     'kind = {"representation": "detection map"} if isinstance(m, DetectionMap) else {}', "kind = {}",
+     ["test_io_cli.py", "test_refusals.py"]),
+    ("the sidecar reads a detection map as a matrix", "io.py",
+     '{None: "matrix", "detection map": "detection map"}', '{None: "matrix", "detection map": "matrix"}',
+     ["test_io_cli.py", "test_refusals.py"]),
+    ("the fit rule drops its grid check", "states.py",
+     '    _checked_kind(grid, Grid, "grid")\n    packets', "    packets", ["test_wigner.py", "test_states.py"]),
+    ("propagate drops its config check", "evolution.py",
+     '    _checked_kind(cfg, EvolutionConfig, "config")\n    return next(', "    return next(", ["test_wigner.py"]),
 ]
 
 #: Mutants that no test is expected to kill, and why.

@@ -117,7 +117,7 @@ def _cmd_wdf(args) -> tuple:
         "uncertainty_product": uncertainty_product(w),
         "min_value": float(w.values.min()),
     }
-    return w.grid, (args.input,), wio.save_wigner(w, _out_dir(args) / "wdf.csv"), payload
+    return w.grid, (args.input,), wio.save_matrix(w, _out_dir(args) / "wdf.csv"), payload
 
 
 def _cmd_filter(args) -> tuple:
@@ -127,7 +127,7 @@ def _cmd_filter(args) -> tuple:
     w_out = filter_wdf(wdf_from_wavefunction(psi), spec) if args.wdf else None  # refused before any write
     written = wio.save_wavefunction(filtered, _out_dir(args) / "filtered.csv")
     if args.wdf:
-        written += wio.save_wigner(w_out, _out_dir(args) / "filtered_wdf.csv")
+        written += wio.save_matrix(w_out, _out_dir(args) / "filtered_wdf.csv")
     return psi.grid, (args.input, args.filter), written, {"transmission": transmitted}
 
 
@@ -135,7 +135,7 @@ def _cmd_detect(args) -> tuple:
     w_in = _load_state_as_wdf(args.state)
     w_m = _load_state_as_wdf(args.device)
     result = detect(w_in, w_m)
-    written = wio.save_matrix(result.values, result.grid, _out_dir(args) / "detection.csv")
+    written = wio.save_matrix(result, _out_dir(args) / "detection.csv")
     payload = {"min": float(result.values.min()), "mass": result.mass()}
     return result.grid, (args.state, args.device), written, payload
 
@@ -160,7 +160,7 @@ def _cmd_evolve(args) -> tuple:
             written += previous()
             # the next frame's steps overlap this frame's write in a helper; the last frame has no next steps
             last = frame * dump_every >= n_steps
-            finish = partial(wio.save_wigner, w, path) if last else wio.start_save_wigner(w, path)
+            finish = partial(wio.save_matrix, w, path) if last else wio.start_save_wigner(w, path)
     finally:
         written += finish()  # the last frame, or the frame pending when stepping aborted
     payload = {
@@ -193,11 +193,11 @@ def _cmd_figure(args) -> tuple:
             print("warning: the aligned-slit figure expects q_i > q_m", file=sys.stderr)
         state_wdf = gaussian_wdf_closed_form(GaussianSpec(width=args.qi), grid)
         slit_wdf = gaussian_wdf_closed_form(GaussianSpec(width=args.qm), grid)
-        written = wio.save_wigner(state_wdf, _out_dir(args) / "fig2_input_wdf.csv")
-        written += wio.save_wigner(slit_wdf, _out_dir(args) / "fig2_filter_wdf.csv")
+        written = wio.save_matrix(state_wdf, _out_dir(args) / "fig2_input_wdf.csv")
+        written += wio.save_matrix(slit_wdf, _out_dir(args) / "fig2_filter_wdf.csv")
     elif args.which == "fig3":
         cat = cat_wavefunction(CatSpec(width=args.qi, separation=args.d), grid)
-        written = wio.save_wigner(wdf_from_wavefunction(cat), _out_dir(args) / "fig3_cat_wdf.csv")
+        written = wio.save_matrix(wdf_from_wavefunction(cat), _out_dir(args) / "fig3_cat_wdf.csv")
     else:  # fig4
         scan, centers = figure4_scan(args.d, args.qi, args.qm, grid)
         path = _out_dir(args) / "fig4_scan.csv"
@@ -316,7 +316,7 @@ def _mend_grid_tokens(argv: list[str]) -> list[str]:
 
 
 def _lattice_size(args) -> int:
-    """N of the run's lattice, from ``--grid`` or from the sidecar of its first input."""
+    """N of the run's lattice, from ``--grid`` or from the sidecar of its first input, refused unless a state's."""
     if hasattr(args, "grid"):
         return _parse_grid(args.grid, args.hbar).n_points
     first = next(getattr(args, name) for name in ("input", "state", "a") if hasattr(args, name))
@@ -357,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

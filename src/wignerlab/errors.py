@@ -1,6 +1,7 @@
 """Exception types shared across the library, and its two argument rules, which name the argument they refuse: every
 public constructor, and the CLI for its own flags, checks each scalar with one of the number rule's three forms below,
-and every public reader checks each value it takes with the kind rule, ``_checked_kind``, of its kind and grid."""
+and every public reader and value constructor checks each value, grid, spec, filter, potential and config it takes
+with the kind rule, ``_checked_kind``, of its kind and grid."""
 
 import numbers
 import sys

@@ -108,6 +108,7 @@ def moyal_rhs(w: WignerFunction, v: PotentialSpec) -> np.ndarray:
     and the result is pure classical transport.
     """
     _checked_kind(w, WignerFunction, "distribution")
+    _checked_kind(v, PotentialSpec, "potential")
     transport, force = _moyal_symbols(w.grid, v)
     return _apply(w.values, transport, 0) + _apply(w.values, force, 1)
 
@@ -130,6 +131,7 @@ def propagate(w: WignerFunction, v: PotentialSpec, cfg: EvolutionConfig) -> Wign
     kick would wrap the state: an end amplitude, read off ``rho(end, .)``,
     above ``EDGE_LEVEL``, or a p-marginal edge value above ``P_BAND_LEVEL``.
     """
+    _checked_kind(cfg, EvolutionConfig, "config")
     return next(_frames(w, v, cfg.dt, cfg.n_steps, cfg.n_steps), w)  # no frame without a step
 
 
@@ -139,6 +141,7 @@ def _frames(w: WignerFunction, v: PotentialSpec, dt: float, n_steps: int, every:
     Step numbers count over the run; the 25-step checks restart at each frame, as in chunked ``propagate``.
     """
     initial_mass = _checked_state(w, WignerFunction, "state")
+    _checked_kind(v, PotentialSpec, "potential")
     grid, current = w.grid, w.values
     del w  # the caller's state is not kept for the whole run
     transport, force = _moyal_symbols(grid, v)
@@ -196,6 +199,8 @@ def split_step_schrodinger(psi: WaveFunction, v: PotentialSpec, cfg: EvolutionCo
     state in position; its squared norm lies within ``MASS_TOLERANCE`` of 1, and it is in band.
     """
     _checked_state(psi, WaveFunction, "state", normalized=True)
+    _checked_kind(v, PotentialSpec, "potential")
+    _checked_kind(cfg, EvolutionConfig, "config")
     g = psi.grid
     n = g.n_points
     v_values = v.polynomial(g.q)

@@ -113,6 +113,7 @@ class InteractionReport:
 
 def _law(state: WaveFunction | WignerFunction, f: FilterSpec) -> tuple[int, int]:
     """``f``'s convolution axis, 0 (q) or 1 (p), and its shift in cells along the other, on ``state``'s grid."""
+    _checked_kind(f, FilterSpec, "filter")
     _checked_kind(f.device, WaveFunction, "device", (state, "state"))
     g = state.grid
     if f.kind in (COORDINATE, GENERAL_MOMENTUM):

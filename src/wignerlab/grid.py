@@ -137,6 +137,7 @@ class WaveFunction:
     representation: str = POSITION
 
     def __post_init__(self):
+        _checked_kind(self.grid, Grid, "grid")
         if self.representation not in (POSITION, MOMENTUM):
             raise ValueError(f"unknown representation {self.representation!r}")
         n = self.grid.n_points

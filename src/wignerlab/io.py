@@ -5,7 +5,8 @@ with a sidecar ``<stem>.json`` holding
 ``{q_min, delta_q, n_points, hbar, representation}``.
 
 Distribution / detection-map CSV: a plain numeric matrix (rows = q,
-columns = p) with a sidecar holding the grid fields.  Floats are written
+columns = p) with a sidecar holding the grid fields, and for a detection
+map a ``representation`` of ``"detection map"``.  Floats are written
 with 17 significant digits so values round-trip exactly.  A forked helper
 writes or reads the second half of a matrix's rows on the other core.
 """
@@ -27,7 +28,7 @@ import numpy as np
 from . import __version__ as _version
 from .grid import Grid, WaveFunction, _adopt
 from .states import GaussianSpec, gaussian_wavefunction
-from .filtering import FilterSpec
+from .filtering import DetectionMap, FilterSpec
 from .evolution import PotentialSpec
 from .wigner import WignerFunction
 
@@ -62,27 +63,30 @@ def _joined(pid: int | None) -> bool:
     return pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 
 
-def _sidecar_path(csv_path: Path) -> Path:
-    return csv_path.with_suffix(".json")
-
-
-def _read_sidecar(csv_path: Path, kind: str | None = None) -> tuple[Grid, str | None]:
-    """The grid of a CSV's sidecar and its representation field, which makes it a "wavefunction" file and whose
-    absence makes it a "matrix" file; a file of the other kind than ``kind``, when given, is refused."""
+def _read_sidecar(csv_path: Path, kinds=("wavefunction", "matrix")) -> tuple[Grid, str | None]:
+    """The grid of a CSV's sidecar and its representation field, which names the file's kind (none: a "matrix" file;
+    "detection map": a "detection map" file; any other: a "wavefunction" file); one outside ``kinds`` is refused."""
     if not csv_path.exists():
         raise FileNotFoundError(f"no such file: {csv_path}")
-    sidecar = _sidecar_path(csv_path)
+    sidecar = csv_path.with_suffix(".json")
     if not sidecar.exists():
         raise FileNotFoundError(f"{csv_path} has no metadata sidecar {sidecar.name}")
     meta = _read_spec(sidecar, "metadata sidecar", _GRID_FIELDS, ("representation",))
-    found = "matrix" if meta.get("representation") is None else "wavefunction"
-    if kind not in (None, found):
-        raise ValueError(f"{csv_path} must be a {kind} file, got a {found} file")
+    found = {None: "matrix", "detection map": "detection map"}.get(meta.get("representation"), "wavefunction")
+    if found not in kinds:
+        raise ValueError(f"{csv_path} must be a {' or '.join(kinds)} file, got a {found} file")
     return _built(sidecar, Grid, **{field: meta[field] for field in _GRID_FIELDS}), meta.get("representation")
 
 
 def _grid_dict(grid: Grid) -> dict:
     return {field: getattr(grid, field) for field in _GRID_FIELDS}
+
+
+def _save_sidecar(csv_path: Path, grid: Grid, **fields) -> list[Path]:
+    """Write the sidecar of ``csv_path``, ``grid``'s fields and ``fields``; the CSV's path and the sidecar's."""
+    sidecar = csv_path.with_suffix(".json")
+    _write_json(sidecar, {**_grid_dict(grid), **fields})
+    return [csv_path, sidecar]
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -121,11 +125,7 @@ def save_wavefunction(psi: WaveFunction, csv_path: str | Path) -> list[Path]:
     label = "q" if psi.representation == "position" else "p"
     rows = np.column_stack([psi.coordinates, psi.values.real, psi.values.imag])
     np.savetxt(csv_path, rows, fmt=_FMT, delimiter=",", header=f"{label},re,im", comments="")
-    sidecar = _sidecar_path(csv_path)
-    meta = _grid_dict(psi.grid)
-    meta["representation"] = psi.representation
-    _write_json(sidecar, meta)
-    return [csv_path, sidecar]
+    return _save_sidecar(csv_path, psi.grid, representation=psi.representation)
 
 
 def load_state(csv_path: str | Path) -> WaveFunction | WignerFunction:
@@ -134,16 +134,16 @@ def load_state(csv_path: str | Path) -> WaveFunction | WignerFunction:
 
 
 def load_wavefunction(csv_path: str | Path) -> WaveFunction:
-    return _load(Path(csv_path), "wavefunction")
+    return _load(Path(csv_path), ("wavefunction",))
 
 
 def load_wigner(csv_path: str | Path) -> WignerFunction:
-    return _load(Path(csv_path), "matrix")
+    return _load(Path(csv_path), ("matrix",))
 
 
-def _load(csv_path: Path, kind: str | None = None) -> WaveFunction | WignerFunction:
-    """The value a CSV of ``kind`` (either, if None) holds; its sidecar is read once, before the CSV."""
-    grid, representation = _read_sidecar(csv_path, kind)
+def _load(csv_path: Path, kinds=("wavefunction", "matrix")) -> WaveFunction | WignerFunction:
+    """The value a CSV of one of ``kinds`` holds; its sidecar is read once, before the CSV."""
+    grid, representation = _read_sidecar(csv_path, kinds)
     if representation is None:
         return WignerFunction(grid, _adopt(_load_matrix(csv_path, grid.n_points)))
     rows = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
@@ -152,13 +152,13 @@ def _load(csv_path: Path, kind: str | None = None) -> WaveFunction | WignerFunct
     return WaveFunction(grid, rows[:, 1] + 1j * rows[:, 2], representation)
 
 
-def save_matrix(values: np.ndarray, grid: Grid, csv_path: str | Path) -> list[Path]:
-    """Shared matrix writer for distributions and detection maps.
+def save_matrix(m: WignerFunction | DetectionMap, csv_path: str | Path) -> list[Path]:
+    """Writer of a distribution or a detection map, whose sidecar names it a "detection map" file.
 
     This process formats rows ``[:n/2]``, then appends rows ``[n/2:]``: the unlinked file a
     helper formatted them into, or, where no helper finished, its own formatting of them.
     """
-    csv_path = Path(csv_path)
+    csv_path, values = Path(csv_path), m.values
     half = len(values) // 2
     with tempfile.TemporaryFile() as tail:
 
@@ -177,20 +177,15 @@ def save_matrix(values: np.ndarray, grid: Grid, csv_path: str | Path) -> list[Pa
                 shutil.copyfileobj(tail, out)
             else:
                 np.savetxt(out, values[half:], fmt=_FMT, delimiter=",")
-    sidecar = _sidecar_path(csv_path)
-    _write_json(sidecar, _grid_dict(grid))
-    return [csv_path, sidecar]
-
-
-def save_wigner(w: WignerFunction, csv_path: str | Path) -> list[Path]:
-    return save_matrix(w.values, w.grid, csv_path)
+    kind = {"representation": "detection map"} if isinstance(m, DetectionMap) else {}
+    return _save_sidecar(csv_path, m.grid, **kind)
 
 
 def start_save_wigner(w: WignerFunction, csv_path: str | Path) -> Callable[[], list[Path]]:
-    """Start :func:`save_wigner` in a forked helper; its finish, called once, joins it and writes what it did not."""
+    """Start :func:`save_matrix` in a forked helper; its finish, called once, joins it and writes what it did not."""
     csv_path = Path(csv_path)
-    pid = _fork(lambda: save_wigner(w, csv_path))
-    return lambda: [csv_path, _sidecar_path(csv_path)] if _joined(pid) else save_wigner(w, csv_path)
+    pid = _fork(lambda: save_matrix(w, csv_path))
+    return lambda: [csv_path, csv_path.with_suffix(".json")] if _joined(pid) else save_matrix(w, csv_path)
 
 
 def _strict_loadtxt(csv_path: Path, start: int, stop: int | None) -> np.ndarray:

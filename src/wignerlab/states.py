@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _checked_fields, _finite, _positive
+from .errors import _checked_fields, _checked_kind, _finite, _positive
 from .grid import EDGE_LEVEL, POSITION, Grid, WaveFunction, _adopt
 from .wigner import WignerFunction
 
@@ -56,10 +56,15 @@ def _check_axis(grid: Grid, axis: str, c: float, width: float, what: str = "pack
         )
 
 
-def _check_fit(grid: Grid, center: float, width: float, momentum_offset: float = 0.0) -> None:
-    """Refuse a Gaussian packet that does not fit the lattice on q or on p."""
-    _check_axis(grid, "q", center, width)
-    _check_axis(grid, "p", momentum_offset, width)
+def _check_fit(spec: GaussianSpec | CatSpec, kind: type, grid: Grid) -> None:
+    """Refuse a spec not of ``kind``, a grid not a Grid, then each packet of the spec that does not fit the lattice."""
+    _checked_kind(spec, kind, "spec")
+    _checked_kind(grid, Grid, "grid")
+    packets = ([(spec.center, spec.momentum_offset)] if kind is GaussianSpec
+               else [(spec.separation, 0.0), (-spec.separation, 0.0)])
+    for center, momentum_offset in packets:
+        _check_axis(grid, "q", center, spec.width)
+        _check_axis(grid, "p", momentum_offset, spec.width)
 
 
 def _check_slit(q_m: float, offset: float, grid: Grid) -> None:
@@ -76,7 +81,7 @@ def _check_slit(q_m: float, offset: float, grid: Grid) -> None:
 
 def gaussian_wavefunction(spec: GaussianSpec, grid: Grid) -> WaveFunction:
     """Samples of ``(pi w^2)^(-1/4) exp(-(q-c)^2 / 2w^2) exp(i p0 q / hbar)``."""
-    _check_fit(grid, spec.center, spec.width, spec.momentum_offset)
+    _check_fit(spec, GaussianSpec, grid)
     q = grid.q
     values = (np.pi * spec.width**2) ** (-0.25) * np.exp(
         -((q - spec.center) ** 2) / (2 * spec.width**2)
@@ -87,7 +92,7 @@ def gaussian_wavefunction(spec: GaussianSpec, grid: Grid) -> WaveFunction:
 
 def gaussian_wdf_closed_form(spec: GaussianSpec, grid: Grid) -> WignerFunction:
     """Exact distribution ``(2/h) exp(-(q-c)^2/w^2 - (p-p0)^2 w^2/hbar^2)``."""
-    _check_fit(grid, spec.center, spec.width, spec.momentum_offset)
+    _check_fit(spec, GaussianSpec, grid)
     q, p = grid.q[:, None], grid.p  # broadcast to the lattice: rows q, columns p
     values = (2.0 / grid.h) * np.exp(
         -((q - spec.center) ** 2) / spec.width**2
@@ -99,8 +104,7 @@ def gaussian_wdf_closed_form(spec: GaussianSpec, grid: Grid) -> WignerFunction:
 def cat_wavefunction(spec: CatSpec, grid: Grid) -> WaveFunction:
     """Two-hump state ``N [exp(-(q-d)^2/2w^2) + exp(-(q+d)^2/2w^2)]``, normalized by
     ``N = (4 pi w^2)^(-1/4) [1 + exp(-d^2/w^2)]^(-1/2)``."""
-    for hump in (spec.separation, -spec.separation):
-        _check_fit(grid, hump, spec.width)
+    _check_fit(spec, CatSpec, grid)
     q = grid.q
     norm = float(
         (4 * np.pi * spec.width**2) ** (-0.25)
@@ -116,9 +120,7 @@ def cat_wavefunction(spec: CatSpec, grid: Grid) -> WaveFunction:
 def _cat_family(spec: CatSpec, grid: Grid, slit=1.0, compression=1.0, damping=1.0, scale=1.0) -> WignerFunction:
     """``scale * slit(q) [humps(q) + 2 damping exp(-q^2/w^2) cos(2 c d p/hbar)] exp(-c w^2 p^2/hbar^2)
     / (h [1 + exp(-d^2/w^2)])``, ``c = compression``: the two-term product ``a(q) e(p) + b(q) f(p)``,
-    built as one (n, 2) @ (2, n) matrix product, so no N x N temporary is made."""
-    for hump in (spec.separation, -spec.separation):
-        _check_fit(grid, hump, spec.width)
+    built as one (n, 2) @ (2, n) matrix product, so no N x N temporary is made; the caller checks the fit."""
     q, p, d, w2 = grid.q, grid.p, spec.separation, spec.width**2
     envelope = scale * np.exp(-(p**2) * w2 * compression / grid.hbar**2) / (grid.h * (1.0 + np.exp(-(d**2) / w2)))
     humps = slit * (np.exp(-((q - d) ** 2) / w2) + np.exp(-((q + d) ** 2) / w2))
@@ -135,6 +137,7 @@ def cat_wdf_closed_form(spec: CatSpec, grid: Grid) -> WignerFunction:
     a shared momentum envelope.  The cross term peaks at the phase-space
     origin with value 2/h regardless of the separation.
     """
+    _check_fit(spec, CatSpec, grid)
     return _cat_family(spec, grid)
 
 
@@ -158,6 +161,7 @@ def filtered_cat_wdf_closed_form(spec: CatSpec, q_m: float, offset: float, grid:
     and sets the constant to ``1 / (h [1 + exp(-d^2/q_i^2)] sqrt(pi (q_i^2+q_m^2)))``.
     The result is not renormalized: its mass is the transmitted fraction.
     """
+    _check_fit(spec, CatSpec, grid)
     _check_slit(q_m, offset, grid)
     sum_sq = spec.width**2 + q_m**2
     return _cat_family(

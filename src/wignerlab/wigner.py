@@ -48,6 +48,7 @@ class _LatticeMatrix:
     values: np.ndarray
 
     def __post_init__(self):
+        _checked_kind(self.grid, Grid, "grid")
         n = self.grid.n_points
         values = _frozen_array(self.values, np.float64, (n, n), self._what)
         object.__setattr__(self, "values", values)
@@ -100,6 +101,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        _checked_kind(self.grid, Grid, "grid")
         n = self.grid.n_points
         entries = _frozen_array(self.entries, np.complex128, (n, n), "entries in density matrix")
         blocks = (slice(first, first + _BLOCK) for first in range(0, n, _BLOCK))  # no N x N temporary

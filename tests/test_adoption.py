@@ -145,7 +145,7 @@ class TestLibraryResultsAreKept:
     @pytest.mark.parametrize("fork", [True, False], ids=["split", "serial"])
     def test_load_wigner(self, lattice, tmp_path, monkeypatch, fork):
         *_, w_in, _ = lattice
-        csv_path = wio.save_wigner(w_in, tmp_path / "w.csv")[0]
+        csv_path = wio.save_matrix(w_in, tmp_path / "w.csv")[0]
         if not fork:
             monkeypatch.delattr(os, "fork")
         returned = _spy(monkeypatch, wio, "_load_matrix")

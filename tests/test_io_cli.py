@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from wignerlab import (
-    GaussianSpec, WaveFunction, WignerFunction, gaussian_wavefunction, make_grid, wdf_from_wavefunction,
+    GaussianSpec, WaveFunction, WignerFunction, detect, gaussian_wavefunction, make_grid, wdf_from_wavefunction,
 )
 from wignerlab import cli, evolution
 from wignerlab import io as wio
@@ -68,7 +68,7 @@ class TestRoundTrips:
 
     def test_wigner_matrix(self, tmp_path, grid):
         w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), grid))
-        wio.save_wigner(w, tmp_path / "w.csv")
+        wio.save_matrix(w, tmp_path / "w.csv")
         loaded = wio.load_wigner(tmp_path / "w.csv")
         assert loaded.grid == w.grid
         assert np.array_equal(loaded.values, w.values)
@@ -78,7 +78,7 @@ class TestRoundTrips:
         psi = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
         w = wdf_from_wavefunction(psi)
         wio.save_wavefunction(psi, tmp_path / "state.csv")
-        wio.save_wigner(w, tmp_path / "w.csv")
+        wio.save_matrix(w, tmp_path / "w.csv")
         reads = []
         read_sidecar = wio._read_sidecar
         monkeypatch.setattr(wio, "_read_sidecar", lambda *args: reads.append(args[0]) or read_sidecar(*args))
@@ -90,6 +90,24 @@ class TestRoundTrips:
         assert np.array_equal(cli._load_state_as_wdf(str(tmp_path / "state.csv")).values, w.values)
         assert np.array_equal(cli._load_state_as_wdf(str(tmp_path / "w.csv")).values, w.values)
         assert reads == [tmp_path / "state.csv", tmp_path / "w.csv"]
+        # a detector readout is no state: every loader refuses it at its sidecar, before its CSV is read
+        wio.save_matrix(detect(w, w), tmp_path / "det.csv")
+        for load, kinds in ((wio.load_state, "wavefunction or matrix"), (wio.load_wigner, "matrix"),
+                            (wio.load_wavefunction, "wavefunction")):
+            refusal = f"{tmp_path / 'det.csv'} must be a {kinds} file, got a detection map file"
+            with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+                load(tmp_path / "det.csv")
+
+    def test_detection_map_sidecar_names_its_kind(self, tmp_path, grid):
+        # the CSV of a detection map is the one its values make as a distribution; only its sidecar tells them apart
+        w = wdf_from_wavefunction(gaussian_wavefunction(GaussianSpec(width=1.0), grid))
+        m = detect(w, w)
+        assert wio.save_matrix(m, tmp_path / "det.csv") == [tmp_path / "det.csv", tmp_path / "det.json"]
+        wio.save_matrix(WignerFunction(m.grid, m.values), tmp_path / "w.csv")
+        assert (tmp_path / "det.csv").read_bytes() == (tmp_path / "w.csv").read_bytes()
+        meta, grid_fields = (json.loads((tmp_path / f"{stem}.json").read_text()) for stem in ("det", "w"))
+        assert meta == {**grid_fields, "representation": "detection map"}
+        assert set(grid_fields) == {"q_min", "delta_q", "n_points", "hbar"}
 
     def test_header_and_sidecar_schema(self, tmp_path, grid):
         psi = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
@@ -191,7 +209,7 @@ class TestCli:
         main(["wdf", str(tmp_path / "s/state.csv"), "--out", str(tmp_path / "w")])
         w = wio.load_wigner(tmp_path / "w/wdf.csv")
         path = tmp_path / "w/scaled.csv"
-        wio.save_wigner(WignerFunction(w.grid, w.values * (mass / w.mass())), path)
+        wio.save_matrix(WignerFunction(w.grid, w.values * (mass / w.mass())), path)
         return path
 
     def test_overlap_rejects_unnormalized_matrix(self, tmp_path, capsys):
@@ -256,7 +274,7 @@ class TestCli:
         g = wio.load_wavefunction(tmp_path / "s/state.csv").grid
         values = np.exp(-(g.q**2) / 2 + 1.2j * g.p[-1] * g.q / g.hbar) / np.pi**0.25
         wio.save_wavefunction(WaveFunction(g, values), tmp_path / "kicked.csv")
-        wio.save_wigner(WignerFunction(g, wigner_values_of_amplitudes(values, g)), tmp_path / "folded.csv")
+        wio.save_matrix(WignerFunction(g, wigner_values_of_amplitudes(values, g)), tmp_path / "folded.csv")
         (tmp_path / "slit.json").write_text(json.dumps({"kind": "coordinate", "device": {"gaussian": {"width": 1.0}}}))
         (tmp_path / "harmonic.json").write_text(json.dumps({"coefficients": [0, 0, 0.5]}))
         return {"kicked": str(tmp_path / "kicked.csv"), "folded": str(tmp_path / "folded.csv"),
@@ -841,14 +859,14 @@ class TestEvolveWriters:
         assert not (out / "run_manifest.json").exists()
 
     def test_writer_that_fails_once_gives_correct_bytes(self, evolve_inputs, tmp_path, capsys, monkeypatch):
-        parent, save = os.getpid(), wio.save_wigner
+        parent, save = os.getpid(), wio.save_matrix
 
         def fails_in_child(w, path):
             if os.getpid() != parent:
                 raise OSError("lost writer")
             return save(w, path)
 
-        monkeypatch.setattr(wio, "save_wigner", fails_in_child)
+        monkeypatch.setattr(wio, "save_matrix", fails_in_child)
         assert main(_evolve_argv(evolve_inputs, "n64", "0.012", "1e-3", "4", tmp_path / "e")) == 0
         monkeypatch.undo()
         printed = capsys.readouterr().out
@@ -1005,7 +1023,7 @@ class TestSplitMatrixIO:
     @pytest.mark.parametrize("n", [8, 64, 256])
     def test_bytes_equal_the_one_process_writer(self, tmp_path, capfd, n):
         values = _special_matrix(n, np.random.default_rng(n))
-        files = wio.save_matrix(values, desk_grid(n), tmp_path / "split.csv")
+        files = wio.save_matrix(WignerFunction(desk_grid(n), values), tmp_path / "split.csv")
         _assert_no_child_left()
         oracle_save_matrix(tmp_path / "oracle.csv", values)
         assert files == [tmp_path / "split.csv", tmp_path / "split.json"]
@@ -1019,7 +1037,7 @@ class TestSplitMatrixIO:
         psi = gaussian_wavefunction(GaussianSpec(width=1.0, center=0.5, momentum_offset=1.0), grid)
         w = wdf_from_wavefunction(psi)
         whole = _whole_file_parses(monkeypatch)
-        loaded = wio.load_wigner(wio.save_wigner(w, tmp_path / "w.csv")[0])
+        loaded = wio.load_wigner(wio.save_matrix(w, tmp_path / "w.csv")[0])
         _assert_no_child_left()
         assert whole == []
         assert loaded.grid == w.grid
@@ -1072,7 +1090,7 @@ class TestSplitMatrixIO:
     @pytest.mark.parametrize("rows", [0, 3, 59, 74], ids=["empty", "short", "missing-rows", "extra-rows"])
     def test_wrong_row_count_warns_and_fails_as_the_whole_file_parse(self, tmp_path, capfd, monkeypatch, rows):
         oracle_save_matrix(tmp_path / "w.csv", np.ones((rows, 64)))
-        wio.save_matrix(np.ones((64, 64)), desk_grid(64), tmp_path / "full.csv")
+        wio.save_matrix(WignerFunction(desk_grid(64), np.ones((64, 64))), tmp_path / "full.csv")
         (tmp_path / "full.json").replace(tmp_path / "w.json")
         outcomes = []
         for serial in (False, True):
@@ -1104,7 +1122,7 @@ class TestSplitMatrixIO:
         oracle_save_matrix(tmp_path / "oracle.csv", values)
         monkeypatch.setattr(np, "savetxt", only_in_parent(savetxt))
         monkeypatch.setattr(np, "loadtxt", only_in_parent(loadtxt))
-        wio.save_matrix(values, desk_grid(64), tmp_path / "w.csv")
+        wio.save_matrix(WignerFunction(desk_grid(64), values), tmp_path / "w.csv")
         _assert_no_child_left()
         loaded = wio._load_matrix(tmp_path / "oracle.csv", 64)
         _assert_no_child_left()

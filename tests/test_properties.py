@@ -312,8 +312,8 @@ def test_momentum_twins_agree_on_random_lattices(lattice, state, other, weight, 
 def test_matrix_files_round_trip_bit_exactly(lattice, state, other, weight):
     w = wdf_from_wavefunction(pair_state(lattice, state, other, weight))
     with tempfile.TemporaryDirectory() as tmp:
-        first = wio.save_wigner(w, Path(tmp) / "a.csv")
+        first = wio.save_matrix(w, Path(tmp) / "a.csv")
         loaded = wio.load_wigner(first[0])
         assert loaded.grid == w.grid and np.array_equal(loaded.values, w.values)
-        second = wio.save_wigner(loaded, Path(tmp) / "b.csv")
+        second = wio.save_matrix(loaded, Path(tmp) / "b.csv")
         assert [p.read_bytes() for p in first] == [p.read_bytes() for p in second]

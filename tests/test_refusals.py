@@ -109,7 +109,7 @@ LIBRARY = [
     ("state-file-rows", _truncated_state, ValueError, "{tmp}/state.csv: expected 256 rows of q,re,im"),
     ("wigner-file-kind", lambda tmp: wio.load_wigner(wio.save_wavefunction(PSI, tmp / "state.csv")[0]), ValueError,
      "{tmp}/state.csv must be a matrix file, got a wavefunction file"),
-    ("wavefunction-file-kind", lambda tmp: wio.load_wavefunction(wio.save_wigner(wdf_from_wavefunction(PSI),
+    ("wavefunction-file-kind", lambda tmp: wio.load_wavefunction(wio.save_matrix(wdf_from_wavefunction(PSI),
                                                                                  tmp / "wdf.csv")[0]),
      ValueError, "{tmp}/wdf.csv must be a wavefunction file, got a matrix file"),
 ]
@@ -124,6 +124,22 @@ CLI = [
 CLI_FILE_KINDS = [
     ("filter-input", ["filter", "{tmp}/w/wdf.csv", "--filter", "{tmp}/slit.json"]),
     ("filter-device", ["filter", "{tmp}/state.csv", "--filter", "{tmp}/matrix_device.json"]),
+]
+
+#: ``(name, argv, kinds)`` of commands that read a detector readout, ``{tmp}/det/detection.csv``, where they take a
+#: file of ``kinds``; ``overlap`` writes nothing, so it takes no ``--out``.
+_STATE_FILE = "wavefunction or matrix"
+CLI_READOUTS = [
+    ("wdf", ["wdf", "{tmp}/det/detection.csv", "--out", "{tmp}/o"], _STATE_FILE),
+    ("blob", ["blob", "{tmp}/det/detection.csv", "--out", "{tmp}/o"], _STATE_FILE),
+    ("evolve", ["evolve", "{tmp}/det/detection.csv", "--potential", "{tmp}/well.json", "--t", "0.01", "--dt", "1e-3",
+                "--out", "{tmp}/o"], _STATE_FILE),
+    ("overlap", ["overlap", "{tmp}/det/detection.csv", "{tmp}/w/wdf.csv"], _STATE_FILE),
+    ("detect-device", ["detect", "{tmp}/w/wdf.csv", "{tmp}/det/detection.csv", "--out", "{tmp}/o"], _STATE_FILE),
+    ("filter-input", ["filter", "{tmp}/det/detection.csv", "--filter", "{tmp}/slit.json", "--out", "{tmp}/o"],
+     "wavefunction"),
+    ("filter-device", ["filter", "{tmp}/state.csv", "--filter", "{tmp}/readout_device.json", "--out", "{tmp}/o"],
+     "wavefunction"),
 ]
 
 
@@ -143,16 +159,36 @@ def test_refusal_names_its_cause(tmp_path, capsys, refuse, error, message):
         assert not (tmp_path / "o").exists()
 
 
+def _write_inputs(tmp_path):
+    """A state file, its distribution file ``w/wdf.csv``, its self-detection ``det/detection.csv``, a slit, a well, and
+    a filter with each of the two matrix files as its device."""
+    wio.save_wavefunction(PSI, tmp_path / "state.csv")
+    w = wdf_from_wavefunction(PSI)
+    for name, value in (("w/wdf.csv", w), ("det/detection.csv", detect(w, w))):
+        (tmp_path / name).parent.mkdir()
+        wio.save_matrix(value, tmp_path / name)
+    (tmp_path / "slit.json").write_text('{"kind": "coordinate", "device": "state.csv"}')
+    (tmp_path / "matrix_device.json").write_text('{"kind": "coordinate", "device": "w/wdf.csv"}')
+    (tmp_path / "readout_device.json").write_text('{"kind": "coordinate", "device": "det/detection.csv"}')
+    (tmp_path / "well.json").write_text('{"coefficients": [0, 0, 0.5]}')
+
+
 @pytest.mark.parametrize("argv", [pytest.param(argv, id=name) for name, argv in CLI_FILE_KINDS])
 def test_cli_refuses_a_file_of_the_other_kind(tmp_path, capsys, argv):
     # each used to exit 2 with "<path>: expected 256 rows of q,re,im", which names neither kind
-    wio.save_wavefunction(PSI, tmp_path / "state.csv")
-    (tmp_path / "w").mkdir()
-    wio.save_wigner(wdf_from_wavefunction(PSI), tmp_path / "w" / "wdf.csv")
-    (tmp_path / "slit.json").write_text('{"kind": "coordinate", "device": "state.csv"}')
-    (tmp_path / "matrix_device.json").write_text('{"kind": "coordinate", "device": "w/wdf.csv"}')
+    _write_inputs(tmp_path)
     assert main([arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr() == ("", f"error: {tmp_path}/w/wdf.csv must be a wavefunction file, got a matrix file\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, kinds", [pytest.param(argv, kinds, id=name) for name, argv, kinds in CLI_READOUTS])
+def test_cli_refuses_a_detector_readout_as_a_state(tmp_path, capsys, argv, kinds):
+    # wdf and blob used to exit 0 and report a width-1 Gaussian's self-detection as a state of purity 0.5
+    _write_inputs(tmp_path)
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    refusal = f"{tmp_path}/det/detection.csv must be a {kinds} file, got a detection map file"
+    assert capsys.readouterr() == ("", f"error: {refusal}\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -10,9 +10,11 @@ import wignerlab
 from wignerlab import (
     CatSpec,
     DensityMatrix,
+    DetectionMap,
     EvolutionConfig,
     FilterSpec,
     GaussianSpec,
+    Grid,
     GridMismatchError,
     InvariantViolation,
     PotentialSpec,
@@ -20,6 +22,7 @@ from wignerlab import (
     WignerFunction,
     blob_report,
     cat_wavefunction,
+    cat_wdf_closed_form,
     classify_interaction,
     detect,
     detect_from_wavefunctions,
@@ -27,6 +30,8 @@ from wignerlab import (
     expectation,
     filter_wavefunction,
     filter_wdf,
+    filtered_cat_wdf_closed_form,
+    filtered_gaussian_wdf_closed_form,
     fourier_transform,
     gaussian_wavefunction,
     gaussian_wdf_closed_form,
@@ -731,16 +736,71 @@ def test_each_reader_refuses_a_bare_array(reader):
         read(np.eye(8), ref)
 
 
+def _desk_values():
+    psi = gaussian_wavefunction(GaussianSpec(width=1.0), desk_grid())
+    return psi, wdf_from_wavefunction(psi)
+
+
+#: Every ``(reader, parameter)`` that takes a lattice, spec, filter, potential or config: the call that passes a value
+#: as that parameter, and its kind.  Each raised an AttributeError for a wrong kind: a value constructor read
+#: ``grid.n_points``, a generator ``spec.width`` or ``grid.q``, a filter route ``f.device``, a propagator ``v.mass``,
+#: ``v.polynomial`` or ``cfg.dt``.
+SPEC_READERS = {
+    "WaveFunction-grid": (lambda x: WaveFunction(x, _desk_values()[0].values), Grid),
+    "WignerFunction-grid": (lambda x: WignerFunction(x, _desk_values()[1].values), Grid),
+    "DetectionMap-grid": (lambda x: DetectionMap(x, np.zeros((256, 256))), Grid),
+    "DensityMatrix-grid": (lambda x: DensityMatrix(x, np.eye(8) / 8), Grid),
+    "gaussian_wavefunction-spec": (lambda x: gaussian_wavefunction(x, desk_grid()), GaussianSpec),
+    "gaussian_wavefunction-grid": (lambda x: gaussian_wavefunction(GaussianSpec(1.0), x), Grid),
+    "gaussian_wdf_closed_form-spec": (lambda x: gaussian_wdf_closed_form(x, desk_grid()), GaussianSpec),
+    "gaussian_wdf_closed_form-grid": (lambda x: gaussian_wdf_closed_form(GaussianSpec(1.0), x), Grid),
+    "cat_wavefunction-spec": (lambda x: cat_wavefunction(x, desk_grid()), CatSpec),
+    "cat_wavefunction-grid": (lambda x: cat_wavefunction(CatSpec(1.0, 2.0), x), Grid),
+    "cat_wdf_closed_form-spec": (lambda x: cat_wdf_closed_form(x, desk_grid()), CatSpec),
+    "cat_wdf_closed_form-grid": (lambda x: cat_wdf_closed_form(CatSpec(1.0, 2.0), x), Grid),
+    "filtered_gaussian_wdf_closed_form-grid": (lambda x: filtered_gaussian_wdf_closed_form(1.0, 1.0, x), Grid),
+    "filtered_cat_wdf_closed_form-spec": (lambda x: filtered_cat_wdf_closed_form(x, 1.0, 0.0, desk_grid()), CatSpec),
+    "filtered_cat_wdf_closed_form-grid": (lambda x: filtered_cat_wdf_closed_form(CatSpec(1.0, 2.0), 1.0, 0.0, x),
+                                          Grid),
+    "filter_wavefunction-f": (lambda x: filter_wavefunction(_desk_values()[0], x), FilterSpec),
+    "filter_wdf-f": (lambda x: filter_wdf(_desk_values()[1], x), FilterSpec),
+    "moyal_rhs-v": (lambda x: moyal_rhs(_desk_values()[1], x), PotentialSpec),
+    "propagate-v": (lambda x: propagate(_desk_values()[1], x, EvolutionConfig(1e-3, 1)), PotentialSpec),
+    "propagate-cfg": (lambda x: propagate(_desk_values()[1], HARMONIC, x), EvolutionConfig),
+    "split_step_schrodinger-v": (lambda x: split_step_schrodinger(_desk_values()[0], x, EvolutionConfig(1e-3, 1)),
+                                 PotentialSpec),
+    "split_step_schrodinger-cfg": (lambda x: split_step_schrodinger(_desk_values()[0], HARMONIC, x), EvolutionConfig),
+}
+
+#: The argument each parameter is named by in its refusal.
+_SPEC_NAMES = {"grid": "grid", "spec": "spec", "f": "filter", "v": "potential", "cfg": "config"}
+
+
+@pytest.mark.parametrize("wrong", [None, {"width": 1.0}], ids=["None", "dict"])
+@pytest.mark.parametrize("row", SPEC_READERS)
+def test_each_reader_refuses_a_wrong_kind_of_spec(row, wrong):
+    read, kind = SPEC_READERS[row]
+    name = _SPEC_NAMES[row.split("-")[1]]
+    refusal = f"^the {name} must be a {kind.__name__}, got a {type(wrong).__name__}$"
+    with pytest.raises(TypeError, match=refusal):
+        read(wrong)
+
+
 def test_the_kind_table_holds_every_public_reader():
-    # a public function or value type with a parameter annotated as one of the three kinds of value is a reader
-    kinds = re.compile(r"\b(WaveFunction|WignerFunction|DensityMatrix)\b")
-    readers = {
-        name for name in wignerlab.__all__
+    # a public function or value type with a parameter annotated as one of the three kinds of value is a reader, and
+    # every parameter of a public name annotated as a lattice, spec, filter, potential or config has its own row
+    values = re.compile(r"\b(WaveFunction|WignerFunction|DensityMatrix)\b")
+    specs = re.compile(r"\b(Grid|GaussianSpec|CatSpec|FilterSpec|PotentialSpec|EvolutionConfig)\b")
+    public = {
+        name: inspect.signature(obj).parameters.values() for name in wignerlab.__all__
         if inspect.isfunction(obj := getattr(wignerlab, name)) or dataclasses.is_dataclass(obj)
-        if any(kinds.search(str(p.annotation)) for p in inspect.signature(obj).parameters.values())
     }
-    assert len(readers) == 29
+    readers = {name for name, params in public.items() if any(values.search(str(p.annotation)) for p in params)}
+    spec_readers = {f"{name}-{p.name}" for name, params in public.items() for p in params
+                    if specs.search(str(p.annotation))}
+    assert (len(readers), len({row.split("-")[0] for row in spec_readers})) == (29, 15)
     assert readers - {row.split("-")[0] for row in KIND_READERS} == set()
+    assert spec_readers == set(SPEC_READERS)
 
 
 def kicked_state(density):
