@@ -214,6 +214,20 @@ MUTANTS = [
      '    _checked_kind(grid, Grid, "grid")\n    packets', "    packets", ["test_wigner.py", "test_states.py"]),
     ("propagate drops its config check", "evolution.py",
      '    _checked_kind(cfg, EvolutionConfig, "config")\n    return next(', "    return next(", ["test_wigner.py"]),
+    ("figure4_scan drops its slit-width check", "cli.py",
+     '    q_m = _positive("q_m", q_m)\n', "", ["test_refusals.py"]),
+    ("a parameter given twice takes the last value", "cli.py",
+     '        if key in params:\n            raise ValueError(f"parameter {key} given twice")\n', "",
+     ["test_refusals.py"]),
+    ("make_grid drops its order guard", "grid.py",
+     '    if not q_max > q_min:\n        raise ValueError("q_max must exceed q_min")\n', "",
+     ["test_grid.py", "test_refusals.py"]),
+    ("a missing required parameter is not named", "cli.py",
+     '    if default is None:\n        raise ValueError(f"missing required parameter {key}=...")\n', "",
+     ["test_refusals.py"]),
+    ("filter's input takes a matrix file too", "cli.py",
+     'reads={"input": ("wavefunction",)}', 'reads={"input": ("wavefunction", "matrix")}',
+     ["test_refusals.py", "test_io_cli.py"]),
 ]
 
 #: Mutants that no test is expected to kill, and why.

@@ -48,6 +48,9 @@ MEMORY_BUDGET = 11
 #: Subcommands that build or load an N x N matrix (``filter`` only with ``--wdf``).
 _MATRIX_COMMANDS = {"wdf", "detect", "evolve", "overlap", "blob", "figure"}
 
+#: The kinds of file a state input takes; a wavefunction file is read as the distribution of its state.
+_STATE = ("wavefunction", "matrix")
+
 
 def _parse_grid(text: str, hbar: float) -> Grid:
     parts = text.split(":")
@@ -62,6 +65,8 @@ def _parse_params(tokens: list[str]) -> dict[str, float]:
         key, sep, value = token.partition("=")
         if not sep:
             raise ValueError(f"expected key=value, got {token!r}")
+        if key in params:
+            raise ValueError(f"parameter {key} given twice")
         params[key] = float(value)
     return params
 
@@ -74,9 +79,8 @@ def _pop(params: dict[str, float], key: str, default: float | None = None) -> fl
     return default
 
 
-def _load_state_as_wdf(path: str) -> WignerFunction:
-    """The distribution of a wavefunction CSV, or a distribution-matrix CSV; the library readers apply the mass rule."""
-    state = wio.load_state(path)
+def _as_wdf(state: WaveFunction | WignerFunction) -> WignerFunction:
+    """The distribution of a loaded state; the library readers apply the mass rule."""
     return wdf_from_wavefunction(state) if isinstance(state, WaveFunction) else state
 
 
@@ -87,10 +91,10 @@ def _out_dir(args) -> Path:
     return out_dir
 
 
-# Each _cmd_* writes its files and returns its record (grid, inputs, outputs, payload): ``main``
-# writes the manifest of the first three and prints the payload, a dict as one line of JSON.
+# A _cmd_* runs once ``main`` has set ``args.grid`` to the run's Grid and read each declared input's sidecar; it loads
+# an input with ``args.load(name)``.  It writes its files and returns (inputs, outputs, payload): ``main`` writes the
+# manifest of the first two on that grid, if there are outputs, and prints the payload, a dict as one line of JSON.
 def _cmd_state(args) -> tuple:
-    grid = _parse_grid(args.grid, args.hbar)
     params = _parse_params(args.params)
     if args.gaussian == args.cat:
         raise ValueError("choose exactly one of --gaussian or --cat")
@@ -100,44 +104,42 @@ def _cmd_state(args) -> tuple:
             center=_pop(params, "center", 0.0),
             momentum_offset=_pop(params, "p0", 0.0),
         )
-        psi = gaussian_wavefunction(spec, grid)
+        psi = gaussian_wavefunction(spec, args.grid)
     else:
-        psi = cat_wavefunction(CatSpec(width=_pop(params, "qi"), separation=_pop(params, "d")), grid)
+        psi = cat_wavefunction(CatSpec(width=_pop(params, "qi"), separation=_pop(params, "d")), args.grid)
     if params:
         raise ValueError(f"unknown parameters: {sorted(params)}")
     written = wio.save_wavefunction(psi, _out_dir(args) / "state.csv")
-    return grid, (), written, {"norm": squared_norm(psi), "files": [str(p) for p in written]}
+    return (), written, {"norm": squared_norm(psi), "files": [str(p) for p in written]}
 
 
 def _cmd_wdf(args) -> tuple:
-    w = _load_state_as_wdf(args.input)
+    w = _as_wdf(args.load("input"))
     payload = {
         "mass": w.mass(),
         "purity": purity(w),
         "uncertainty_product": uncertainty_product(w),
         "min_value": float(w.values.min()),
     }
-    return w.grid, (args.input,), wio.save_matrix(w, _out_dir(args) / "wdf.csv"), payload
+    return (args.input,), wio.save_matrix(w, _out_dir(args) / "wdf.csv"), payload
 
 
 def _cmd_filter(args) -> tuple:
-    psi = wio.load_wavefunction(args.input)
+    psi = args.load("input")
     spec = wio.load_filter_spec(args.filter, psi.grid)
     filtered, transmitted = filter_wavefunction(psi, spec)
     w_out = filter_wdf(wdf_from_wavefunction(psi), spec) if args.wdf else None  # refused before any write
     written = wio.save_wavefunction(filtered, _out_dir(args) / "filtered.csv")
     if args.wdf:
         written += wio.save_matrix(w_out, _out_dir(args) / "filtered_wdf.csv")
-    return psi.grid, (args.input, args.filter), written, {"transmission": transmitted}
+    return (args.input, args.filter), written, {"transmission": transmitted}
 
 
 def _cmd_detect(args) -> tuple:
-    w_in = _load_state_as_wdf(args.state)
-    w_m = _load_state_as_wdf(args.device)
-    result = detect(w_in, w_m)
+    result = detect(_as_wdf(args.load("state")), _as_wdf(args.load("device")))
     written = wio.save_matrix(result, _out_dir(args) / "detection.csv")
     payload = {"min": float(result.values.min()), "mass": result.mass()}
-    return result.grid, (args.state, args.device), written, payload
+    return (args.state, args.device), written, payload
 
 
 def _cmd_evolve(args) -> tuple:
@@ -146,7 +148,7 @@ def _cmd_evolve(args) -> tuple:
         raise ValueError(f"--dump-every must be nonnegative, got {dump_every}")
     if not np.isfinite(t / dt):
         raise ValueError(f"--t {t:g} over --dt {dt:g} is not a finite step count")
-    w = _load_state_as_wdf(args.input)
+    w = _as_wdf(args.load("input"))
     potential = wio.load_potential_spec(args.potential)
     n_steps = max(int(np.ceil(t / dt - 1e-12)), 1)
     dt = t / n_steps
@@ -170,24 +172,23 @@ def _cmd_evolve(args) -> tuple:
         "min_value": float(w.values.min()),
         "frames": frame,
     }
-    return w.grid, (args.input, args.potential), written, payload
+    return (args.input, args.potential), written, payload
 
 
 def _cmd_overlap(args) -> tuple:
-    w1, w2 = _load_state_as_wdf(args.a), _load_state_as_wdf(args.b)
-    return None, (), (), "%.17g" % overlap_probability(w1, w2)
+    w1, w2 = _as_wdf(args.load("a")), _as_wdf(args.load("b"))
+    return (), (), "%.17g" % overlap_probability(w1, w2)
 
 
 def _cmd_blob(args) -> tuple:
-    w = _load_state_as_wdf(args.input)
-    report = blob_report(w).to_json()
+    report = blob_report(_as_wdf(args.load("input"))).to_json()
     report_path = _out_dir(args) / "blob_report.json"
     report_path.write_text(report + "\n")
-    return w.grid, (args.input,), (report_path,), report
+    return (args.input,), (report_path,), report
 
 
 def _cmd_figure(args) -> tuple:
-    grid = _parse_grid(args.grid, args.hbar)
+    grid = args.grid
     if args.which == "fig2":
         if args.qi <= args.qm:
             print("warning: the aligned-slit figure expects q_i > q_m", file=sys.stderr)
@@ -211,7 +212,7 @@ def _cmd_figure(args) -> tuple:
         meta_path = path.with_suffix(".json")
         wio._write_json(meta_path, meta)
         written = [path, meta_path]
-    return grid, (), written, {"files": [str(p) for p in written]}
+    return (), written, {"files": [str(p) for p in written]}
 
 
 def figure4_scan(d: float, q_i: float, q_m: float, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -222,6 +223,7 @@ def figure4_scan(d: float, q_i: float, q_m: float, grid: Grid) -> tuple[np.ndarr
     for the real Gaussian slit ``s`` sampled here.  As ``s(q - m dq) s(q + m dq) = s(q)^2 exp(-(m dq / q_m)^2)``,
     each row is the slit intensity ``s(q)^2`` times one profile: the state's p = 0 column, offset m so damped.
     """
+    q_m = _positive("q_m", q_m)
     cat = cat_wavefunction(CatSpec(width=q_i, separation=d), grid)
     spectrum = np.fft.rfft(wdf_from_wavefunction(cat).values, axis=1)
     centers = grid.q[(grid.q >= -1.5 * d) & (grid.q <= 1.5 * d)]
@@ -244,30 +246,31 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--hbar", type=float, default=1.0)
         p.add_argument("--out", default=".", help="output directory")
 
+    # ``reads`` maps each CSV input argument of a subcommand to the kinds of file it takes
     p_state = sub.add_parser("state", help="generate a wavefunction CSV")
     p_state.add_argument("--gaussian", action="store_true")
     p_state.add_argument("--cat", action="store_true")
     p_state.add_argument("params", nargs="*", help="key=value: q0/center/p0 or d/qi")
     add_common(p_state, with_grid=True)
-    p_state.set_defaults(func=_cmd_state)
+    p_state.set_defaults(func=_cmd_state, reads={})
 
     p_wdf = sub.add_parser("wdf", help="distribution of a stored state")
     p_wdf.add_argument("input")
     add_common(p_wdf)
-    p_wdf.set_defaults(func=_cmd_wdf)
+    p_wdf.set_defaults(func=_cmd_wdf, reads={"input": _STATE})
 
     p_filter = sub.add_parser("filter", help="apply a filter JSON to a state")
     p_filter.add_argument("input")
     p_filter.add_argument("--filter", required=True, help="filter spec JSON")
     p_filter.add_argument("--wdf", action="store_true", help="also write the phase-space output")
     add_common(p_filter)
-    p_filter.set_defaults(func=_cmd_filter)
+    p_filter.set_defaults(func=_cmd_filter, reads={"input": ("wavefunction",)})
 
     p_detect = sub.add_parser("detect", help="detector readout of state x device")
     p_detect.add_argument("state")
     p_detect.add_argument("device")
     add_common(p_detect)
-    p_detect.set_defaults(func=_cmd_detect)
+    p_detect.set_defaults(func=_cmd_detect, reads={"state": _STATE, "device": _STATE})
 
     p_evolve = sub.add_parser("evolve", help="propagate a state in time")
     p_evolve.add_argument("input")
@@ -276,17 +279,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--dt", type=float, required=True)
     p_evolve.add_argument("--dump-every", type=float, default=0, help="steps between CSV dumps")
     add_common(p_evolve)
-    p_evolve.set_defaults(func=_cmd_evolve)
+    p_evolve.set_defaults(func=_cmd_evolve, reads={"input": _STATE})
 
     p_overlap = sub.add_parser("overlap", help="transition probability of two states")
     p_overlap.add_argument("a")
     p_overlap.add_argument("b")
-    p_overlap.set_defaults(func=_cmd_overlap)
+    p_overlap.set_defaults(func=_cmd_overlap, reads={"a": _STATE, "b": _STATE})
 
     p_blob = sub.add_parser("blob", help="localization diagnostics of a state")
     p_blob.add_argument("input")
     add_common(p_blob)
-    p_blob.set_defaults(func=_cmd_blob)
+    p_blob.set_defaults(func=_cmd_blob, reads={"input": _STATE})
 
     p_fig = sub.add_parser("figure", help="write the data behind the standard figures")
     p_fig.add_argument("which", choices=["fig2", "fig3", "fig4"])
@@ -294,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--qi", type=float, default=None)
     p_fig.add_argument("--qm", type=float, default=None)
     add_common(p_fig, with_grid=True)
-    p_fig.set_defaults(func=_cmd_figure)
+    p_fig.set_defaults(func=_cmd_figure, reads={})
 
     return parser
 
@@ -313,14 +316,6 @@ def _mend_grid_tokens(argv: list[str]) -> list[str]:
         else:
             mended.append(token)
     return mended
-
-
-def _lattice_size(args) -> int:
-    """N of the run's lattice, from ``--grid`` or from the sidecar of its first input, refused unless a state's."""
-    if hasattr(args, "grid"):
-        return _parse_grid(args.grid, args.hbar).n_points
-    first = next(getattr(args, name) for name in ("input", "state", "a") if hasattr(args, name))
-    return wio._read_sidecar(Path(first))[0].n_points
 
 
 def _available_memory() -> int | None:
@@ -344,12 +339,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.qm is None:
             args.qm = 0.75 if args.which == "fig2" else args.qi
     try:
+        # each input's sidecar is read once, and its kind checked, before the budget and before any payload is parsed
+        sidecars = {name: wio._read_sidecar(Path(getattr(args, name)), kinds) for name, kinds in args.reads.items()}
+        grid = _parse_grid(args.grid, args.hbar) if hasattr(args, "grid") else next(iter(sidecars.values()))[0]
+        args.grid = grid
         if args.command in _MATRIX_COMMANDS or getattr(args, "wdf", False):
             available = _available_memory()
-            if available is not None and MEMORY_BUDGET * 8 * _lattice_size(args) ** 2 > available:
+            if available is not None and MEMORY_BUDGET * 8 * grid.n_points ** 2 > available:
                 raise MemoryError
-        grid, inputs, outputs, payload = args.func(args)
-        if grid is not None:  # overlap writes no files, so no manifest
+        args.load = lambda name: wio.load_state(getattr(args, name), sidecars[name])
+        inputs, outputs, payload = args.func(args)
+        if outputs:  # overlap writes no files, so no manifest
             command = f"figure:{args.which}" if args.command == "figure" else args.command
             wio.write_manifest(args.out, command, grid, inputs, outputs)
         print(payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True))
@@ -361,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print(f"error: out of memory at N={_lattice_size(args)}; use a smaller grid", file=sys.stderr)
+        print(f"error: out of memory at N={grid.n_points}; use a smaller grid", file=sys.stderr)
         return 2
 
 

@@ -128,22 +128,19 @@ def save_wavefunction(psi: WaveFunction, csv_path: str | Path) -> list[Path]:
     return _save_sidecar(csv_path, psi.grid, representation=psi.representation)
 
 
-def load_state(csv_path: str | Path) -> WaveFunction | WignerFunction:
-    """The wavefunction or the distribution that a CSV holds, as its sidecar names it."""
-    return _load(Path(csv_path))
-
-
 def load_wavefunction(csv_path: str | Path) -> WaveFunction:
-    return _load(Path(csv_path), ("wavefunction",))
+    return load_state(csv_path, _read_sidecar(Path(csv_path), ("wavefunction",)))
 
 
 def load_wigner(csv_path: str | Path) -> WignerFunction:
-    return _load(Path(csv_path), ("matrix",))
+    return load_state(csv_path, _read_sidecar(Path(csv_path), ("matrix",)))
 
 
-def _load(csv_path: Path, kinds=("wavefunction", "matrix")) -> WaveFunction | WignerFunction:
-    """The value a CSV of one of ``kinds`` holds; its sidecar is read once, before the CSV."""
-    grid, representation = _read_sidecar(csv_path, kinds)
+def load_state(csv_path: str | Path, sidecar: tuple[Grid, str | None] | None = None) -> WaveFunction | WignerFunction:
+    """The wavefunction or the distribution that a CSV holds, as its sidecar names it; ``sidecar`` is what
+    ``_read_sidecar``, which checks the kind, returned for it where the caller has read it already."""
+    csv_path = Path(csv_path)
+    grid, representation = sidecar or _read_sidecar(csv_path)
     if representation is None:
         return WignerFunction(grid, _adopt(_load_matrix(csv_path, grid.n_points)))
     rows = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)

@@ -56,6 +56,40 @@ def budget_inputs(tmp_path_factory):
     return {"state": str(tmp / "state.csv"), "slit": str(tmp / "slit.json"), "well": str(tmp / "well.json")}
 
 
+#: A run of each subcommand and the ``sidecar_inputs`` whose sidecars it reads, in order: one read per CSV input
+#: argument, and one per CSV filter device.
+SIDECAR_READS = [
+    pytest.param(["state", "--gaussian", "q0=1", "--grid=-12:12:128"], [], id="state"),
+    pytest.param(["figure", "fig3", "--grid=-12:12:128"], [], id="figure"),
+    pytest.param(["wdf", "{state}"], ["state"], id="wdf"),
+    pytest.param(["wdf", "{wdf}"], ["wdf"], id="wdf-matrix"),
+    pytest.param(["blob", "{state}"], ["state"], id="blob"),
+    pytest.param(["evolve", "{state}", "--potential", "{well}", "--t", "0.002", "--dt", "0.001"], ["state"],
+                 id="evolve"),
+    pytest.param(["detect", "{wdf}", "{state}"], ["wdf", "state"], id="detect"),
+    pytest.param(["overlap", "{wdf}", "{state}"], ["wdf", "state"], id="overlap"),
+    pytest.param(["filter", "{state}", "--filter", "{slit}"], ["state"], id="filter"),
+    pytest.param(["filter", "{state}", "--filter", "{slit}", "--wdf"], ["state"], id="filter-wdf"),
+    pytest.param(["filter", "{state}", "--filter", "{device}"], ["state", "state"], id="filter-csv-device"),
+    pytest.param(["filter", "{state}", "--filter", "{device}", "--wdf"], ["state", "state"],
+                 id="filter-wdf-csv-device"),
+]
+
+
+@pytest.fixture(scope="module")
+def sidecar_inputs(tmp_path_factory):
+    """A Gaussian state on -12:12:128, its distribution, a quadratic well, and a slit given inline and as a CSV."""
+    tmp = tmp_path_factory.mktemp("sidecars")
+    psi = gaussian_wavefunction(GaussianSpec(width=1.0), make_grid(-12, 12, 128))
+    wio.save_wavefunction(psi, tmp / "state.csv")
+    wio.save_matrix(wdf_from_wavefunction(psi), tmp / "wdf.csv")
+    (tmp / "slit.json").write_text(json.dumps({"kind": "coordinate", "device": {"gaussian": {"width": 0.8}}}))
+    (tmp / "device.json").write_text(json.dumps({"kind": "coordinate", "device": "state.csv"}))
+    (tmp / "well.json").write_text(json.dumps({"coefficients": [0, 0, 0.5]}))
+    files = ("state.csv", "wdf.csv", "slit.json", "device.json", "well.json")
+    return {Path(file).stem: str(tmp / file) for file in files}
+
+
 class TestRoundTrips:
     def test_wavefunction(self, tmp_path, grid):
         psi = gaussian_wavefunction(GaussianSpec(width=1.0, center=0.5, momentum_offset=1.0), grid)
@@ -74,7 +108,7 @@ class TestRoundTrips:
         assert np.array_equal(loaded.values, w.values)
 
     def test_load_state_takes_the_kind_its_sidecar_names(self, tmp_path, grid, monkeypatch):
-        # the CLI read each sidecar twice: once to learn the kind, once to load
+        # each loader reads its sidecar once, before its CSV
         psi = gaussian_wavefunction(GaussianSpec(width=1.0), grid)
         w = wdf_from_wavefunction(psi)
         wio.save_wavefunction(psi, tmp_path / "state.csv")
@@ -86,10 +120,6 @@ class TestRoundTrips:
         assert type(loaded) is WaveFunction and np.array_equal(loaded.values, psi.values)
         assert np.array_equal(wio.load_state(tmp_path / "w.csv").values, w.values)
         assert reads == [tmp_path / "state.csv", tmp_path / "w.csv"]
-        reads.clear()
-        assert np.array_equal(cli._load_state_as_wdf(str(tmp_path / "state.csv")).values, w.values)
-        assert np.array_equal(cli._load_state_as_wdf(str(tmp_path / "w.csv")).values, w.values)
-        assert reads == [tmp_path / "state.csv", tmp_path / "w.csv"]
         # a detector readout is no state: every loader refuses it at its sidecar, before its CSV is read
         wio.save_matrix(detect(w, w), tmp_path / "det.csv")
         for load, kinds in ((wio.load_state, "wavefunction or matrix"), (wio.load_wigner, "matrix"),
@@ -97,6 +127,16 @@ class TestRoundTrips:
             refusal = f"{tmp_path / 'det.csv'} must be a {kinds} file, got a detection map file"
             with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
                 load(tmp_path / "det.csv")
+
+    @pytest.mark.parametrize("argv, read", SIDECAR_READS)
+    def test_main_reads_each_sidecar_once(self, sidecar_inputs, tmp_path, capsys, monkeypatch, argv, read):
+        # the memory budget and the loader share one read of each input's sidecar
+        reads = []
+        read_sidecar = wio._read_sidecar
+        monkeypatch.setattr(wio, "_read_sidecar", lambda *args: reads.append(str(args[0])) or read_sidecar(*args))
+        out = [] if argv[0] == "overlap" else ["--out", str(tmp_path / "o")]
+        assert main([token.format(**sidecar_inputs) for token in argv] + out) == 0
+        assert reads == [sidecar_inputs[name] for name in read]
 
     def test_detection_map_sidecar_names_its_kind(self, tmp_path, grid):
         # the CSV of a detection map is the one its values make as a distribution; only its sidecar tells them apart

@@ -42,7 +42,7 @@ from wignerlab import (
     wdf_from_wavefunction,
 )
 from wignerlab import io as wio
-from wignerlab.cli import main
+from wignerlab.cli import figure4_scan, main
 from wignerlab.filtering import COORDINATE, GENERAL_COORDINATE, GENERAL_MOMENTUM
 
 from helpers import desk_grid
@@ -71,6 +71,7 @@ def _overflowing_schrodinger_run(tmp_path):
 LIBRARY = [
     ("grid-delta-q", lambda tmp: Grid(-1.0, -0.1, 8), ValueError, "delta_q must be positive, got -0.1"),
     ("grid-hbar", lambda tmp: Grid(-1.0, 0.1, 8, hbar=0.0), ValueError, "hbar must be positive, got 0.0"),
+    ("grid-order", lambda tmp: make_grid(12, -12, 256), ValueError, "q_max must exceed q_min"),
     ("representation", lambda tmp: WaveFunction(GRID, PSI.values, "spin"), ValueError,
      "unknown representation 'spin'"),
     ("gaussian-width", lambda tmp: GaussianSpec(width=-2.0), ValueError, "width must be positive, got -2.0"),
@@ -118,6 +119,10 @@ CLI = [
     ("grid-spec", ["state", "--gaussian", "q0=1", "--grid=-12:12"], "grid spec must be qmin:qmax:N, got '-12:12'"),
     ("parameter-token", ["state", "--gaussian", "q0"], "expected key=value, got 'q0'"),
     ("unknown-parameter", ["state", "--gaussian", "q0=1", "x=2"], "unknown parameters: ['x']"),
+    ("missing-parameter", ["state", "--gaussian", "center=1"], "missing required parameter q0=..."),
+    ("repeated-parameter", ["state", "--cat", "d=2", "qi=1", "d=3"], "parameter d given twice"),
+    ("figure4-slit-width-zero", ["figure", "fig4", "--qm", "0"], "q_m must be positive, got 0.0"),
+    ("figure4-slit-width-negative", ["figure", "fig4", "--qm", "-1"], "q_m must be positive, got -1.0"),
 ]
 
 #: ``(name, argv)`` of commands that read a matrix file where they take a wavefunction file, ``{tmp}/w/wdf.csv``.
@@ -138,6 +143,8 @@ CLI_READOUTS = [
     ("detect-device", ["detect", "{tmp}/w/wdf.csv", "{tmp}/det/detection.csv", "--out", "{tmp}/o"], _STATE_FILE),
     ("filter-input", ["filter", "{tmp}/det/detection.csv", "--filter", "{tmp}/slit.json", "--out", "{tmp}/o"],
      "wavefunction"),
+    ("filter-wdf-input", ["filter", "{tmp}/det/detection.csv", "--filter", "{tmp}/slit.json", "--wdf", "--out",
+                          "{tmp}/o"], "wavefunction"),
     ("filter-device", ["filter", "{tmp}/state.csv", "--filter", "{tmp}/readout_device.json", "--out", "{tmp}/o"],
      "wavefunction"),
 ]
@@ -216,6 +223,7 @@ SCALARS = {
     "smoothing-sigma-p": ("sigma_p", lambda v: smoothed_minimum(wdf_from_wavefunction(PSI), 1.0, v)),
     "slit-offset": ("offset", lambda v: filtered_cat_wdf_closed_form(CatSpec(1.0, 2.0), 1.0, v, GRID)),
     "slit-width": ("q_m", lambda v: filtered_cat_wdf_closed_form(CatSpec(1.0, 2.0), v, 0.0, GRID)),
+    "figure4-slit-width": ("q_m", lambda v: figure4_scan(4.0, 1.0, v, GRID)),
 }
 _COUNTS = {"grid-n-points", "make-grid-n-points", "evolution-n-steps"}
 _NOT_NUMBERS = [(float("nan"), "nan"), (float("inf"), "inf"), (True, "True"), ("1", "'1'")]
