@@ -228,6 +228,19 @@ MUTANTS = [
     ("filter's input takes a matrix file too", "cli.py",
      'reads={"input": ("wavefunction",)}', 'reads={"input": ("wavefunction", "matrix")}',
      ["test_refusals.py", "test_io_cli.py"]),
+    ("the CSV writer's tie bound 1.5 eps -> 0, so no near-tie falls back", "io.py",
+     "_TIE = 1.5 * float(np.finfo(np.longdouble).eps)", "_TIE = 0.0", ["test_io_cli.py"]),
+    ("the CSV writer drops its carry to the next power of ten", "io.py",
+     "    k += d == 10**17  # 9.99...96e-1 writes 1\n    d[d == 10**17] = 10**16\n", "", ["test_io_cli.py"]),
+    ("the CSV writer's exponent form from k >= 16", "io.py",
+     "fixed = (k >= -4) & (k <= 16)", "fixed = (k >= -4) & (k <= 15)", ["test_io_cli.py"]),
+    ("the CSV writer keeps trailing zeros", "io.py",
+     'sig = np.maximum(((canvas[8:24] != ord("0")) * _AT).max(axis=0), 1)', "sig = np.full(len(x), 17)",
+     ["test_io_cli.py"]),
+    ("one power of ten in the CSV writer's table one ulp high", "io.py",
+     'return digits, np.array([f"1e{p}" for p in range(-310, 346)]).astype(np.longdouble)',
+     'powers = np.array([f"1e{p}" for p in range(-310, 346)]).astype(np.longdouble)\n'
+     "    powers[333] = np.nextafter(powers[333], np.inf)\n    return digits, powers", ["test_io_cli.py"]),
 ]
 
 #: Mutants that no test is expected to kill, and why.

@@ -202,7 +202,8 @@ def _cmd_figure(args) -> tuple:
     else:  # fig4
         scan, centers = figure4_scan(args.d, args.qi, args.qm, grid)
         path = _out_dir(args) / "fig4_scan.csv"
-        np.savetxt(path, scan, fmt=wio._FMT, delimiter=",")
+        with open(path, "wb") as out:
+            wio._write_csv(out, scan)
         meta = {
             "rows": "slit center D",
             "columns": "q",

@@ -6,9 +6,10 @@ with a sidecar ``<stem>.json`` holding
 
 Distribution / detection-map CSV: a plain numeric matrix (rows = q,
 columns = p) with a sidecar holding the grid fields, and for a detection
-map a ``representation`` of ``"detection map"``.  Floats are written
-with 17 significant digits so values round-trip exactly.  A forked helper
-writes or reads the second half of a matrix's rows on the other core.
+map a ``representation`` of ``"detection map"``.  Floats are written as
+NumPy's text writer writes them with ``"%.17g"``, so values round-trip
+exactly, but by numpy a block at a time (:func:`_write_csv`).  A forked
+helper writes or reads the second half of a matrix's rows on the other core.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import shutil
 import tempfile
 import warnings
 from collections.abc import Callable
+from functools import cache
 from itertools import islice
 from pathlib import Path
 
@@ -34,6 +36,18 @@ from .wigner import WignerFunction
 
 _FMT = "%.17g"
 _GRID_FIELDS = ("q_min", "delta_q", "n_points", "hbar")
+
+_TIE = 1.5 * float(np.finfo(np.longdouble).eps)  # y's two roundings move it by less than _TIE * y
+_AT = np.arange(2, 18, dtype=np.uint8)[:, None]  # the places of digits 1..16 of the 17, counted from 1
+
+
+@cache
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """The CSV writer's tables, built at first use so a command that writes no CSV pays nothing: column n holds
+    the 4 ASCII digits of n < 10000; entry p + 310 is 10**p, p = -310..345, parsed so within half an ulp of it."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1) + ord("0")
+    return digits, np.array([f"1e{p}" for p in range(-310, 346)]).astype(np.longdouble)
+
 
 _in_helper = False  # True in a forked helper, which must not fork again
 
@@ -120,11 +134,65 @@ def _built(json_path: Path, build, prefix: str = "", **fields):
         raise type(exc)(f"{json_path}: {prefix}{exc}") from None
 
 
+def _formatted(block: np.ndarray) -> bytes:
+    """The bytes NumPy's text writer writes for the 2-D float64 ``block`` with ``fmt=_FMT, delimiter=","``.
+
+    x's 17 digits are d = round(y), y = |x| 10**(16 - k) in long double, k = floor(log10|x|).  Python's ``_FMT %``
+    writes 0, nan, +-inf, 10 <= |x| < 1e17 and each x whose y lies within its two roundings' error of a half-integer
+    (every x, where long double is double).  Value i is column i of a canvas whose NUL bytes mark what it lacks of
+    sign, "0.000", digits with a point after the first, "e", the exponent's sign and 3 digits, and "," or newline."""
+    x, (digits, powers) = block.ravel(), _tables()
+    nonzero = np.isfinite(x) & (x != 0)
+    a = np.where(nonzero, np.abs(x), 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    a = a.astype(np.longdouble)
+    y = a * powers[326 - k]  # the table starts at 10**-310, so its entries 326 and 327 are 1e16 and 1e17
+    k += (y >= powers[327]).astype(np.int64) - (y < powers[326])  # log10 slips by one near powers of ten
+    y = a * powers[326 - k]
+    frac, whole = np.modf(y)
+    frac = frac.astype(np.float64)  # a multiple of y's ulp, at least 2**-10, so exact
+    fallback = ~(np.abs(frac - 0.5) > _TIE * y.astype(np.float64)) | ~nonzero
+    whole[fallback] = 0
+    d = whole.astype(np.int64) + (frac > 0.5)
+    k += d == 10**17  # 9.99...96e-1 writes 1
+    d[d == 10**17] = 10**16
+    fixed = (k >= -4) & (k <= 16)  # %g's fixed notation; the others take an exponent
+    fallback |= fixed & (k > 0)  # the point of 10 <= |x| < 1e17 does not follow the first digit
+    canvas = np.empty((30, len(x)), np.uint8)
+    hi, lo = np.divmod(d, 10**8)
+    canvas[8:24].reshape(4, 4, -1).transpose(1, 0, 2)[...] = np.take(
+        digits, [hi // 10**4 % 10**4, hi % 10**4, lo // 10**4, lo % 10**4], axis=1)
+    sig = np.maximum(((canvas[8:24] != ord("0")) * _AT).max(axis=0), 1)  # digits up to the last nonzero one
+    canvas[0] = np.signbit(x) * ord("-")
+    canvas[1:6] = np.frombuffer(b"0.000", np.uint8)[:, None] * ((-k >= np.array([[1], [1], [2], [3], [4]])) & fixed)
+    canvas[6] = hi // 10**8 + ord("0")
+    canvas[7] = ord(".") * ((sig > 1) & ~(fixed & (k < 0)))
+    canvas[8:24] *= _AT <= sig
+    canvas[24] = ~fixed * ord("e")
+    canvas[25] = ~fixed * np.where(k < 0, ord("-"), ord("+"))
+    canvas[26:29] = np.take(digits[1:], abs(k), axis=1) * (~fixed & (abs(k) >= [[100], [0], [0]]))
+    canvas[29] = ord(",")
+    canvas[29, block.shape[1] - 1::block.shape[1]] = ord("\n")
+    if fallback.any():
+        text = np.array([_FMT % v for v in x[fallback].tolist()], dtype="S24")
+        canvas[:29, fallback] = 0
+        canvas[:24, fallback] = text.view(np.uint8).reshape(-1, 24).T
+    return canvas.T.tobytes().translate(None, b"\0")
+
+
+def _write_csv(out, values: np.ndarray) -> None:
+    """Write the float64 matrix ``values`` to the binary file ``out``, :func:`_formatted` rows of ~2**13 values."""
+    rows = max(1, (1 << 13) // values.shape[1])
+    for start in range(0, len(values), rows):
+        out.write(_formatted(values[start:start + rows]))
+
+
 def save_wavefunction(psi: WaveFunction, csv_path: str | Path) -> list[Path]:
     csv_path = Path(csv_path)
     label = "q" if psi.representation == "position" else "p"
-    rows = np.column_stack([psi.coordinates, psi.values.real, psi.values.imag])
-    np.savetxt(csv_path, rows, fmt=_FMT, delimiter=",", header=f"{label},re,im", comments="")
+    with open(csv_path, "wb") as out:
+        out.write(f"{label},re,im\n".encode())
+        _write_csv(out, np.column_stack([psi.coordinates, psi.values.real, psi.values.imag]))
     return _save_sidecar(csv_path, psi.grid, representation=psi.representation)
 
 
@@ -157,23 +225,22 @@ def save_matrix(m: WignerFunction | DetectionMap, csv_path: str | Path) -> list[
     """
     csv_path, values = Path(csv_path), m.values
     half = len(values) // 2
-    with tempfile.TemporaryFile() as tail:
+    with tempfile.TemporaryFile() as tail, open(csv_path, "wb") as out:
 
         def format_tail():
-            np.savetxt(tail, values[half:], fmt=_FMT, delimiter=",")
+            _write_csv(tail, values[half:])
             tail.flush()
 
         pid = _fork(format_tail)
         try:
-            np.savetxt(csv_path, values[:half], fmt=_FMT, delimiter=",")
+            _write_csv(out, values[:half])
         finally:
             tail_done = _joined(pid)
-        with open(csv_path, "ab") as out:
-            if tail_done:
-                tail.seek(0)
-                shutil.copyfileobj(tail, out)
-            else:
-                np.savetxt(out, values[half:], fmt=_FMT, delimiter=",")
+        if tail_done:
+            tail.seek(0)
+            shutil.copyfileobj(tail, out)
+        else:
+            _write_csv(out, values[half:])
     kind = {"representation": "detection map"} if isinstance(m, DetectionMap) else {}
     return _save_sidecar(csv_path, m.grid, **kind)
 

@@ -8,6 +8,8 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -1149,7 +1151,7 @@ class TestSplitMatrixIO:
         assert message == f"expected values in Wigner matrix of shape (64, 64), got shape {shape}"
 
     def test_failed_helper_gives_the_oracle_bytes_and_values(self, tmp_path, capfd, monkeypatch):
-        parent, savetxt, loadtxt = os.getpid(), np.savetxt, np.loadtxt
+        parent, formatted, loadtxt = os.getpid(), wio._formatted, np.loadtxt
 
         def only_in_parent(real):
             def call(*args, **kwargs):
@@ -1160,7 +1162,7 @@ class TestSplitMatrixIO:
 
         values = _special_matrix(64, np.random.default_rng(3))
         oracle_save_matrix(tmp_path / "oracle.csv", values)
-        monkeypatch.setattr(np, "savetxt", only_in_parent(savetxt))
+        monkeypatch.setattr(wio, "_formatted", only_in_parent(formatted))
         monkeypatch.setattr(np, "loadtxt", only_in_parent(loadtxt))
         wio.save_matrix(WignerFunction(desk_grid(64), values), tmp_path / "w.csv")
         _assert_no_child_left()
@@ -1213,6 +1215,104 @@ class TestSplitMatrixIO:
         # 11 frame writers and the last frame's split, then two split reads and one split write
         assert log.read_text().split() == [str(os.getpid())] * 15
         assert capfd.readouterr().err == ""
+
+
+def _csv_bytes(values):
+    """What ``io._write_csv`` writes for ``values``, and what the oracle writes."""
+    ours, oracle = io.BytesIO(), io.BytesIO()
+    wio._write_csv(ours, values)
+    oracle_save_matrix(oracle, values)
+    return ours.getvalue(), oracle.getvalue()
+
+
+def _powers_of_ten_and_neighbours():
+    """Every double nearest 10**p for p in [-323, 308], with the doubles on either side of it."""
+    powers = np.array([float(f"1e{p}") for p in range(-323, 309)])
+    return np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+
+
+class TestMatrixWriter:
+    """``io._write_csv`` writes exactly the oracle's ``%.17g`` bytes, formatting numpy blocks of values."""
+
+    def test_random_bit_patterns_over_every_exponent(self):
+        bits = np.random.default_rng(37).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        bits[::50] &= np.uint64(0x800FFFFFFFFFFFFF)  # subnormals and zeros
+        bits[(bits >> np.uint64(52)) & np.uint64(0x7FF) == 0x7FF] ^= np.uint64(1 << 62)  # nan and inf made finite
+        values = bits.view(np.float64).reshape(400, 500)
+        assert np.isfinite(values).all() and (np.abs(values[values != 0]) < 2.3e-308).sum() > 4000
+        ours, oracle = _csv_bytes(values)
+        assert ours == oracle
+
+    def test_special_matrix(self):
+        ours, oracle = _csv_bytes(_special_matrix(256, np.random.default_rng(37)))
+        assert ours == oracle
+
+    @pytest.mark.parametrize("columns", [1, 3, 1264])
+    def test_powers_of_ten_and_their_neighbours(self, columns):
+        values = _powers_of_ten_and_neighbours()
+        ours, oracle = _csv_bytes(np.concatenate([values, -values]).reshape(-1, columns))
+        assert ours == oracle
+
+    def test_switch_points_of_g(self):
+        edges = np.array([1e-5, 1e-4, 1e16, 1e17])
+        values = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        ours, oracle = _csv_bytes(np.concatenate([values, -values])[:, None])
+        assert ours == oracle
+        assert ours.split(b"\n")[:4] == [b"1.0000000000000001e-05", b"0.0001", b"10000000000000000", b"1e+17"]
+
+    def test_values_that_carry_to_the_next_power_of_ten(self):
+        # doubles below a power of ten whose 17 digits round up to it, so d reaches 10**17
+        written = {x: Decimal(wio._FMT % x) for x in _powers_of_ten_and_neighbours()}
+        carried = [x for x, text in written.items() if Fraction(x) < text == Decimal(10) ** text.adjusted()]
+        assert len(carried) >= 10
+        ours, oracle = _csv_bytes(np.array(carried)[:, None])
+        assert ours == oracle
+
+    def test_an_exact_tie_rounds_half_to_even(self):
+        ours, oracle = _csv_bytes(np.array([[2.0**-25, -(2.0**-25)]]))
+        assert ours == oracle == b"2.9802322387695312e-08,-2.9802322387695312e-08\n"
+
+    def test_signed_extremes_and_non_finite_values(self):
+        values = np.array([[0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                            np.nan, np.inf, -np.inf]])
+        ours, oracle = _csv_bytes(values)
+        assert ours == oracle == (b"0,-0,4.9406564584124654e-324,-4.9406564584124654e-324,1.7976931348623157e+308,"
+                                  b"-1.7976931348623157e+308,nan,inf,-inf\n")
+
+    def test_every_element_on_the_python_path(self, monkeypatch):
+        monkeypatch.setattr(wio, "_TIE", np.inf)  # every bound is inf, or nan for a zero
+        values = _special_matrix(64, np.random.default_rng(5))
+        values[3, :4] = [np.nan, np.inf, -np.inf, 2.0**-25]
+        with np.errstate(invalid="ignore"):
+            ours, oracle = _csv_bytes(values)
+        assert ours == oracle
+
+    def test_every_power_in_the_table_is_within_half_an_ulp(self):
+        info = np.finfo(np.longdouble)
+        largest = Fraction(*info.max.as_integer_ratio())
+        checked = 0
+        for p, power in zip(range(-310, 346), wio._tables()[1]):
+            exact = Fraction(10) ** p
+            if exact > largest:
+                continue  # beyond a long double that is no wider than a double
+            half_ulp = Fraction(2) ** (int(np.frexp(power)[1]) - info.nmant - 2)  # power = m 2**e, 1/2 <= m < 1
+            assert abs(Fraction(*power.as_integer_ratio()) - exact) <= half_ulp, p
+            checked += 1
+        assert checked == 656 or info.nmant == 52
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["split", "serial"])
+    def test_traced_peak_is_at_most_half_the_matrix(self, tmp_path, monkeypatch, fork):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        w = WignerFunction(desk_grid(1024), _special_matrix(1024, np.random.default_rng(11)))
+        _, peak = traced_peak(lambda: wio.save_matrix(w, tmp_path / "w.csv"))
+        _assert_no_child_left()
+        assert peak <= 0.5 * w.values.nbytes
+
+    def test_no_module_calls_numpys_text_writer(self):
+        # every CSV goes through io._write_csv; the oracle is the only caller of np.savetxt
+        sources = Path(wio.__file__).parent.glob("*.py")
+        assert [source.name for source in sources if "savetxt" in source.read_text()] == []
 
 
 def test_only_io_forks_and_joins():
