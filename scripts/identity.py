@@ -6,7 +6,8 @@
 Each revision's ``src/`` is exported with ``git archive`` into a temporary
 directory.  One fixed table of ``wignerlab`` commands, on the lattice -12:12:N
 and on the off-centre -9:15:N, then runs against each export, after a snippet
-that writes two state files the generators refuse (``_RAW_STATES``), every
+that writes two state files the generators refuse (``_RAW_STATES``), and
+with a directory in place of one ``evolve`` frame, every
 command in a fresh Python process, at N=256 and N=1024, once with ``os.fork``
 present and once with it removed (so the serial path of the split CSV reader
 and writer runs too).  A command matches when its exit code,
@@ -114,6 +115,9 @@ def command_table(n: int) -> list[tuple[str, list[str]]]:
         argv = ["evolve", "s/state.csv", "--potential", "well.json", "--t", "0.05", "--dt", "1e-3"]
         table.append((f"e{every}", argv + ["--dump-every", str(every)]))
     table.append(("e6", ["evolve", "s6/state.csv", "--potential", "harmonic.json", "--t", "0.05", "--dt", "1e-3"]))
+    # ex/wdf_0002.csv is a directory (run_table makes it): exits 2 naming it, after frame 1, and writes no manifest
+    table.append(("ex", ["evolve", "s/state.csv", "--potential", "well.json", "--t", "0.05", "--dt", "1e-3",
+                         "--dump-every", "10"]))
     table += [  # refusals: each exits 2 and leaves no directory
         ("rc", ["state", "--cat", "d=2", "qi=0.05", grid]),
         ("rg", ["state", "--gaussian", "q0=1e-200", grid]),
@@ -144,6 +148,7 @@ def run_table(src: Path, work: Path, n: int, fork: str) -> list[tuple]:
     work.mkdir(parents=True)
     for name, spec in _INPUTS.items():
         (work / name).write_text(json.dumps(spec))
+    (work / "ex" / "wdf_0002.csv").mkdir(parents=True)  # the frame that the writer's failure row cannot write
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     subprocess.run([sys.executable, "-c", _RAW_STATES, str(n)], cwd=work, env=env, check=True)
     results = []

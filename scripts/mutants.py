@@ -241,6 +241,14 @@ MUTANTS = [
      'return digits, np.array([f"1e{p}" for p in range(-310, 346)]).astype(np.longdouble)',
      'powers = np.array([f"1e{p}" for p in range(-310, 346)]).astype(np.longdouble)\n'
      "    powers[333] = np.nextafter(powers[333], np.inf)\n    return digits, powers", ["test_io_cli.py"]),
+    ("_helper's join ignores the exit status", "io.py",
+     "os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0", "bool(os.waitpid(pid, 0))", ["test_io_cli.py"]),
+    ("a finish takes a failed helper's tail as done", "io.py",
+     "tail_done = join is not None and join()\n            if tail_done:",
+     "tail_done = join is not None and (join() or True)\n            if tail_done:", ["test_io_cli.py"]),
+    ("_load_matrix trusts its tail without the join", "io.py",
+     "tail_done = join is not None and join()\n    if not tail_done", "tail_done = join is not None\n    if not tail_done",
+     ["test_io_cli.py"]),
 ]
 
 #: Mutants that no test is expected to kill, and why.

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -154,15 +153,12 @@ def _cmd_evolve(args) -> tuple:
     dt = t / n_steps
     written = []
     dump_every = dump_every or n_steps
-    finish = list  # the latest frame's write, still to finish; ``list`` finishes nothing
+    finish = list  # the latest frame's write, which overlaps the next frame's steps; ``list`` finishes nothing
     try:
         for frame, w in enumerate(_frames(w, potential, dt, n_steps, dump_every), 1):
-            path = _out_dir(args) / f"wdf_{frame:04d}.csv"
             previous, finish = finish, list  # each finish runs once, even when it raises
             written += previous()
-            # the next frame's steps overlap this frame's write in a helper; the last frame has no next steps
-            last = frame * dump_every >= n_steps
-            finish = partial(wio.save_matrix, w, path) if last else wio.start_save_wigner(w, path)
+            finish = wio.start_save_matrix(w, _out_dir(args) / f"wdf_{frame:04d}.csv")
     finally:
         written += finish()  # the last frame, or the frame pending when stepping aborted
     payload = {

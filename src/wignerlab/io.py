@@ -9,7 +9,8 @@ columns = p) with a sidecar holding the grid fields, and for a detection
 map a ``representation`` of ``"detection map"``.  Floats are written as
 NumPy's text writer writes them with ``"%.17g"``, so values round-trip
 exactly, but by numpy a block at a time (:func:`_write_csv`).  A forked
-helper writes or reads the second half of a matrix's rows on the other core.
+helper (:func:`_helper`) formats or parses part of a matrix's rows on the
+other core; what no helper finished, the caller does when it joins it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import shutil
 import tempfile
 import warnings
 from collections.abc import Callable
+from contextlib import ExitStack
 from functools import cache
 from itertools import islice
 from pathlib import Path
@@ -36,6 +38,7 @@ from .wigner import WignerFunction
 
 _FMT = "%.17g"
 _GRID_FIELDS = ("q_min", "delta_q", "n_points", "hbar")
+_LABELS = {"position": "q", "momentum": "p"}  # a wavefunction file's first column, by its representation
 
 _TIE = 1.5 * float(np.finfo(np.longdouble).eps)  # y's two roundings move it by less than _TIE * y
 _AT = np.arange(2, 18, dtype=np.uint8)[:, None]  # the places of digits 1..16 of the 17, counted from 1
@@ -49,13 +52,10 @@ def _tables() -> tuple[np.ndarray, np.ndarray]:
     return digits, np.array([f"1e{p}" for p in range(-310, 346)]).astype(np.longdouble)
 
 
-_in_helper = False  # True in a forked helper, which must not fork again
-
-
-def _fork(work) -> int | None:
-    """Run ``work()`` in a forked helper; its pid, or None without ``os.fork`` or inside a helper."""
-    global _in_helper
-    if _in_helper or not hasattr(os, "fork"):
+def _helper(work: Callable[[], object]) -> Callable[[], bool] | None:
+    """Run ``work()`` in a forked helper; its join, called once, says whether the helper exited 0.  None without
+    ``os.fork``.  A helper only formats or parses, so it never forks again."""
+    if not hasattr(os, "fork"):
         return None
     with warnings.catch_warnings():
         # Python 3.12+ warns of fork beside numpy's idle BLAS threads; the helper takes no lock they hold
@@ -63,18 +63,12 @@ def _fork(work) -> int | None:
                                 DeprecationWarning)
         pid = os.fork()
     if pid == 0:
-        _in_helper = True
         try:  # never unwind into the caller's stack, buffers or exit hooks
             work()
             os._exit(0)
         finally:
             os._exit(1)
-    return pid
-
-
-def _joined(pid: int | None) -> bool:
-    """Wait for the helper ``pid``; True when it exited 0, False when it failed or never ran."""
-    return pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    return lambda: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 
 
 def _read_sidecar(csv_path: Path, kinds=("wavefunction", "matrix")) -> tuple[Grid, str | None]:
@@ -181,17 +175,18 @@ def _formatted(block: np.ndarray) -> bytes:
 
 
 def _write_csv(out, values: np.ndarray) -> None:
-    """Write the float64 matrix ``values`` to the binary file ``out``, :func:`_formatted` rows of ~2**13 values."""
+    """Write the float64 matrix ``values`` to the binary file ``out``, :func:`_formatted` rows of ~2**13 values, and
+    flush it, so a helper's rows are in the file when it leaves through ``os._exit``."""
     rows = max(1, (1 << 13) // values.shape[1])
     for start in range(0, len(values), rows):
         out.write(_formatted(values[start:start + rows]))
+    out.flush()
 
 
 def save_wavefunction(psi: WaveFunction, csv_path: str | Path) -> list[Path]:
     csv_path = Path(csv_path)
-    label = "q" if psi.representation == "position" else "p"
     with open(csv_path, "wb") as out:
-        out.write(f"{label},re,im\n".encode())
+        out.write(f"{_LABELS[psi.representation]},re,im\n".encode())
         _write_csv(out, np.column_stack([psi.coordinates, psi.values.real, psi.values.imag]))
     return _save_sidecar(csv_path, psi.grid, representation=psi.representation)
 
@@ -214,42 +209,50 @@ def load_state(csv_path: str | Path, sidecar: tuple[Grid, str | None] | None = N
     rows = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
     if rows.shape != (grid.n_points, 3):
         raise ValueError(f"{csv_path}: expected {grid.n_points} rows of q,re,im")
-    return WaveFunction(grid, rows[:, 1] + 1j * rows[:, 2], representation)
+    psi = WaveFunction(grid, rows[:, 1] + 1j * rows[:, 2], representation)
+    header, label = csv_path.read_text().split("\n", 1)[0], _LABELS[representation]
+    if header != f"{label},re,im":
+        raise ValueError(f"{csv_path}: a {representation} file's header must be {label},re,im, got {header!r}")
+    on = np.abs(rows[:, 0] - psi.coordinates) <= 1e-9 * psi.quadrature_delta  # the tolerance of Grid.steps_of
+    if not on.all():
+        j = int(np.argmin(on))
+        raise ValueError(f"{csv_path}: sample {j} has {label} = {rows[j, 0]:.17g}, not the lattice's {label} = "
+                         f"{psi.coordinates[j]:.17g}")
+    return psi
 
 
 def save_matrix(m: WignerFunction | DetectionMap, csv_path: str | Path) -> list[Path]:
-    """Writer of a distribution or a detection map, whose sidecar names it a "detection map" file.
+    """Writer of a distribution or a detection map: :func:`start_save_matrix` split at half the rows, finished."""
+    return start_save_matrix(m, csv_path, len(m.values) // 2)()
 
-    This process formats rows ``[:n/2]``, then appends rows ``[n/2:]``: the unlinked file a
-    helper formatted them into, or, where no helper finished, its own formatting of them.
-    """
+
+def start_save_matrix(m: WignerFunction | DetectionMap, csv_path: str | Path,
+                      head: int = 0) -> Callable[[], list[Path]]:
+    """Start writing ``m``, whose sidecar names a detection map a "detection map" file, to ``csv_path``, opened here
+    so a bad path fails before any fork; a helper formats rows ``[head:]`` into an unlinked file.  The finish, called
+    once, formats rows ``[:head]``, joins the helper and appends its rows, or formats them itself where no helper
+    finished; it returns the CSV's path and the sidecar's."""
     csv_path, values = Path(csv_path), m.values
-    half = len(values) // 2
-    with tempfile.TemporaryFile() as tail, open(csv_path, "wb") as out:
+    with ExitStack() as opened:  # a start that fails closes what it opened; the finish closes the rest
+        out, tail = opened.enter_context(open(csv_path, "wb")), opened.enter_context(tempfile.TemporaryFile())
+        join = _helper(lambda: _write_csv(tail, values[head:]))
+        files = opened.pop_all()
 
-        def format_tail():
-            _write_csv(tail, values[half:])
-            tail.flush()
+    def finish() -> list[Path]:
+        with files:
+            try:
+                _write_csv(out, values[:head])
+            finally:
+                tail_done = join is not None and join()
+            if tail_done:
+                tail.seek(0)
+                shutil.copyfileobj(tail, out)
+            else:
+                _write_csv(out, values[head:])
+        kind = {"representation": "detection map"} if isinstance(m, DetectionMap) else {}
+        return _save_sidecar(csv_path, m.grid, **kind)
 
-        pid = _fork(format_tail)
-        try:
-            _write_csv(out, values[:half])
-        finally:
-            tail_done = _joined(pid)
-        if tail_done:
-            tail.seek(0)
-            shutil.copyfileobj(tail, out)
-        else:
-            _write_csv(out, values[half:])
-    kind = {"representation": "detection map"} if isinstance(m, DetectionMap) else {}
-    return _save_sidecar(csv_path, m.grid, **kind)
-
-
-def start_save_wigner(w: WignerFunction, csv_path: str | Path) -> Callable[[], list[Path]]:
-    """Start :func:`save_matrix` in a forked helper; its finish, called once, joins it and writes what it did not."""
-    csv_path = Path(csv_path)
-    pid = _fork(lambda: save_matrix(w, csv_path))
-    return lambda: [csv_path, csv_path.with_suffix(".json")] if _joined(pid) else save_matrix(w, csv_path)
+    return finish
 
 
 def _strict_loadtxt(csv_path: Path, start: int, stop: int | None) -> np.ndarray:
@@ -275,15 +278,15 @@ def _load_matrix(csv_path: Path, n: int) -> np.ndarray:
         values[n - len(rows):] = rows
         count[0] = len(rows)
 
-    pid = _fork(parse_tail)
+    join = _helper(parse_tail)
     head = None
     try:
-        if pid is not None:
+        if join is not None:
             head = _strict_loadtxt(csv_path, 0, n // 2)
     except (OSError, ValueError, Warning):
         pass  # the whole-file parse below raises the real error
     finally:
-        tail_done = _joined(pid)
+        tail_done = join is not None and join()
     if not tail_done or head is None or head.shape != (n - count[0], n):
         return np.loadtxt(csv_path, delimiter=",", ndmin=2)
     values[:len(head)] = head

@@ -859,7 +859,7 @@ def _assert_no_child_left():
 
 
 class TestEvolveWriters:
-    """Frames 1..n-1 of ``evolve`` are written by a forked child while the next frame's steps run."""
+    """Each frame of ``evolve`` is formatted by a forked helper, frames 1..n-1 while the next frame's steps run."""
 
     @pytest.mark.parametrize(
         "state, t, dump_every",
@@ -901,17 +901,24 @@ class TestEvolveWriters:
         assert not (out / "run_manifest.json").exists()
 
     def test_writer_that_fails_once_gives_correct_bytes(self, evolve_inputs, tmp_path, capsys, monkeypatch):
-        parent, save = os.getpid(), wio.save_matrix
+        parent, formatted, waitpid, codes = os.getpid(), wio._formatted, os.waitpid, []
 
-        def fails_in_child(w, path):
+        def fails_in_child(block):
             if os.getpid() != parent:
                 raise OSError("lost writer")
-            return save(w, path)
+            return formatted(block)
 
-        monkeypatch.setattr(wio, "save_matrix", fails_in_child)
+        def recording_waitpid(pid, options):
+            reaped = waitpid(pid, options)
+            codes.append(os.waitstatus_to_exitcode(reaped[1]))
+            return reaped
+
+        monkeypatch.setattr(wio, "_formatted", fails_in_child)
+        monkeypatch.setattr(os, "waitpid", recording_waitpid)
         assert main(_evolve_argv(evolve_inputs, "n64", "0.012", "1e-3", "4", tmp_path / "e")) == 0
         monkeypatch.undo()
         printed = capsys.readouterr().out
+        assert codes == [1] * json.loads(printed)["frames"]  # every frame's helper failed, and its frame was written
         state_csv, well = evolve_inputs / "n64/state.csv", evolve_inputs / "well.json"
         assert printed == evolve_in_process(state_csv, well, 0.012, 1e-3, 4, tmp_path / "o")
         assert _snapshot(tmp_path / "e").keys() == _snapshot(tmp_path / "o").keys()
@@ -1212,7 +1219,7 @@ class TestSplitMatrixIO:
         assert main(_evolve_argv(evolve_inputs, "n64", "0.012", "1e-3", "1", tmp_path / "e")) == 0
         assert main(["detect", matrix_inputs["wdf"], matrix_inputs["wdf"], "--out", str(tmp_path / "d")]) == 0
         _assert_no_child_left()
-        # 11 frame writers and the last frame's split, then two split reads and one split write
+        # 12 frame writers, then two split reads and one split write
         assert log.read_text().split() == [str(os.getpid())] * 15
         assert capfd.readouterr().err == ""
 
@@ -1316,11 +1323,11 @@ class TestMatrixWriter:
 
 
 def test_only_io_forks_and_joins():
-    # the CLI forks nothing: it names no fork, join or sidecar helper of io, and no other module forks or waits
+    # the CLI forks nothing: it names no forked helper of io, and no other module forks or waits
     watched = {"fork", "waitpid"}
     found = set()
     for source in sorted(Path(wio.__file__).parent.glob("*.py")):
-        names = watched | {"_fork", "_joined", "_sidecar_path"} if source.name == "cli.py" else watched
+        names = watched | {"_helper"} if source.name == "cli.py" else watched
         for node in ast.walk(ast.parse(source.read_text())):
             name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
             if isinstance(node, (ast.Attribute, ast.Name, ast.alias)) and name in names:

@@ -55,11 +55,20 @@ ELSEWHERE = gaussian_wavefunction(GaussianSpec(width=1.0), OTHER)
 MOMENTUM_MASS_4 = fourier_transform(WaveFunction(GRID, 2.0 * PSI.values))
 
 
-def _truncated_state(tmp_path):
-    """Load a state file whose last row is cut off."""
-    path = wio.save_wavefunction(PSI, tmp_path / "state.csv")[0]
-    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
-    return wio.load_wavefunction(path)
+def _edit(path, edit):
+    """Rewrite the file ``path`` as ``edit`` of its list of lines."""
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+    return path
+
+
+def _edited_state(tmp_path, edit):
+    """Load a file of the position state ``PSI`` whose lines ``edit`` rewrote."""
+    return wio.load_wavefunction(_edit(wio.save_wavefunction(PSI, tmp_path / "state.csv")[0], edit))
+
+
+def _q_at_999(lines):
+    """A state file's lines with every sample's coordinate set to 999."""
+    return lines[:1] + ["999" + line[line.index(","):] for line in lines[1:]]
 
 
 def _overflowing_schrodinger_run(tmp_path):
@@ -107,7 +116,12 @@ LIBRARY = [
      "wavefunction became non-finite at step 1"),
     ("subplanck-flat", lambda tmp: subplanck_scale(WignerFunction(GRID, np.ones((256, 256)))), InvariantViolation,
      "distribution has no resolvable structure on this grid"),
-    ("state-file-rows", _truncated_state, ValueError, "{tmp}/state.csv: expected 256 rows of q,re,im"),
+    ("state-file-rows", lambda tmp: _edited_state(tmp, lambda lines: lines[:-1]), ValueError,
+     "{tmp}/state.csv: expected 256 rows of q,re,im"),
+    ("state-file-header", lambda tmp: _edited_state(tmp, lambda lines: ["p,re,im\n", *lines[1:]]), ValueError,
+     "{tmp}/state.csv: a position file's header must be q,re,im, got 'p,re,im'"),
+    ("state-file-coordinates", lambda tmp: _edited_state(tmp, _q_at_999), ValueError,
+     "{tmp}/state.csv: sample 0 has q = 999, not the lattice's q = -12"),
     ("wigner-file-kind", lambda tmp: wio.load_wigner(wio.save_wavefunction(PSI, tmp / "state.csv")[0]), ValueError,
      "{tmp}/state.csv must be a matrix file, got a wavefunction file"),
     ("wavefunction-file-kind", lambda tmp: wio.load_wavefunction(wio.save_matrix(wdf_from_wavefunction(PSI),
@@ -123,6 +137,9 @@ CLI = [
     ("repeated-parameter", ["state", "--cat", "d=2", "qi=1", "d=3"], "parameter d given twice"),
     ("figure4-slit-width-zero", ["figure", "fig4", "--qm", "0"], "q_m must be positive, got 0.0"),
     ("figure4-slit-width-negative", ["figure", "fig4", "--qm", "-1"], "q_m must be positive, got -1.0"),
+    # a position file headed p,re,im, every q at 999, used to be read as a position state, and wdf exited 0
+    ("relabelled-state", ["wdf", "{tmp}/relabelled.csv"],
+     "{tmp}/relabelled.csv: a position file's header must be q,re,im, got 'p,re,im'"),
 ]
 
 #: ``(name, argv)`` of commands that read a matrix file where they take a wavefunction file, ``{tmp}/w/wdf.csv``.
@@ -161,15 +178,19 @@ def test_refusal_names_its_cause(tmp_path, capsys, refuse, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             refuse(tmp_path)
     else:  # the CLI reports a ValueError as a usage error
-        assert main(refuse + ["--out", str(tmp_path / "o")]) == 2
+        _write_inputs(tmp_path)
+        assert main([arg.format(tmp=tmp_path) for arg in refuse] + ["--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "o").exists()
 
 
 def _write_inputs(tmp_path):
-    """A state file, its distribution file ``w/wdf.csv``, its self-detection ``det/detection.csv``, a slit, a well, and
-    a filter with each of the two matrix files as its device."""
-    wio.save_wavefunction(PSI, tmp_path / "state.csv")
+    """A state file and its copy ``relabelled.csv`` headed p,re,im with every q at 999, its distribution file
+    ``w/wdf.csv``, its self-detection ``det/detection.csv``, a slit, a well, and a filter with each of the two matrix
+    files as its device."""
+    for name in ("state", "relabelled"):
+        wio.save_wavefunction(PSI, tmp_path / f"{name}.csv")
+    _edit(tmp_path / "relabelled.csv", lambda lines: ["p,re,im\n", *_q_at_999(lines)[1:]])
     w = wdf_from_wavefunction(PSI)
     for name, value in (("w/wdf.csv", w), ("det/detection.csv", detect(w, w))):
         (tmp_path / name).parent.mkdir()
